@@ -4,8 +4,11 @@ A full compile resolves every element, validates each against the model, and
 derives the dependency graph. An incremental compile re-validates only the
 elements whose declarations changed plus everything reachable from them over
 the reverse dependency graph (previous and new graphs combined); untouched
-elements keep their previous diagnostics. The result is observably identical
-to a full compile.
+elements keep their previous diagnostics. An edit that keeps every element id
+and kind patches the previous graph at the changed elements, and keeps the
+previous injection-cycle report unless it changes an injection edge or
+touches a reported cycle. The result is observably identical to a full
+compile.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from .graph import (
     SUBCLASS_OF,
     VALUE_REF,
     DependencyGraph,
+    Edge,
     build_dependency_graph,
+    element_edges,
 )
 from .ids import ElementId, SourceSpan
 from .kernel import (
@@ -358,6 +363,9 @@ def validate_element(model: ResolvedModel, element_id: ElementId) -> list[Diagno
 # ---------------------------------------------------------------------------
 # Graph-level validation: injection cycles
 
+# edge kinds that injection follows at runtime
+_INJECTION_KINDS = frozenset((VALUE_REF, PARENT_BEAN, SUBCLASS_OF))
+
 
 def _injection_cycle_diags(model: ResolvedModel, graph: DependencyGraph) -> list[Diagnostic]:
     """E004 for strongly connected injection loops.
@@ -367,10 +375,9 @@ def _injection_cycle_diags(model: ResolvedModel, graph: DependencyGraph) -> list
     edge would never terminate. Pure parent/subclass cycles are already
     reported per element.
     """
-    inject_kinds = (VALUE_REF, PARENT_BEAN, SUBCLASS_OF)
     adj: dict[ElementId, list[tuple[ElementId, str]]] = {}
     for e in graph.edges:
-        if e.kind in inject_kinds and e.src in model.elements and e.dst in model.elements:
+        if e.kind in _INJECTION_KINDS and e.src in model.elements and e.dst in model.elements:
             adj.setdefault(e.src, []).append((e.dst, e.kind))
 
     # iterative Tarjan
@@ -630,6 +637,20 @@ def changed_element_ids(prev: ResolvedModel, new: ResolvedModel) -> set[ElementI
     return seeds
 
 
+def _same_shape(prev: ResolvedModel, new: ResolvedModel) -> bool:
+    """Same element ids, each of the same kind. Then every reference
+    resolves alike in both models, so an element's out-edges differ only
+    where its declaration does."""
+    if prev.elements.keys() != new.elements.keys():
+        return False
+    new_elements = new.elements
+    return all(entry.kind is new_elements[eid].kind for eid, entry in prev.elements.items())
+
+
+def _injection_edges(edges) -> set[Edge]:
+    return {e for e in edges if e.kind in _INJECTION_KINDS}
+
+
 def incremental_compile(
     prev: CompileState,
     changed_units,
@@ -654,12 +675,25 @@ def incremental_compile(
         parse_by_path[d.span.path] = parse_by_path[d.span.path] + (d,)
 
     resolved, resolve_diags = resolve(units.values())
-    graph = build_dependency_graph(resolved)
-
     seeds = changed_element_ids(prev.resolved, resolved)
+    keep_cycles = False
+    if _same_shape(prev.resolved, resolved):
+        # only the seeds' out-edges can differ: patch the previous graph
+        old_edges = element_edges(prev.resolved, seeds)
+        new_edges = element_edges(resolved, seeds)
+        graph = prev.graph.patched(old_edges, new_edges)
+        # the injection subgraph is unchanged, and so are the spans of the
+        # members of every reported cycle
+        keep_cycles = _injection_edges(old_edges) == _injection_edges(new_edges) and not any(
+            d.element in seeds for d in prev.graph_diags
+        )
+    else:
+        graph = build_dependency_graph(resolved)
+
     dirty = set(seeds)
-    dirty |= prev.graph.closure(seeds & prev.graph.nodes, reverse=True)
-    dirty |= graph.closure(seeds & graph.nodes, reverse=True)
+    dirty |= prev.graph.closure(seeds, reverse=True)
+    if graph is not prev.graph:
+        dirty |= graph.closure(seeds, reverse=True)
 
     validate_by_element: dict[ElementId, tuple[Diagnostic, ...]] = {}
     recompiled: set[ElementId] = set()
@@ -670,7 +704,10 @@ def incremental_compile(
         else:
             validate_by_element[eid] = prev.validate_by_element[eid]
 
-    graph_diags = tuple(_injection_cycle_diags(resolved, graph))
+    if keep_cycles:
+        graph_diags = prev.graph_diags
+    else:
+        graph_diags = tuple(_injection_cycle_diags(resolved, graph))
     conf = tuple(check_conformance(resolved, manifest)) if manifest is not None else ()
     state = CompileState(
         units=units,
@@ -689,7 +726,7 @@ def incremental_compile(
 # ---------------------------------------------------------------------------
 # State persistence
 
-_STATE_MAGIC = b"MTALKST1\n"
+_STATE_MAGIC = b"MTALKST2\n"
 STATE_FILENAME = "state.bin"
 
 

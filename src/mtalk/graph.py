@@ -1,33 +1,21 @@
-"""Typed dependency graph over model elements, with fast closure queries.
+"""Typed dependency graph over model elements, with closure queries.
 
 Edges capture every way one element's meaning can depend on another's.
-Closures run on a CSR adjacency via a compiled kernel when the extension
-built, else a pure-Python twin; set MTALK_PURE=1 to force the fallback.
+An element's out-edges follow from its own declaration, the element-id set
+and the kinds of the elements it names, so a graph can be patched one
+element at a time. Closures are a plain walk over a lazily built index.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ids import UNRESOLVED, ElementId
 from .kernel import ElementKind, ResolvedModel
 from .source import InlineBean, RefValue
 
-if os.environ.get("MTALK_PURE") == "1":
-    from . import _reach_py as _kernel
-
-    REACH_IMPL = "pure"
-else:
-    try:
-        from . import _reach as _kernel  # type: ignore[no-redef]
-
-        REACH_IMPL = "compiled"
-    except ImportError:
-        from . import _reach_py as _kernel  # type: ignore[no-redef]
-
-        REACH_IMPL = "pure"
+# the closure routine, named in benchmark reports: a breadth-first walk in Python
+REACH_IMPL = "pure"
 
 INSTANCE_OF = "instance-of"
 SUBCLASS_OF = "subclass-of"
@@ -48,24 +36,25 @@ def manifest_node(class_id: ElementId) -> ElementId:
     return ElementId(MANIFEST_NS, class_id.render())
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     src: ElementId
     dst: ElementId
     kind: str
 
 
 class DependencyGraph:
-    """Immutable edge set plus lazily built CSR indexes for closures."""
+    """Immutable node and edge sets plus lazily built indexes for queries."""
 
     def __init__(self, nodes, edges):
         self.nodes = frozenset(nodes)
         self.edges = frozenset(edges)
-        self._order: list[ElementId] | None = None
-        self._index: dict[ElementId, int] | None = None
-        self._csr: dict[bool, tuple[array, array]] = {}
         self._out: dict[ElementId, tuple[Edge, ...]] | None = None
         self._in: dict[ElementId, tuple[Edge, ...]] | None = None
+        self._neighbours: dict[bool, dict[ElementId, tuple[ElementId, ...]]] = {}
+
+    def __reduce__(self):
+        # the indexes are caches: a pickled graph holds its nodes and edges only
+        return DependencyGraph, (self.nodes, self.edges)
 
     def outgoing(self, element_id: ElementId) -> tuple[Edge, ...]:
         if self._out is None:
@@ -83,48 +72,36 @@ class DependencyGraph:
             self._in = {k: tuple(sorted(v, key=lambda e: (e.src.render(), e.kind))) for k, v in buckets.items()}
         return self._in.get(element_id, ())
 
-    def _ensure_index(self):
-        if self._index is None:
-            self._order = sorted(self.nodes, key=ElementId.render)
-            self._index = {eid: i for i, eid in enumerate(self._order)}
-
-    def _adjacency(self, reverse: bool) -> tuple[array, array]:
-        self._ensure_index()
-        cached = self._csr.get(reverse)
-        if cached is not None:
-            return cached
-        idx = self._index
-        n = len(self._order)
-        counts = [0] * (n + 1)
-        pairs = []
-        for e in self.edges:
-            a, b = (e.dst, e.src) if reverse else (e.src, e.dst)
-            ia, ib = idx[a], idx[b]
-            pairs.append((ia, ib))
-            counts[ia + 1] += 1
-        for i in range(1, n + 1):
-            counts[i] += counts[i - 1]
-        indptr = array("i", counts)
-        indices = array("i", bytes(4 * len(pairs))) if pairs else array("i")
-        fill = list(indptr[:-1])
-        for ia, ib in pairs:
-            indices[fill[ia]] = ib
-            fill[ia] += 1
-        self._csr[reverse] = (indptr, indices)
-        return indptr, indices
+    def _index(self, reverse: bool) -> dict[ElementId, tuple[ElementId, ...]]:
+        index = self._neighbours.get(reverse)
+        if index is None:
+            buckets: dict[ElementId, list[ElementId]] = {}
+            for src, dst, _kind in self.edges:
+                if reverse:
+                    src, dst = dst, src
+                buckets.setdefault(src, []).append(dst)
+            index = self._neighbours[reverse] = {k: tuple(v) for k, v in buckets.items()}
+        return index
 
     def closure(self, seeds, reverse: bool = False) -> set[ElementId]:
-        """Elements reachable from seeds (seeds included). reverse=True walks
-        edges backwards: everything that depends on the seeds."""
-        self._ensure_index()
-        idx = self._index
-        seed_ints = array("i", sorted({idx[s] for s in seeds if s in idx}))
-        if not seed_ints:
-            return set()
-        indptr, indices = self._adjacency(reverse)
-        flags = _kernel.reachable(indptr, indices, seed_ints, len(self._order))
-        order = self._order
-        return {order[i] for i, f in enumerate(flags) if f}
+        """Elements reachable from seeds (seeds included; seeds that are not
+        nodes are ignored). reverse=True walks edges backwards: everything
+        that depends on the seeds."""
+        nodes = self.nodes
+        found = {s for s in seeds if s in nodes}
+        if not found:
+            return found
+        index = self._index(reverse)
+        frontier = list(found)
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in index.get(v, ()):
+                    if w not in found:
+                        found.add(w)
+                        reached.append(w)
+            frontier = reached
+        return found
 
     def dependencies_of(self, element_id: ElementId) -> set[ElementId]:
         return self.closure([element_id], reverse=False)
@@ -132,18 +109,34 @@ class DependencyGraph:
     def dependents_of(self, element_id: ElementId) -> set[ElementId]:
         return self.closure([element_id], reverse=True)
 
+    def patched(self, removed: set[Edge], added: set[Edge]) -> DependencyGraph:
+        """This graph without the `removed` edges and with the `added` ones;
+        the graph itself when they cancel out. Manifest nodes come and go
+        with their native-binding edges."""
+        removed, added = removed - added, added - removed
+        if not removed and not added:
+            return self
+        nodes = self.nodes.difference(e.dst for e in removed if e.kind == NATIVE_BINDING)
+        nodes = nodes.union(e.dst for e in added if e.kind == NATIVE_BINDING)
+        return DependencyGraph(nodes, self.edges.difference(removed).union(added))
 
-def _value_edges(owner: ElementId, expr, lookup, edges):
+
+def _target(model: ResolvedModel, ref: ElementId) -> ElementId:
+    found = model.lookup(ref)
+    return found if found is not None else UNRESOLVED
+
+
+def _value_edges(model: ResolvedModel, owner: ElementId, expr, edges: set[Edge]):
     if isinstance(expr, RefValue):
-        edges.add(Edge(owner, lookup(expr.target), VALUE_REF))
+        edges.add(Edge(owner, _target(model, expr.target), VALUE_REF))
     elif isinstance(expr, InlineBean):
-        edges.add(Edge(owner, lookup(expr.class_ref), INSTANCE_OF))
+        edges.add(Edge(owner, _target(model, expr.class_ref), INSTANCE_OF))
         for _, inner in expr.assignments:
-            _value_edges(owner, inner, lookup, edges)
+            _value_edges(model, owner, inner, edges)
 
 
-def build_dependency_graph(model: ResolvedModel) -> DependencyGraph:
-    """Edges:
+def element_edges(model: ResolvedModel, element_ids) -> set[Edge]:
+    """Out-edges of the given elements:
 
       instance-of    bean -> its class (inline beans' classes included)
       subclass-of    class -> its superclass (implicit Object included)
@@ -152,26 +145,22 @@ def build_dependency_graph(model: ResolvedModel) -> DependencyGraph:
       value-ref      bean -> each bean referenced by an assignment value
       native-binding non-declarative class -> its manifest entry node
 
-    Unresolved references point at the UNRESOLVED sentinel node.
+    Unresolved references point at the UNRESOLVED sentinel node. Besides
+    the element's own declaration, its edges depend only on which ids exist
+    and on the kinds of the elements the declaration names.
     """
     edges: set[Edge] = set()
-    nodes: set[ElementId] = set(model.elements)
-    nodes.add(UNRESOLVED)
-
-    def lookup(ref: ElementId) -> ElementId:
-        t = model.lookup(ref)
-        return t if t is not None else UNRESOLVED
-
-    for eid, entry in model.elements.items():
+    for eid in element_ids:
+        entry = model.elements[eid]
         decl = entry.decl
-        edges.add(Edge(eid, lookup(decl.class_ref), INSTANCE_OF))
+        edges.add(Edge(eid, _target(model, decl.class_ref), INSTANCE_OF))
         if entry.kind is ElementKind.INSTANCE:
             if decl.parent_ref is not None:
-                edges.add(Edge(eid, lookup(decl.parent_ref), PARENT_BEAN))
+                edges.add(Edge(eid, _target(model, decl.parent_ref), PARENT_BEAN))
         else:
             cd = model.classes[eid]
             if decl.parent_ref is not None:
-                edges.add(Edge(eid, lookup(decl.parent_ref), SUBCLASS_OF))
+                edges.add(Edge(eid, _target(model, decl.parent_ref), SUBCLASS_OF))
             elif cd.parent is not None:
                 edges.add(Edge(eid, cd.parent, SUBCLASS_OF))
             for p in cd.own_properties:
@@ -180,10 +169,17 @@ def build_dependency_graph(model: ResolvedModel) -> DependencyGraph:
                 elif p.type.is_unresolved:
                     edges.add(Edge(eid, UNRESOLVED, PROPERTY_TYPE))
             if not cd.is_declarative:
-                mnode = manifest_node(eid)
-                nodes.add(mnode)
-                edges.add(Edge(eid, mnode, NATIVE_BINDING))
+                edges.add(Edge(eid, manifest_node(eid), NATIVE_BINDING))
         for _, expr in decl.assignments:
-            _value_edges(eid, expr, lookup, edges)
+            _value_edges(model, eid, expr, edges)
+    return edges
 
+
+def build_dependency_graph(model: ResolvedModel) -> DependencyGraph:
+    """The out-edges of every element. The nodes are the elements, the
+    UNRESOLVED sentinel and one manifest node per native-binding edge."""
+    edges = element_edges(model, model.elements)
+    nodes = set(model.elements)
+    nodes.add(UNRESOLVED)
+    nodes.update(e.dst for e in edges if e.kind == NATIVE_BINDING)
     return DependencyGraph(nodes, edges)

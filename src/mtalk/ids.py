@@ -7,16 +7,18 @@ primitives, so they live in a leaf module with no package-internal imports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Nominal scalar types. Reserved as bean ids in every namespace.
 BUILTIN_SCALARS = ("String", "Long", "Boolean", "Double")
 
 
-@dataclass(frozen=True, slots=True)
-class ElementId:
+class ElementId(NamedTuple):
     """Globally unique model element name: (namespace, local).
 
-    The empty namespace is the root namespace, where the kernel lives.
+    The empty namespace is the root namespace, where the kernel lives. A
+    tuple, so hashing and equality run in C: ids key every table of the
+    compiler.
     """
 
     namespace: str

@@ -16,8 +16,10 @@ construct shows up as a validation failure rather than being masked.
 from __future__ import annotations
 
 import hashlib
+import io
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import diagnostics as dx
 from .compiler import CompiledModel, CompileState
@@ -278,6 +280,7 @@ class _ComplexType:
     sequence: list[_Particle]
     attrs: dict[str, tuple[str, bool]]  # name -> (type, required)
     any_attrs: bool
+    required_elems: tuple[str, ...] = ()  # the required names of all_elems, in order
 
 
 @dataclass
@@ -294,26 +297,66 @@ class _Schema:
         self.simple: dict[str, _SimpleType] = {}
 
 
+@lru_cache(maxsize=1)
 def _parse_schema(text: str) -> _Schema:
+    """Interpret a schema text. Validating a run of units against one schema
+    parses it once; the parse is read-only from then on.
+
+    The text is read incrementally and each top-level construct is dropped
+    from the tree once interpreted, so a generated schema of several MB
+    never sits in memory as a whole element tree.
+    """
+    sch = root = None
+    depth = 0
     try:
-        root = ET.fromstring(text)
+        for event, node in ET.iterparse(io.StringIO(text), events=("start", "end")):
+            if event == "start":
+                depth += 1
+                if depth == 1:
+                    if node.tag != _XS + "schema":
+                        raise SchemaError("not an XML Schema document")
+                    root = node
+                    sch = _Schema(node.get("targetNamespace", ""))
+                continue
+            depth -= 1
+            if depth == 1:
+                _add_top_level(sch, node)
+                root.remove(node)
     except ET.ParseError as exc:
         raise SchemaError(f"schema is not well-formed: {exc}") from None
-    if root.tag != _XS + "schema":
-        raise SchemaError("not an XML Schema document")
-    sch = _Schema(root.get("targetNamespace", ""))
-    for child in root:
-        if child.tag == _XS + "element":
-            sch.elements[child.get("name")] = child.get("type")
-        elif child.tag == _XS + "complexType":
-            sch.complex[child.get("name")] = _parse_complex(child)
-        elif child.tag == _XS + "simpleType":
-            sch.simple[child.get("name")] = _parse_simple(child)
-        elif child.tag == _XS + "annotation":
-            continue
-        else:
-            raise SchemaError(f"unsupported schema construct {child.tag}")
+    _keep_reachable(sch)
     return sch
+
+
+def _add_top_level(sch: _Schema, child) -> None:
+    if child.tag == _XS + "element":
+        sch.elements[child.get("name")] = child.get("type")
+    elif child.tag == _XS + "complexType":
+        sch.complex[child.get("name")] = _parse_complex(child)
+    elif child.tag == _XS + "simpleType":
+        sch.simple[child.get("name")] = _parse_simple(child)
+    elif child.tag != _XS + "annotation":
+        raise SchemaError(f"unsupported schema construct {child.tag}")
+
+
+def _keep_reachable(sch: _Schema) -> None:
+    """Drop the types no root element reaches, such as the per-class editor
+    types: validation never looks them up. They were parsed all the same,
+    so an unsupported construct in one still raised SchemaError."""
+    reached: set[str] = set()
+    todo = list(sch.elements.values())
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        ct = sch.complex.get(name)
+        if ct is not None:
+            todo.extend(t for t, _required in ct.all_elems.values())
+            todo.extend(p.type for p in ct.sequence)
+            todo.extend(t for t, _required in ct.attrs.values())
+    sch.complex = {k: v for k, v in sch.complex.items() if k in reached}
+    sch.simple = {k: v for k, v in sch.simple.items() if k in reached}
 
 
 def _parse_complex(node) -> _ComplexType:
@@ -351,6 +394,7 @@ def _parse_complex(node) -> _ComplexType:
             continue
         else:
             raise SchemaError(f"unsupported complexType construct {child.tag}")
+    ct.required_elems = tuple(name for name, (_t, required) in ct.all_elems.items() if required)
     return ct
 
 
@@ -448,8 +492,8 @@ class _Validator:
                     continue
                 seen.add(child.tag)
                 self.validate_element(child, spec[0])
-            for name, (_t, required) in ct.all_elems.items():
-                if required and name not in seen:
+            for name in ct.required_elems:
+                if name not in seen:
                     self.fail(node.span, f"required element '{name}' missing in '{node.tag}'")
         elif ct.mode == "sequence":
             i = 0

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from mtalk.cli import EXIT_ERRORS, EXIT_IO, EXIT_OK, main
+from mtalk.compiler import compile_model
 from mtalk.kernel import KERNEL_SOURCE
 
 from conftest import write_golden
@@ -107,6 +108,24 @@ def test_corrupt_state_file_falls_back_to_full_compile(golden_root, capsys):
     code, out, err = run(capsys, "compile", "--root", str(golden_root))
     assert code == EXIT_OK
     assert out == ""
+
+
+def test_state_of_the_previous_layout_compiles_cold(golden_root, capsys, monkeypatch):
+    # ids and edges pickled differently under MTALKST1
+    from mtalk import cli
+    from mtalk.compiler import _STATE_MAGIC, load_state
+
+    run(capsys, "compile", "--root", str(golden_root))
+    state_dir = golden_root / ".mtalk" / "state"
+    state_file = state_dir / "state.bin"
+    assert _STATE_MAGIC == b"MTALKST2\n"
+    state_file.write_bytes(b"MTALKST1\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
+    assert load_state(state_dir) is None
+    cold = []
+    monkeypatch.setattr(cli, "compile_model", lambda *a: cold.append(1) or compile_model(*a))
+    code, out, err = run(capsys, "compile", "--root", str(golden_root))
+    assert (code, out, err, cold) == (EXIT_OK, "", "", [1])
+    assert state_file.read_bytes().startswith(_STATE_MAGIC)
 
 
 def test_no_cache_flag_ignores_persisted_state(golden_root, capsys):

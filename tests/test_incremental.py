@@ -5,16 +5,20 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtalk import compiler
 from mtalk.compiler import (
+    _STATE_MAGIC,
     STATE_FILENAME,
     changed_element_ids,
     compile_model,
+    compile_workspace,
     incremental_compile,
     load_state,
     save_state,
 )
 from mtalk.ids import ElementId
 from mtalk.source import parse_unit
+from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
 from conftest import GOLDEN_UNITS, compile_golden
 
@@ -265,15 +269,85 @@ def test_load_state_rejects_garbage(tmp_path):
     d.mkdir()
     (d / STATE_FILENAME).write_bytes(b"not a state file")
     assert load_state(d) is None
-    (d / STATE_FILENAME).write_bytes(b"MTALKST1\n" + pickle.dumps({"not": "a state"}))
+    (d / STATE_FILENAME).write_bytes(_STATE_MAGIC + pickle.dumps({"not": "a state"}))
     assert load_state(d) is None
     assert load_state(tmp_path / "missing") is None
 
 
 # ---------------------------------------------------------------------------
+# Folds that keep every element id and kind patch the graph and keep the
+# injection-cycle report
+
+
+def test_same_shape_folds_neither_rebuild_the_graph_nor_rerun_cycles(tmp_path, monkeypatch):
+    root = tmp_path / "ws"
+    generate_synthetic(BenchmarkSpec(40, 3, 2.5, 2, 13), str(root))
+    state, diags = compile_workspace(root)
+    assert diags == []
+    calls = {"build_dependency_graph": 0, "_injection_cycle_diags": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(compiler, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(compiler, name, counted)
+
+    path = "classes_000.model.xml"
+    text = (root / path).read_text(encoding="utf-8")
+    edits = {
+        "value": text.replace("<m000>129</m000>", "<m000>130</m000>", 1),
+        "shift": text.replace("<model>\n", "<model>\n\n", 1),
+        "comment": text.replace("<model>\n", "<model>\n  <!-- saved -->\n", 1),
+        "class": text.replace("<type>Double</type>", "<type>String</type>", 1),
+    }
+    others = [parse_clean((root / p).read_text(encoding="utf-8"), p)
+              for p in ("classes_001.model.xml", "meta.model.xml")]
+    for kind, edited in edits.items():
+        assert edited != text, kind
+        unit = parse_clean(edited, path)
+        calls.update(dict.fromkeys(calls, 0))
+        new, recompiled, diags = incremental_compile(state, [unit])
+        assert calls == {"build_dependency_graph": 0, "_injection_cycle_diags": 0}, kind
+        if kind == "value":
+            assert new.graph is state.graph and eid("C0001") in recompiled
+        full, full_diags = compile_model([unit, *others])
+        assert diags == full_diags == []
+        assert new.graph.nodes == full.graph.nodes and new.graph.edges == full.graph.edges
+        state = new
+
+    # a fold that adds an element rebuilds both
+    extra = parse_clean('<model xmlns="x"><bean id="X" class="C0000"/></model>', "x.model.xml")
+    calls.update(dict.fromkeys(calls, 0))
+    incremental_compile(state, [extra])
+    assert calls == {"build_dependency_graph": 1, "_injection_cycle_diags": 1}
+
+
+# ---------------------------------------------------------------------------
 # Property: any edit sequence matches a from-scratch compile
 
+_CYCLE_ACYCLIC = """\
+<model xmlns="cy">
+  <bean id="Node" class="Class">
+    <properties><property><name>next</name><type>Node</type></property></properties>
+  </bean>
+  <bean id="A" class="Node"><next ref="B"/></bean>
+  <bean id="B" class="Node"/>
+</model>
+"""
+_CYCLE_CLOSED = _CYCLE_ACYCLIC.replace('<bean id="B" class="Node"/>', '<bean id="B" class="Node"><next ref="A"/></bean>')
+_NS_USER = '<model xmlns="ns"><bean id="User" class="StandardCache"><timeToLive>5</timeToLive></bean></model>'
+
+# per unit path, the texts an edit may write; None removes the unit
 _VARIANTS = {
+    "core.model.xml": [
+        GOLDEN_UNITS["core.model.xml"],
+        # line shift: every bean of the unit moves down
+        GOLDEN_UNITS["core.model.xml"].replace("<model>\n", "<model>\n\n", 1),
+        # MetaCache stops being a metaclass, so the beans of class MetaCache
+        # turn from classes into instances without a change of their own
+        GOLDEN_UNITS["core.model.xml"].replace(
+            '<bean id="MetaCache" class="Class" parent="Class">', '<bean id="MetaCache" class="Class">'
+        ),
+    ],
     "caches.model.xml": [
         GOLDEN_UNITS["caches.model.xml"],
         GOLDEN_UNITS["caches.model.xml"].replace(
@@ -282,6 +356,11 @@ _VARIANTS = {
         GOLDEN_UNITS["caches.model.xml"].replace(
             'id="SecuredCacheManager" class="Class" parent="CacheManager"',
             'id="SecuredCacheManager" class="Class"',
+        ),
+        # a class becomes an instance
+        GOLDEN_UNITS["caches.model.xml"].replace(
+            '<bean id="StandardCache" class="Class" parent="CacheManager"/>',
+            '<bean id="StandardCache" class="CacheManager"/>',
         ),
     ],
     "secured.model.xml": [
@@ -292,6 +371,10 @@ _VARIANTS = {
         GOLDEN_UNITS["secured.model.xml"].replace(
             'class="SecuredCacheManager"', 'class="StandardCache"'
         ),
+        # a declarative class turns native: it gains a manifest node
+        GOLDEN_UNITS["secured.model.xml"].replace(
+            'parent="HTTP_Client" declarative="true"', 'parent="HTTP_Client"'
+        ),
     ],
     "pictures.model.xml": [
         GOLDEN_UNITS["pictures.model.xml"],
@@ -299,33 +382,67 @@ _VARIANTS = {
             'parent="RobustHTTP_Client"', 'parent="FastHTTP_Client"'
         ),
         '<model xmlns=""><bean id="LogoPictureRetriever" class="Nowhere"/></model>',
+        None,
+    ],
+    # ns:User names StandardCache, which falls back to the root class until
+    # a unit declares ns:StandardCache
+    "ns_user.model.xml": [None, _NS_USER, _NS_USER.replace(">5<", ">soon<")],
+    "ns_capture.model.xml": [
+        None,
+        '<model xmlns="ns"><bean id="StandardCache" class="Class"/></model>',
+        '<model xmlns="ns"><bean id="StandardCache" class="CacheManager"/></model>',
+    ],
+    # an injection cycle made, broken, and moved by a line shift
+    "cycle.model.xml": [
+        None,
+        _CYCLE_ACYCLIC,
+        _CYCLE_CLOSED,
+        _CYCLE_CLOSED.replace('  <bean id="A"', '\n  <bean id="A"'),
     ],
 }
+_EDITS = [(path, i) for path, texts in _VARIANTS.items() for i in range(len(texts))]
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(sorted(_VARIANTS)),
-            st.integers(min_value=0, max_value=2),
-        ),
-        min_size=1,
-        max_size=5,
-    )
-)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=6))
 def test_incremental_equals_full_for_edit_sequences(steps):
     current = dict(GOLDEN_UNITS)
     state, _ = compile_golden()
     for path, variant in steps:
-        current[path] = _VARIANTS[path][variant]
-        unit, pdiags = parse_unit(current[path], path)
-        state, _, inc_diags = incremental_compile(state, [unit], parse_diags=pdiags)
+        text = _VARIANTS[path][variant]
+        if text is None:
+            current.pop(path, None)
+            state, _, inc_diags = incremental_compile(state, [], removed_paths=[path])
+        else:
+            current[path] = text
+            unit, pdiags = parse_unit(text, path)
+            state, _, inc_diags = incremental_compile(state, [unit], parse_diags=pdiags)
         parsed = []
         all_pdiags = []
         for p, t in current.items():
             u, pd = parse_unit(t, p)
             parsed.append(u)
             all_pdiags.extend(pd)
-        _, full_diags = compile_model(parsed, parse_diags=all_pdiags)
+        full, full_diags = compile_model(parsed, parse_diags=all_pdiags)
         assert [d.render() for d in inc_diags] == [d.render() for d in full_diags]
+        assert state.graph.nodes == full.graph.nodes
+        assert state.graph.edges == full.graph.edges
+
+
+def test_edit_variants_reach_their_cases():
+    """The oracle's edits do what their comments say."""
+    def diags_with(**texts):
+        units = {**GOLDEN_UNITS, **texts}
+        return compile_model([parse_clean(t, p) for p, t in units.items()])
+
+    state, diags = diags_with(**{"cycle.model.xml": _CYCLE_CLOSED})
+    assert {d.element.render() for d in diags if d.code == "E004"} == {"cy:A", "cy:B"}
+    _, diags = diags_with(**{"cycle.model.xml": _CYCLE_ACYCLIC})
+    assert diags == []
+    state, diags = diags_with(**{"ns_user.model.xml": _NS_USER})
+    assert diags == []
+    _, captured = diags_with(**{"ns_user.model.xml": _NS_USER,
+                                "ns_capture.model.xml": _VARIANTS["ns_capture.model.xml"][1]})
+    assert [d.code for d in captured] == ["E002"]
+    flipped, _ = diags_with(**{"core.model.xml": _VARIANTS["core.model.xml"][2]})
+    assert flipped.resolved.kind_of(eid("HTTP_Client")) != state.resolved.kind_of(eid("HTTP_Client"))

@@ -1,175 +1,131 @@
-"""Parity checks between the compiled reachability kernel and the pure fallback."""
+"""The closure contract of DependencyGraph.closure, checked against a naive walk."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from array import array
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtalk import _reach_py
 from mtalk import graph as graphmod
+from mtalk.compiler import compile_workspace
+from mtalk.graph import VALUE_REF, DependencyGraph, Edge
+from mtalk.ids import ElementId
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
-try:
-    from mtalk import _reach
-except ImportError:
-    _reach = None
 
-needs_ext = pytest.mark.skipif(_reach is None, reason="compiled extension not built")
+def node(i: int) -> ElementId:
+    return ElementId("g", f"n{i}")
 
 
-def csr(n, edges):
-    buckets = [[] for _ in range(n)]
-    for a, b in edges:
-        buckets[a].append(b)
-    indptr = array("i", [0])
-    indices = array("i")
-    for bucket in buckets:
-        indices.extend(bucket)
-        indptr.append(len(indices))
-    return indptr, indices
+def make_graph(n: int, pairs) -> DependencyGraph:
+    return DependencyGraph(
+        [node(i) for i in range(n)], [Edge(node(a), node(b), VALUE_REF) for a, b in pairs]
+    )
 
 
-def reach(kernel, n, edges, seeds):
-    indptr, indices = csr(n, edges)
-    return bytes(kernel.reachable(indptr, indices, array("i", seeds), n))
+def reach(n, pairs, seeds, reverse=False) -> set[int]:
+    found = make_graph(n, pairs).closure([node(s) for s in seeds], reverse=reverse)
+    return {int(e.local[1:]) for e in found}
 
 
-def expected_impl() -> str:
-    if os.environ.get("MTALK_PURE") == "1":
-        return "pure"
-    return "pure" if _reach is None else "compiled"
+def naive_reach(edges, seeds, reverse=False) -> set:
+    """Reference: grow the reached set until no edge leaves it."""
+    found = set(seeds)
+    while True:
+        more = {
+            (e.src if reverse else e.dst)
+            for e in edges
+            if (e.dst if reverse else e.src) in found
+        } - found
+        if not more:
+            return found
+        found |= more
 
 
 def test_selected_impl_matches_environment():
-    assert graphmod.REACH_IMPL == expected_impl()
-
-
-# ---------------------------------------------------------------------------
-# pure kernel semantics
+    assert graphmod.REACH_IMPL == "pure"
 
 
 def test_chain_reaches_downstream_only():
-    flags = reach(_reach_py, 4, [(0, 1), (1, 2)], [1])
-    assert flags == bytes([0, 1, 1, 0])
+    assert reach(4, [(0, 1), (1, 2)], [1]) == {1, 2}
+
+
+def test_chain_reverse_reaches_upstream_only():
+    assert reach(4, [(0, 1), (1, 2)], [1], reverse=True) == {0, 1}
 
 
 def test_seeds_are_included_even_without_edges():
-    assert reach(_reach_py, 3, [], [2]) == bytes([0, 0, 1])
+    assert reach(3, [], [2]) == {2}
 
 
 def test_empty_seed_set_reaches_nothing():
-    assert reach(_reach_py, 3, [(0, 1)], []) == bytes([0, 0, 0])
+    assert reach(3, [(0, 1)], []) == set()
+
+
+def test_seeds_outside_the_graph_are_ignored():
+    g = make_graph(2, [(0, 1)])
+    assert g.closure([ElementId("g", "elsewhere")]) == set()
+    assert g.closure([ElementId("g", "elsewhere"), node(0)]) == {node(0), node(1)}
 
 
 def test_cycle_is_fully_visited_once():
-    flags = reach(_reach_py, 3, [(0, 1), (1, 2), (2, 0)], [0])
-    assert flags == bytes([1, 1, 1])
+    assert reach(3, [(0, 1), (1, 2), (2, 0)], [0]) == {0, 1, 2}
+    assert reach(3, [(0, 1), (1, 2), (2, 0)], [0], reverse=True) == {0, 1, 2}
 
 
 def test_self_loop_and_duplicate_seeds():
-    flags = reach(_reach_py, 2, [(0, 0)], [0, 0, 0])
-    assert flags == bytes([1, 0])
+    assert reach(2, [(0, 0)], [0, 0, 0]) == {0}
 
 
-def test_pure_kernel_accepts_plain_lists():
-    flags = _reach_py.reachable([0, 1, 1], [1], [0], 2)
-    assert bytes(flags) == bytes([1, 1])
+def test_closure_accepts_any_seed_iterable():
+    g = make_graph(3, [(0, 1)])
+    want = {node(0), node(1)}
+    assert g.closure([node(0)]) == want
+    assert g.closure({node(0)}) == want
+    assert g.closure(frozenset({node(0)})) == want
+    assert g.closure(s for s in [node(0)]) == want
 
 
 def test_zero_node_graph():
-    assert reach(_reach_py, 0, [], []) == b""
-
-
-# ---------------------------------------------------------------------------
-# compiled kernel parity
-
-
-@needs_ext
-def test_compiled_matches_on_small_graphs():
-    cases = [
-        (4, [(0, 1), (1, 2)], [1]),
-        (3, [], [2]),
-        (3, [(0, 1)], []),
-        (3, [(0, 1), (1, 2), (2, 0)], [0]),
-        (2, [(0, 0)], [0, 0]),
-        (0, [], []),
-        (6, [(0, 1), (0, 2), (2, 3), (4, 5)], [0, 4]),
-    ]
-    for n, edges, seeds in cases:
-        assert reach(_reach, n, edges, seeds) == reach(_reach_py, n, edges, seeds)
+    g = DependencyGraph([], [])
+    assert g.closure([]) == set()
+    assert g.closure([node(0)], reverse=True) == set()
 
 
 @st.composite
 def random_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=40))
-    node = st.integers(min_value=0, max_value=n - 1)
-    edges = draw(st.lists(st.tuples(node, node), max_size=120))
-    seeds = sorted(set(draw(st.lists(node, max_size=n))))
-    return n, edges, seeds
+    index = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=120))
+    seeds = draw(st.lists(index, max_size=n))
+    return n, pairs, seeds
 
 
-@needs_ext
 @settings(max_examples=150, deadline=None)
-@given(random_graphs())
-def test_compiled_matches_pure_on_random_graphs(case):
-    n, edges, seeds = case
-    assert reach(_reach, n, edges, seeds) == reach(_reach_py, n, edges, seeds)
+@given(random_graphs(), st.booleans())
+def test_closure_matches_naive_walk_on_random_graphs(case, reverse):
+    n, pairs, seeds = case
+    g = make_graph(n, pairs)
+    want = naive_reach(g.edges, {node(s) for s in seeds}, reverse)
+    assert g.closure([node(s) for s in seeds], reverse=reverse) == want
 
 
-# ---------------------------------------------------------------------------
-# environment switches
-
-
-def _impl_in_subprocess(env_extra: dict) -> str:
-    env = dict(os.environ)
-    env.pop("MTALK_PURE", None)
-    env.update(env_extra)
-    out = subprocess.run(
-        [sys.executable, "-c", "from mtalk.graph import REACH_IMPL; print(REACH_IMPL)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_mtalk_pure_forces_fallback():
-    assert _impl_in_subprocess({"MTALK_PURE": "1"}) == "pure"
-
-
-@needs_ext
-def test_default_prefers_compiled_kernel():
-    assert _impl_in_subprocess({}) == "compiled"
-
-
-_CLOSURE_SNIPPET = """\
-import sys
-from mtalk.compiler import compile_workspace
-from mtalk.ids import ElementId
-state, diags = compile_workspace(sys.argv[1])
-assert not diags, [d.render() for d in diags]
-out = state.graph.closure({ElementId("", "C0000")}, reverse=True)
-print("\\n".join(sorted(e.render() for e in out)))
-"""
-
-
-@needs_ext
-def test_graph_closures_agree_across_kernels(tmp_path):
-    root = tmp_path / "ws"
-    generate_synthetic(BenchmarkSpec(40, 3, 2.5, 2, 13), str(root))
-
-    def run(env_extra):
-        env = dict(os.environ)
-        env.pop("MTALK_PURE", None)
-        env.update(env_extra)
-        res = subprocess.run(
-            [sys.executable, "-c", _CLOSURE_SNIPPET, str(root)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        return res.stdout
-
-    assert run({"MTALK_PURE": "1"}) == run({})
+def test_c07_reverse_closure_matches_naive_walk(tmp_path):
+    root = tmp_path / "c07"
+    generate_synthetic(BenchmarkSpec(4800, 200, 4.75, 4, 42), str(root))
+    state, diags = compile_workspace(root)
+    assert diags == []
+    g = state.graph
+    assert (len(g.nodes), len(g.edges)) == (25685, 51981)
+    dependents: dict[ElementId, list[ElementId]] = {}
+    for e in g.edges:
+        dependents.setdefault(e.dst, []).append(e.src)
+    for seed in (ElementId("", "Object"), ElementId("", "C0000"), ElementId("", "C2400")):
+        want = {seed}
+        todo = [seed]
+        while todo:
+            for src in dependents.get(todo.pop(), ()):
+                if src not in want:
+                    want.add(src)
+                    todo.append(src)
+        assert len(want) > 1
+        assert g.closure([seed], reverse=True) == want

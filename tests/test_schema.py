@@ -3,7 +3,7 @@
 import pytest
 
 from mtalk.diagnostics import SCHEMA_VIOLATION
-from mtalk.schema import SchemaDoc, generate_schema, generate_schemas, validate_with_schema
+from mtalk.schema import SchemaDoc, SchemaError, generate_schema, generate_schemas, validate_with_schema
 
 from conftest import GOLDEN_UNITS, compile_golden, compile_texts
 
@@ -258,3 +258,55 @@ def test_violation_spans_point_into_document():
     d = diags[0]
     assert d.span.line == 2
     assert d.span.path == "u.model.xml"
+
+
+# ---------------------------------------------------------------------------
+# One parse per schema text
+
+
+def test_repeated_validation_gives_identical_diagnostics():
+    schema = golden_schema()
+    text = '<model><bean id="X" class="MetaCache"><timeout>soon</timeout><bogus/></bean></model>'
+    first = validate_with_schema(schema, text, "u.model.xml")
+    assert len(first) == 2
+    assert validate_with_schema(schema, text, "u.model.xml") == first
+    assert validate_with_schema(schema.text, text, "u.model.xml") == first
+
+
+def test_regenerated_schema_is_the_one_in_force():
+    text = '<model><bean id="X" class="HTTP_Client"><timeout>soon</timeout></bean></model>'
+    before = golden_schema()
+    check_one(before, text, "not a valid xs:long")
+    # retype timeout from Long to String and regenerate
+    retyped = GOLDEN_UNITS["core.model.xml"].replace(
+        "<name>timeout</name>\n        <type>Long</type>", "<name>timeout</name>\n        <type>String</type>"
+    )
+    assert retyped != GOLDEN_UNITS["core.model.xml"]
+    state, _ = compile_texts(**{
+        p.replace(".", "_"): (retyped if p == "core.model.xml" else t) for p, t in GOLDEN_UNITS.items()
+    })
+    after = generate_schema(state)
+    assert validate_with_schema(after, text) == []
+    check_one(before, text, "not a valid xs:long")
+
+
+def test_unsupported_construct_in_unreferenced_type_raises():
+    text = golden_schema().text
+    marker = '<xs:complexType name="t.HTTP_Client">'
+    assert marker in text
+    broken = text.replace(marker, marker + "\n    <xs:choice/>")
+    for _ in range(2):
+        with pytest.raises(SchemaError, match="unsupported complexType construct"):
+            validate_with_schema(broken, "<model/>")
+
+
+def test_unusable_schema_texts_raise():
+    with pytest.raises(SchemaError, match="not well-formed"):
+        validate_with_schema('<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">', "<model/>")
+    with pytest.raises(SchemaError, match="not an XML Schema document"):
+        validate_with_schema("<model/>", "<model/>")
+    with pytest.raises(SchemaError, match="unsupported schema construct"):
+        validate_with_schema(
+            '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:group name="g"/></xs:schema>',
+            "<model/>",
+        )
