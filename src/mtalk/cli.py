@@ -23,7 +23,7 @@ from .kernel import KERNEL_SOURCE
 from .native import NativeManifest, load_manifest
 from .rename import apply_patchset, rename_element, rename_property
 from .schema import generate_schemas
-from .source import discover_unit_paths, parse_unit
+from .source import discover_unit_paths, parse_unit, read_unit_text
 from .synthetic import BenchmarkSpec, generate_synthetic
 from .watch import run_watch
 
@@ -60,8 +60,10 @@ def _load_workspace(
         units = []
         parse_diags = []
         for rel in paths:
-            with open(os.path.join(root, rel), encoding="utf-8") as f:
-                text = f.read()
+            text, unreadable = read_unit_text(root, rel)
+            if unreadable is not None:
+                parse_diags.append(unreadable)
+                continue
             unit, diags = parse_unit(text, rel)
             units.append(unit)
             parse_diags.extend(diags)
@@ -69,9 +71,13 @@ def _load_workspace(
     else:
         changed = []
         parse_diags = []
+        readable = set()
         for rel in paths:
-            with open(os.path.join(root, rel), encoding="utf-8") as f:
-                text = f.read()
+            text, unreadable = read_unit_text(root, rel)
+            if unreadable is not None:
+                parse_diags.append(unreadable)
+                continue
+            readable.add(rel)
             known = prev.units.get(rel)
             if known is not None:
                 new_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -80,7 +86,9 @@ def _load_workspace(
             unit, diags = parse_unit(text, rel)
             changed.append(unit)
             parse_diags.extend(diags)
-        removed = [rel for rel in prev.units if rel not in set(paths)]
+        # an unreadable unit counts as absent; dropping every path that is not
+        # read also drops the diagnostics of one that was unreadable before
+        removed = sorted((prev.units.keys() | prev.parse_by_path.keys()) - readable)
         state, _recompiled, report = incremental_compile(
             prev, changed, removed_paths=removed, parse_diags=parse_diags, manifest=manifest
         )

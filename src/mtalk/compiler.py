@@ -674,7 +674,7 @@ def incremental_compile(
         parse_by_path.setdefault(d.span.path, ())
         parse_by_path[d.span.path] = parse_by_path[d.span.path] + (d,)
 
-    resolved, resolve_diags = resolve(units.values())
+    resolved, resolve_diags = resolve(units.values(), prev=prev.resolved)
     seeds = changed_element_ids(prev.resolved, resolved)
     keep_cycles = False
     if _same_shape(prev.resolved, resolved):
@@ -726,7 +726,7 @@ def incremental_compile(
 # ---------------------------------------------------------------------------
 # State persistence
 
-_STATE_MAGIC = b"MTALKST2\n"
+_STATE_MAGIC = b"MTALKST3\n"
 STATE_FILENAME = "state.bin"
 
 

@@ -226,10 +226,14 @@ class ResolvedModel:
 # Resolution
 
 
-def resolve(units) -> tuple[ResolvedModel, list[Diagnostic]]:
+def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, list[Diagnostic]]:
     """Build the element table, classify every element, derive ClassDefs.
 
     Maximal: every resolvable element is resolved even when others fail.
+    With prev, the model of an earlier resolve, an element whose declaration
+    is the same object and whose kind is unchanged keeps its ResolvedElement,
+    and a class whose references also resolve alike keeps its ClassDef, so a
+    fold allocates only for what it changed.
     """
     by_path: dict[str, SourceUnit] = {kernel_unit().path: kernel_unit()}
     for u in units:
@@ -238,20 +242,18 @@ def resolve(units) -> tuple[ResolvedModel, list[Diagnostic]]:
     unit_list = list(ordered.values())
 
     diags = duplicate_id_diags(unit_list)
-    elements_decl: dict[ElementId, tuple[BeanDecl, str]] = {}
+    decls: dict[ElementId, BeanDecl] = {}
     for unit in unit_list:
         for decl in unit.beans:
-            if decl.id not in elements_decl:
-                elements_decl[decl.id] = (decl, unit.path)
-
-    ids = set(elements_decl)
+            if decl.id not in decls:
+                decls[decl.id] = decl
 
     def lookup(ref: ElementId) -> ElementId | None:
-        if ref in ids:
+        if ref in decls:
             return ref
         if ref.namespace:
             fb = ElementId("", ref.local)
-            if fb in ids:
+            if fb in decls:
                 return fb
         return None
 
@@ -274,7 +276,7 @@ def resolve(units) -> tuple[ResolvedModel, list[Diagnostic]]:
                 break
             seen.add(cur)
             chain.append(cur)
-            pref = elements_decl[cur][0].parent_ref
+            pref = decls[cur].parent_ref
             cur = lookup(pref) if pref is not None else None
         else:
             if cur is not None:
@@ -285,10 +287,10 @@ def resolve(units) -> tuple[ResolvedModel, list[Diagnostic]]:
         return result
 
     kinds: dict[ElementId, ElementKind] = {}
-    for eid in elements_decl:
+    for eid in decls:
         if is_meta(eid):
             kinds[eid] = ElementKind.METACLASS
-    for eid, (decl, _) in elements_decl.items():
+    for eid, decl in decls.items():
         if eid in kinds:
             continue
         target = lookup(decl.class_ref)
@@ -297,14 +299,20 @@ def resolve(units) -> tuple[ResolvedModel, list[Diagnostic]]:
         else:
             kinds[eid] = ElementKind.INSTANCE
 
-    elements = {
-        eid: ResolvedElement(decl, kinds[eid], path) for eid, (decl, path) in elements_decl.items()
-    }
+    prev_elements = prev.elements if prev is not None else {}
+    prev_classes = prev.classes if prev is not None else {}
+    elements: dict[ElementId, ResolvedElement] = {}
+    for eid, decl in decls.items():
+        entry = prev_elements.get(eid)
+        if entry is None or entry.decl is not decl or entry.kind is not kinds[eid]:
+            # a declaration's span path is its unit's path
+            entry = ResolvedElement(decl, kinds[eid], decl.span.path)
+        elements[eid] = entry
 
     model = ResolvedModel(ordered, elements, {})
 
     # class/parent reference diagnostics
-    for eid, (decl, _) in elements_decl.items():
+    for eid, decl in decls.items():
         target = lookup(decl.class_ref)
         if target is None:
             diags.append(
@@ -334,7 +342,7 @@ def resolve(units) -> tuple[ResolvedModel, list[Diagnostic]]:
             )
 
     # class definitions
-    for eid, (decl, _) in elements_decl.items():
+    for eid, decl in decls.items():
         kind = kinds[eid]
         if kind is ElementKind.INSTANCE:
             continue
@@ -344,20 +352,26 @@ def resolve(units) -> tuple[ResolvedModel, list[Diagnostic]]:
         else:
             parent = OBJECT_ID if eid != OBJECT_ID else None
             explicit = False
+        metaclass = lookup(decl.class_ref)
+        types = [model.resolve_type(d.type_ref, d.type_written) for d in decl.property_defs]
+        kept = prev_classes.get(eid)
+        if (
+            kept is not None
+            and elements[eid] is prev_elements[eid]
+            and kept.metaclass == metaclass
+            and kept.parent == parent
+            and all(p.type == t for p, t in zip(kept.own_properties, types))
+        ):
+            model.classes[eid] = kept
+            continue
         own = tuple(
-            PropertyDefinition(
-                d.name,
-                model.resolve_type(d.type_ref, d.type_written),
-                d.description,
-                eid,
-                d.span,
-            )
-            for d in decl.property_defs
+            PropertyDefinition(d.name, t, d.description, eid, d.span)
+            for d, t in zip(decl.property_defs, types)
         )
         model.classes[eid] = ClassDef(
             id=eid,
             kind=kind,
-            metaclass=lookup(decl.class_ref),
+            metaclass=metaclass,
             parent=parent,
             explicit_parent=explicit,
             own_properties=own,

@@ -20,7 +20,8 @@ from .source import SourceUnit
 
 # property assignments are element tags, so renamed properties must scan as one
 _TAG_NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
-_ATTR_SITE_KINDS = ("bean-id", "class-attr", "parent-attr", "ref-attr")
+# a comment, CDATA section or PI inside <name>/<type> text, which can split a name
+_SPLIT_LEAF_RE = re.compile(r"<(?:name|type)\b[^>]*>[^<]*<[!?]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +140,16 @@ def _check_new_name(new: str) -> None:
         raise CollisionError(f"'{new}' is not a usable name")
 
 
+def _may_mention(unit: SourceUnit, name: str) -> bool:
+    """False only when no site of the unit can spell name, so its sites,
+    which are rescanned on each access, need not be read. Attribute values
+    and text are entity-decoded, so any '&' may stand for part of a name."""
+    text = unit.text
+    if name in text or "&" in text:
+        return True
+    return ("<!" in text or "<?" in text) and _SPLIT_LEAF_RE.search(text) is not None
+
+
 def _manifest_of(state: CompileState):
     return state.manifest
 
@@ -177,7 +188,7 @@ def rename_element(
     # creating ns:new would capture bare references that fall back to root new
     if old_id.namespace and ElementId("", new) in model.elements:
         for unit in state.units.values():
-            if unit.namespace != old_id.namespace:
+            if unit.namespace != old_id.namespace or not _may_mention(unit, new):
                 continue
             for site in unit.ref_sites:
                 if site.target is None or ":" in site.written:
@@ -189,6 +200,8 @@ def rename_element(
 
     patches: list[Patch] = []
     for unit in state.units.values():
+        if not _may_mention(unit, old_id.local):
+            continue
         for site in unit.ref_sites:
             if site.target is None:
                 continue
@@ -271,6 +284,8 @@ def rename_property(
 
     patches: list[Patch] = []
     for unit in state.units.values():
+        if not _may_mention(unit, old):
+            continue
         for site in unit.ref_sites:
             if site.prop != old:
                 continue

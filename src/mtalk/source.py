@@ -119,11 +119,18 @@ class SourceUnit:
     text: str
     content_hash: str
     beans: tuple[BeanDecl, ...]
-    ref_sites: tuple[RefSite, ...]
     root_tag: str | None
 
-    def bean_map(self) -> dict[ElementId, BeanDecl]:
-        return {b.id: b for b in self.beans}
+    @property
+    def ref_sites(self) -> tuple[RefSite, ...]:
+        """Every renameable occurrence, in source order.
+
+        Only rename reads these, so they are not kept: each access rescans
+        the text with the unit parser.
+        """
+        parser = _UnitParser(self.text, self.path, sites=True)
+        parser.parse()
+        return tuple(parser.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +306,15 @@ _RESYNC_BEAN_RE = re.compile(r"<bean[\s/>]")
 
 
 class _UnitParser:
-    def __init__(self, text: str, path: str):
+    def __init__(self, text: str, path: str, sites: bool = False):
         self.sc = _Scanner(text, path)
         self.text = text
         self.path = path
         self.namespace = ""
         self.diags: list[Diagnostic] = []
         self.beans: list[BeanDecl] = []
-        self.sites: list[RefSite] = []
+        # None unless a ref_sites rescan asked for them
+        self.sites: list[RefSite] | None = [] if sites else None
         self.root_tag: str | None = None
         self._ids: dict[str, BeanDecl] = {}
 
@@ -317,6 +325,12 @@ class _UnitParser:
 
     def _err_span(self, span: SourceSpan, message: str, element: ElementId | None = None):
         self.diags.append(dx.error(dx.PARSE, message, span, element))
+
+    def _site(self, sites: list[RefSite], kind: str, written: str, start: int, end: int,
+              bean: ElementId, **extra) -> None:
+        """Record one rename site; only a ref_sites rescan collects them."""
+        if self.sites is not None:
+            sites.append(RefSite(kind, written, self.sc.span(start, end), bean, **extra))
 
     def _attr_span(self, node: _XmlNode, name: str) -> SourceSpan:
         s, e = node.attr_value_spans[name]
@@ -493,7 +507,7 @@ class _UnitParser:
 
         sites: list[RefSite] = []
         class_ref = ElementId.parse(written_class, self.namespace)
-        sites.append(RefSite("class-attr", written_class, self._attr_span(node, "class"), bean_id, target=class_ref))
+        self._site(sites, "class-attr", written_class, *node.attr_value_spans["class"], bean_id, target=class_ref)
 
         written_parent = node.attrs.get("parent")
         parent_ref = None
@@ -503,8 +517,8 @@ class _UnitParser:
                 written_parent = None
             else:
                 parent_ref = ElementId.parse(written_parent, self.namespace)
-                sites.append(
-                    RefSite("parent-attr", written_parent, self._attr_span(node, "parent"), bean_id, target=parent_ref)
+                self._site(
+                    sites, "parent-attr", written_parent, *node.attr_value_spans["parent"], bean_id, target=parent_ref
                 )
 
         abstract = self._flag(node, "abstract", bean_id)
@@ -562,8 +576,9 @@ class _UnitParser:
             return
         self._ids[written_id] = decl
         self.beans.append(decl)
-        sites.append(RefSite("bean-id", written_id, self._attr_span(node, "id"), bean_id, target=bean_id))
-        self.sites.extend(sites)
+        if self.sites is not None:
+            self._site(sites, "bean-id", written_id, *node.attr_value_spans["id"], bean_id, target=bean_id)
+            self.sites.extend(sites)
 
     def _flag(self, node: _XmlNode, name: str, bean_id: ElementId) -> bool:
         raw = node.attrs.get(name)
@@ -582,10 +597,11 @@ class _UnitParser:
             return None
         return node.text
 
-    def _leaf_text_span(self, node: _XmlNode) -> SourceSpan:
+    @staticmethod
+    def _leaf_bounds(node: _XmlNode) -> tuple[int, int]:
         if node.content_start is None:
-            return self._node_span(node)
-        return self.sc.span(node.content_start, node.content_end)
+            return node.start, node.end
+        return node.content_start, node.content_end
 
     def _parse_defs(self, block: _XmlNode, bean_id: ElementId, sites: list[RefSite]) -> list[RawPropertyDef]:
         defs: list[RawPropertyDef] = []
@@ -632,9 +648,9 @@ class _UnitParser:
                 description = self._leaf_text(desc_node, bean_id)
             type_ref = ElementId.parse(type_written, self.namespace)
             defs.append(RawPropertyDef(name, type_written, type_ref, description, self._node_span(row)))
-            sites.append(RefSite("name-text", raw_name, self._leaf_text_span(name_node), bean_id, prop=name))
-            sites.append(
-                RefSite("type-text", type_written, self._leaf_text_span(type_node), bean_id, target=type_ref, prop=name)
+            self._site(sites, "name-text", raw_name, *self._leaf_bounds(name_node), bean_id, prop=name)
+            self._site(
+                sites, "type-text", type_written, *self._leaf_bounds(type_node), bean_id, target=type_ref, prop=name
             )
         return defs
 
@@ -643,20 +659,11 @@ class _UnitParser:
     ) -> ValueExpr | None:
         span = self._node_span(node)
         prop = node.tag
-        pending: list[RefSite] = [
-            RefSite(
-                "prop-tag", prop, self.sc.span(node.name_offset, node.name_offset + len(prop)),
-                bean_id, prop=prop, owner_class=owner_class,
-            )
-        ]
-        if node.close_name_offset is not None:
-            pending.append(
-                RefSite(
-                    "prop-tag", prop,
-                    self.sc.span(node.close_name_offset, node.close_name_offset + len(prop)),
-                    bean_id, prop=prop, owner_class=owner_class,
-                )
-            )
+        pending: list[RefSite] = []
+        for offset in (node.name_offset, node.close_name_offset):
+            if offset is not None:
+                self._site(pending, "prop-tag", prop, offset, offset + len(prop), bean_id,
+                           prop=prop, owner_class=owner_class)
         ref_written = node.attrs.get("ref")
         class_written = node.attrs.get("class")
         for a in node.attrs:
@@ -673,7 +680,9 @@ class _UnitParser:
             if node.children or node.text.strip():
                 self._err_span(span, f"reference value '{prop}' must be empty", bean_id)
             target = ElementId.parse(ref_written, self.namespace)
-            pending.append(RefSite("ref-attr", ref_written, self._attr_span(node, "ref"), bean_id, target=target, prop=prop))
+            self._site(
+                pending, "ref-attr", ref_written, *node.attr_value_spans["ref"], bean_id, target=target, prop=prop
+            )
             sites.extend(pending)
             return RefValue(target, ref_written, span)
 
@@ -682,8 +691,8 @@ class _UnitParser:
                 self._err_span(self._attr_span(node, "class"), "empty class reference", bean_id)
                 return None
             inline_class = ElementId.parse(class_written, self.namespace)
-            pending.append(
-                RefSite("class-attr", class_written, self._attr_span(node, "class"), bean_id, target=inline_class)
+            self._site(
+                pending, "class-attr", class_written, *node.attr_value_spans["class"], bean_id, target=inline_class
             )
             sites.extend(pending)
             if node.text.strip():
@@ -716,7 +725,6 @@ class _UnitParser:
             text=self.text,
             content_hash=hashlib.sha256(self.text.encode("utf-8")).hexdigest(),
             beans=tuple(self.beans),
-            ref_sites=tuple(self.sites),
             root_tag=self.root_tag,
         )
         return unit, self.diags
@@ -836,20 +844,27 @@ def discover_unit_paths(root) -> list[str]:
     return sorted(rels)
 
 
+def read_unit_text(root, rel: str) -> tuple[str | None, Diagnostic | None]:
+    """Read one unit as UTF-8 text. A file that cannot be read or decoded
+    gives (None, E000 diagnostic), and the unit counts as absent."""
+    try:
+        return (Path(root) / rel).read_text(encoding="utf-8"), None
+    except (OSError, UnicodeDecodeError) as exc:
+        return None, dx.error(dx.PARSE, f"unreadable unit: {exc}", SourceSpan(rel, 1, 1, 1, 1))
+
+
 def parse_workspace(root) -> tuple[list[SourceUnit], list[Diagnostic]]:
     """Parse every unit under root (recursive, sorted paths, UTF-8).
 
     Unit paths are stored root-relative with POSIX separators. Unreadable
     files produce a diagnostic and are skipped.
     """
-    rootp = Path(root)
     units: list[SourceUnit] = []
     diags: list[Diagnostic] = []
-    for rel in discover_unit_paths(rootp):
-        try:
-            text = (rootp / rel).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            diags.append(dx.error(dx.PARSE, f"unreadable unit: {exc}", SourceSpan(rel, 1, 1, 1, 1)))
+    for rel in discover_unit_paths(root):
+        text, unreadable = read_unit_text(root, rel)
+        if unreadable is not None:
+            diags.append(unreadable)
             continue
         unit, udiags = parse_unit(text, rel)
         units.append(unit)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .compiler import CompileState, compile_workspace, incremental_compile
 from .diagnostics import Diagnostic
 from .native import NativeManifest
-from .source import discover_unit_paths, parse_unit
+from .source import discover_unit_paths, parse_unit, read_unit_text
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,11 +72,10 @@ class WatchSession:
         changed_units = []
         parse_diags = []
         for rel in sorted(touched):
-            try:
-                with open(os.path.join(self.root, rel), encoding="utf-8") as f:
-                    text = f.read()
-            except OSError:
+            text, unreadable = read_unit_text(self.root, rel)
+            if unreadable is not None:
                 removed.append(rel)
+                parse_diags.append(unreadable)
                 continue
             known = self.state.units.get(rel)
             unit, diags = parse_unit(text, rel)

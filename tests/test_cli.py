@@ -62,6 +62,33 @@ def test_compile_json_error_payload(tmp_path, capsys):
     assert payload[0]["severity"] == "error"
 
 
+def test_undecodable_unit_is_reported_like_the_library(golden_root, capsys):
+    from mtalk.compiler import compile_workspace, load_state
+    from mtalk.native import load_manifest
+
+    manifest = load_manifest(os.path.join(golden_root, "manifest.json"))
+    bad = golden_root / "pictures.model.xml"
+    good = bad.read_bytes()
+
+    def check(state_cached):
+        assert (load_state(golden_root / ".mtalk" / "state") is not None) == state_cached
+        _, expected = compile_workspace(golden_root, manifest)
+        code, out, err = run(capsys, "compile", "--json", "--root", str(golden_root))
+        assert (code, err) == (EXIT_ERRORS if expected else EXIT_OK, "")
+        assert json.loads(out) == [d.to_dict() for d in expected]
+        return [d.code for d in expected]
+
+    bad.write_bytes(good.replace(b"</model>", b"\xff</model>"))
+    assert check(state_cached=False) == ["E000"]  # cold: every unit read
+    assert check(state_cached=True) == ["E000"]   # warm: from the saved state
+    bad.write_bytes(good)
+    assert check(state_cached=True) == []
+    bad.write_bytes(good.replace(b"</model>", b"\xff</model>"))
+    assert check(state_cached=True) == ["E000"]
+    bad.unlink()
+    assert check(state_cached=True) == []
+
+
 def test_missing_root_is_an_io_failure(tmp_path, capsys):
     code, out, err = run(capsys, "compile", "--root", str(tmp_path / "nope"))
     assert code == EXIT_IO
@@ -111,15 +138,15 @@ def test_corrupt_state_file_falls_back_to_full_compile(golden_root, capsys):
 
 
 def test_state_of_the_previous_layout_compiles_cold(golden_root, capsys, monkeypatch):
-    # ids and edges pickled differently under MTALKST1
+    # source units carried their ref sites under MTALKST2
     from mtalk import cli
     from mtalk.compiler import _STATE_MAGIC, load_state
 
     run(capsys, "compile", "--root", str(golden_root))
     state_dir = golden_root / ".mtalk" / "state"
     state_file = state_dir / "state.bin"
-    assert _STATE_MAGIC == b"MTALKST2\n"
-    state_file.write_bytes(b"MTALKST1\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
+    assert _STATE_MAGIC == b"MTALKST3\n"
+    state_file.write_bytes(b"MTALKST2\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
     assert load_state(state_dir) is None
     cold = []
     monkeypatch.setattr(cli, "compile_model", lambda *a: cold.append(1) or compile_model(*a))

@@ -264,6 +264,13 @@ def test_state_roundtrip(tmp_path):
     assert eid("FastHTTP_Client") in recompiled
 
 
+def test_compiled_state_holds_no_ref_sites():
+    # rename derives ref sites from the unit text; a state must not carry them
+    state = golden_state()
+    assert state.units["core.model.xml"].ref_sites
+    assert b"RefSite" not in pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def test_load_state_rejects_garbage(tmp_path):
     d = tmp_path / "cache"
     d.mkdir()
@@ -321,6 +328,29 @@ def test_same_shape_folds_neither_rebuild_the_graph_nor_rerun_cycles(tmp_path, m
     assert calls == {"build_dependency_graph": 1, "_injection_cycle_diags": 1}
 
 
+def test_value_fold_keeps_untouched_resolved_elements_and_class_defs(tmp_path):
+    root = tmp_path / "ws"
+    generate_synthetic(BenchmarkSpec(40, 3, 2.5, 2, 13), str(root))
+    state, diags = compile_workspace(root)
+    assert diags == []
+    path = "classes_000.model.xml"
+    text = (root / path).read_text(encoding="utf-8")
+    unit = parse_clean(text.replace("<m000>129</m000>", "<m000>130</m000>", 1), path)
+    new, recompiled, diags = incremental_compile(state, [unit])
+    assert diags == [] and eid("C0001") in recompiled
+    before, after = state.resolved, new.resolved
+    untouched = [e for e, entry in before.elements.items() if entry.unit_path != path]
+    assert len(untouched) < len(before.elements)
+    assert sum(e in before.classes for e in untouched) > 10
+    for e in untouched:
+        assert after.elements[e] is before.elements[e], e
+        if e in before.classes:
+            assert after.classes[e] is before.classes[e], e
+    # the edited unit's elements take its new declarations
+    for decl in unit.beans:
+        assert after.elements[decl.id].decl is decl
+
+
 # ---------------------------------------------------------------------------
 # Property: any edit sequence matches a from-scratch compile
 
@@ -335,6 +365,12 @@ _CYCLE_ACYCLIC = """\
 """
 _CYCLE_CLOSED = _CYCLE_ACYCLIC.replace('<bean id="B" class="Node"/>', '<bean id="B" class="Node"><next ref="A"/></bean>')
 _NS_USER = '<model xmlns="ns"><bean id="User" class="StandardCache"><timeToLive>5</timeToLive></bean></model>'
+# a class whose metaclass and parent fall back to root until ns declares them
+_NS_CLASS = '<model xmlns="ns"><bean id="Sub" class="MetaCache" parent="CacheManager" declarative="true"/></model>'
+_NS_CAPTURE_META = (
+    '<model xmlns="ns"><bean id="MetaCache" class="Class" parent="Class" declarative="true"/></model>'
+)
+_NS_CAPTURE_PARENT = '<model xmlns="ns"><bean id="CacheManager" class="Class" declarative="true"/></model>'
 
 # per unit path, the texts an edit may write; None removes the unit
 _VARIANTS = {
@@ -391,7 +427,10 @@ _VARIANTS = {
         None,
         '<model xmlns="ns"><bean id="StandardCache" class="Class"/></model>',
         '<model xmlns="ns"><bean id="StandardCache" class="CacheManager"/></model>',
+        _NS_CAPTURE_META,
+        _NS_CAPTURE_PARENT,
     ],
+    "ns_class.model.xml": [None, _NS_CLASS],
     # an injection cycle made, broken, and moved by a line shift
     "cycle.model.xml": [
         None,
@@ -425,8 +464,27 @@ def test_incremental_equals_full_for_edit_sequences(steps):
             all_pdiags.extend(pd)
         full, full_diags = compile_model(parsed, parse_diags=all_pdiags)
         assert [d.render() for d in inc_diags] == [d.render() for d in full_diags]
+        assert state.resolved.elements == full.resolved.elements
+        assert state.resolved.classes == full.resolved.classes
         assert state.graph.nodes == full.graph.nodes
         assert state.graph.edges == full.graph.edges
+
+
+def test_fold_rebinds_an_untouched_class_whose_references_are_captured():
+    state, _ = compile_model([parse_clean(t, p) for p, t in GOLDEN_UNITS.items()]
+                             + [parse_clean(_NS_CLASS, "ns_class.model.xml")])
+    sub = eid("ns:Sub")
+    assert (state.resolved.classes[sub].metaclass, state.resolved.classes[sub].parent) == (
+        eid("MetaCache"), eid("CacheManager"))
+    for text, bound in (
+        (_NS_CAPTURE_META, (eid("ns:MetaCache"), eid("CacheManager"))),
+        (_NS_CAPTURE_PARENT, (eid("MetaCache"), eid("ns:CacheManager"))),
+    ):
+        new, recompiled, _ = incremental_compile(state, [parse_clean(text, "ns_capture.model.xml")])
+        # Sub's declaration and kind are unchanged, but a reference now binds in ns
+        assert new.resolved.elements[sub] is state.resolved.elements[sub]
+        assert (new.resolved.classes[sub].metaclass, new.resolved.classes[sub].parent) == bound
+        assert sub in recompiled
 
 
 def test_edit_variants_reach_their_cases():

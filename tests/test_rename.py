@@ -380,3 +380,81 @@ def test_attribute_values_escaped_when_needed():
 
     assert _encode_attr("plain:Name") == "plain:Name"
     assert _encode_attr('a&b<c"d\'e') == "a&amp;b&lt;c&quot;d&apos;e"
+
+
+# ---------------------------------------------------------------------------
+# Units are skipped unless their text can spell the name; no site is dropped
+
+PREFILTER_UNITS = {
+    "core.model.xml": """\
+<model>
+  <bean id="Cache" class="Class" declarative="true">
+    <properties>
+      <property><name><![CDATA[size]]></name><type>Long</type></property>
+    </properties>
+  </bean>
+</model>
+""",
+    # the class reference is written as a character entity
+    "entity.model.xml": '<model><bean id="Small" class="&#67;ache"><size>1</size></bean></model>\n',
+    # a qualified reference that falls back to the root class
+    "qualified.model.xml": '<model xmlns="ns"><bean id="Big" class="ns:Cache"><size>2</size></bean></model>\n',
+    # a comment splits the property type's text
+    "split.model.xml": """\
+<model>
+  <bean id="Store" class="Class" declarative="true">
+    <properties>
+      <property><name>cache</name><type>Ca<!-- split -->che</type></property>
+    </properties>
+  </bean>
+</model>
+""",
+    "other.model.xml": '<model><bean id="Other" class="Class" declarative="true"/></model>\n',
+}
+
+
+def _unfiltered(monkeypatch, plan):
+    """The plan from a scan of every unit's ref sites."""
+    import mtalk.rename as rename
+
+    with monkeypatch.context() as m:
+        m.setattr(rename, "_may_mention", lambda unit, name: True)
+        return plan()
+
+
+def test_rename_prefilter_keeps_every_site(monkeypatch):
+    from mtalk.rename import _may_mention
+
+    state, diags = recompile(PREFILTER_UNITS)
+    assert diags == []
+
+    def element():
+        return rename_element(state, "Cache", "Pool")
+
+    def prop():
+        return rename_property(state, "Cache", "size", "capacity")
+
+    for plan, paths in (
+        (element, ("core.model.xml", "entity.model.xml", "qualified.model.xml", "split.model.xml")),
+        (prop, ("core.model.xml", "entity.model.xml", "qualified.model.xml")),
+    ):
+        patchset, warnings = plan()
+        assert (patchset, warnings) == _unfiltered(monkeypatch, plan)
+        assert patchset.paths() == paths
+    assert not _may_mention(state.units["other.model.xml"], "Cache")
+    renamed = apply_in_memory(element()[0], PREFILTER_UNITS)
+    assert 'class="Pool"' in renamed["entity.model.xml"]
+    assert "<type>Pool</type>" in renamed["split.model.xml"]
+    assert recompile(renamed)[1] == []
+
+
+def test_rename_prefilter_keeps_the_shadow_guard(monkeypatch):
+    # the bare reference that ns:Shared would capture is written as an entity
+    state, diags = compile_texts(
+        root_model_xml='<model><bean id="Shared" class="Class" declarative="true"/></model>',
+        ns_model_xml='<model xmlns="ns"><bean id="Mine" class="Class" declarative="true"/></model>',
+        user_model_xml='<model xmlns="ns"><bean id="User" class="&#83;hared" declarative="true"/></model>',
+    )
+    assert diags == []
+    with pytest.raises(CollisionError, match="would shadow 'Shared' referenced in user.model.xml"):
+        rename_element(state, eid("ns:Mine"), "Shared")

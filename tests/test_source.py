@@ -18,6 +18,7 @@ from mtalk.source import (
     parse_unit,
     parse_workspace,
     read_document,
+    read_unit_text,
     span_of,
 )
 
@@ -543,6 +544,21 @@ def test_parse_workspace_cross_unit_duplicates(tmp_path):
     dups = [d for d in diags if d.code == DUPLICATE_ID]
     assert len(dups) == 1
     assert dups[0].span.path == "b.model.xml"
+
+
+def test_undecodable_unit_is_reported_and_left_out(tmp_path):
+    write_golden(tmp_path)
+    (tmp_path / "bad.model.xml").write_bytes(b'<model><bean id="Bad" class="Class"/>\xff</model>')
+    text, unreadable = read_unit_text(tmp_path, "bad.model.xml")
+    assert text is None
+    assert unreadable.render() == (
+        "bad.model.xml:1:1: error[E000] unreadable unit: 'utf-8' codec can't decode "
+        "byte 0xff in position 37: invalid start byte"
+    )
+    assert read_unit_text(tmp_path, "core.model.xml") == (CORE_XML, None)
+    units, diags = parse_workspace(tmp_path)
+    assert diags == [unreadable]
+    assert "bad.model.xml" not in [u.path for u in units]
 
 
 def test_duplicate_id_diags_ignores_same_unit():

@@ -195,3 +195,28 @@ def test_run_watch_prints_initial_diagnostics(tmp_path, monkeypatch):
     run_watch(str(tmp_path), interval=0, emit=lines.append, max_polls=1)
     assert any("error[E001]" in line and "Ghost" in line for line in lines)
     assert lines[-1] == f"watching {tmp_path}"
+
+
+def test_undecodable_unit_is_reported_like_the_library_then_cleared(tmp_path):
+    session = session_for(tmp_path)
+    path = tmp_path / "pictures.model.xml"
+    good = path.read_bytes()
+    path.write_bytes(good.replace(b"</model>", b"\xff</model>"))
+    result = session.poll()
+    assert result is not None
+    _, expected = compile_workspace(str(tmp_path))
+    assert [d.code for d in expected] == ["E000"]
+    assert expected[0].message.startswith("unreadable unit: 'utf-8' codec can't decode byte 0xff")
+    assert result.diagnostics == tuple(expected)
+    assert result.new_diags == tuple(expected)
+    from mtalk.ids import ElementId
+
+    # the unreadable unit counts as absent
+    assert session.state.resolved.lookup(ElementId("", "LogoPictureRetriever")) is None
+
+    path.write_bytes(good)
+    result = session.poll()
+    assert result is not None
+    assert result.diagnostics == ()
+    assert result.cleared_diags == tuple(expected)
+    assert session.state.resolved.lookup(ElementId("", "LogoPictureRetriever")) is not None
