@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -11,10 +10,11 @@ import sys
 from . import vm as vmmod
 from .compiler import (
     CompileState,
-    compile_model,
+    compile_workspace,
     incremental_compile,
     load_state,
     save_state,
+    workspace_changes,
 )
 from .errors import ModelError, NotFoundError
 from .graph import MANIFEST_NS
@@ -23,7 +23,6 @@ from .kernel import KERNEL_SOURCE
 from .native import NativeManifest, load_manifest
 from .rename import apply_patchset, rename_element, rename_property
 from .schema import generate_schemas
-from .source import discover_unit_paths, parse_unit, read_unit_text
 from .synthetic import BenchmarkSpec, generate_synthetic
 from .watch import run_watch
 
@@ -53,42 +52,12 @@ def _find_manifest(root: str, flag: str | None) -> NativeManifest | None:
 def _load_workspace(
     root: str, manifest: NativeManifest | None, state_dir: str, no_cache: bool
 ) -> tuple[CompileState, list]:
-    """Compile the workspace, reusing the persisted state when possible."""
+    """Compile the workspace, folding it into the persisted state when there is one."""
     prev = None if no_cache else load_state(state_dir)
-    paths = discover_unit_paths(root)
     if prev is None:
-        units = []
-        parse_diags = []
-        for rel in paths:
-            text, unreadable = read_unit_text(root, rel)
-            if unreadable is not None:
-                parse_diags.append(unreadable)
-                continue
-            unit, diags = parse_unit(text, rel)
-            units.append(unit)
-            parse_diags.extend(diags)
-        state, report = compile_model(units, manifest, parse_diags)
+        state, report = compile_workspace(root, manifest)
     else:
-        changed = []
-        parse_diags = []
-        readable = set()
-        for rel in paths:
-            text, unreadable = read_unit_text(root, rel)
-            if unreadable is not None:
-                parse_diags.append(unreadable)
-                continue
-            readable.add(rel)
-            known = prev.units.get(rel)
-            if known is not None:
-                new_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
-                if known.content_hash == new_hash:
-                    continue
-            unit, diags = parse_unit(text, rel)
-            changed.append(unit)
-            parse_diags.extend(diags)
-        # an unreadable unit counts as absent; dropping every path that is not
-        # read also drops the diagnostics of one that was unreadable before
-        removed = sorted((prev.units.keys() | prev.parse_by_path.keys()) - readable)
+        changed, removed, parse_diags = workspace_changes(prev, root)
         state, _recompiled, report = incremental_compile(
             prev, changed, removed_paths=removed, parse_diags=parse_diags, manifest=manifest
         )
@@ -284,9 +253,7 @@ def _cmd_rename(args, out) -> int:
 
 
 def _cmd_watch(args, out) -> int:
-    if not os.path.isdir(args.root):
-        sys.stderr.write(f"workspace root '{args.root}' is not a directory\n")
-        return EXIT_IO
+    _require_root(args.root)
     manifest = _find_manifest(args.root, args.manifest)
     return run_watch(
         args.root,

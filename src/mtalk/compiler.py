@@ -45,7 +45,9 @@ from .source import (
     RefValue,
     ScalarValue,
     SourceUnit,
+    discover_unit_paths,
     parse_workspace,
+    read_units,
 )
 
 LONG_MIN = -(2**63)
@@ -614,6 +616,24 @@ def compile_workspace(root, manifest: NativeManifest | None = None):
     """Parse and compile a workspace directory."""
     units, parse_diags = parse_workspace(root)
     return compile_model(units, manifest, parse_diags)
+
+
+def workspace_changes(
+    prev: CompileState, root, paths=None, read=None
+) -> tuple[list[SourceUnit], list[str], list[Diagnostic]]:
+    """What changed in a workspace directory since prev, as the changed
+    units, removed paths and parse diagnostics that incremental_compile folds.
+
+    paths are the unit paths present now (default: discover them); read is
+    the subset to read (default: all of them), and a path not read keeps its
+    unit. A read unit whose text is unchanged is not reparsed. A path that is
+    gone or unreadable counts as removed.
+    """
+    if paths is None:
+        paths = discover_unit_paths(root)
+    units, unreadable, parse_diags = read_units(root, paths if read is None else read, prev.units)
+    removed = (prev.units.keys() | prev.parse_by_path.keys()) - set(paths) | set(unreadable)
+    return units, sorted(removed), parse_diags
 
 
 # canonical operation name; compile_model avoids shadowing the builtin inside this module

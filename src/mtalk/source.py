@@ -298,6 +298,34 @@ class _Scanner:
                 p = nxt
 
 
+def _skip_prolog(text: str) -> int:
+    """Offset of the root element: past a BOM, whitespace, processing
+    instructions, comments and markup declarations."""
+    p = 1 if text.startswith("\ufeff") else 0
+    n = len(text)
+    while p < n:
+        if text[p].isspace():
+            p += 1
+        elif text.startswith("<?", p):
+            e = text.find("?>", p + 2)
+            if e == -1:
+                raise _Malformed(p, "unterminated processing instruction")
+            p = e + 2
+        elif text.startswith("<!--", p):
+            e = text.find("-->", p + 4)
+            if e == -1:
+                raise _Malformed(p, "unterminated comment")
+            p = e + 3
+        elif text.startswith("<!", p):
+            e = text.find(">", p)
+            if e == -1:
+                raise _Malformed(p, "unterminated markup declaration")
+            p = e + 1
+        else:
+            return p
+    raise _Malformed(max(0, n - 1), "missing root element")
+
+
 _RESYNC_BEAN_RE = re.compile(r"<bean[\s/>]")
 
 
@@ -364,36 +392,10 @@ class _UnitParser:
     # -- driver
 
     def parse(self) -> tuple[SourceUnit, list[Diagnostic]]:
-        text = self.text
-        p = 1 if text.startswith("﻿") else 0
-        n = len(text)
-        # prolog
         try:
-            while p < n:
-                if text[p].isspace():
-                    p += 1
-                elif text.startswith("<?", p):
-                    e = text.find("?>", p + 2)
-                    if e == -1:
-                        raise _Malformed(p, "unterminated processing instruction")
-                    p = e + 2
-                elif text.startswith("<!--", p):
-                    e = text.find("-->", p + 4)
-                    if e == -1:
-                        raise _Malformed(p, "unterminated comment")
-                    p = e + 3
-                elif text.startswith("<!", p):
-                    e = text.find(">", p)
-                    if e == -1:
-                        raise _Malformed(p, "unterminated markup declaration")
-                    p = e + 1
-                else:
-                    break
+            p = _skip_prolog(self.text)
         except _Malformed as m:
             self._err(m.offset, m.message)
-            return self._finish()
-        if p >= n:
-            self._err(max(0, n - 1), "missing root element")
             return self._finish()
         # root open tag
         try:
@@ -723,11 +725,16 @@ class _UnitParser:
             path=self.path,
             namespace=self.namespace,
             text=self.text,
-            content_hash=hashlib.sha256(self.text.encode("utf-8")).hexdigest(),
+            content_hash=unit_hash(self.text),
             beans=tuple(self.beans),
             root_tag=self.root_tag,
         )
         return unit, self.diags
+
+
+def unit_hash(text: str) -> str:
+    """A unit's content hash: hex sha256 of its text as UTF-8."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def parse_unit(text: str, path: str) -> tuple[SourceUnit, list[Diagnostic]]:
@@ -751,32 +758,9 @@ def read_document(text: str, path: str) -> tuple[XmlElement | None, list[Diagnos
     """Strict single-pass read of a whole document. The first structural
     problem yields a diagnostic and None (no recovery)."""
     sc = _Scanner(text, path)
-    p = 1 if text.startswith("﻿") else 0
     n = len(text)
     try:
-        while p < n:
-            if text[p].isspace():
-                p += 1
-            elif text.startswith("<?", p):
-                e = text.find("?>", p + 2)
-                if e == -1:
-                    raise _Malformed(p, "unterminated processing instruction")
-                p = e + 2
-            elif text.startswith("<!--", p):
-                e = text.find("-->", p + 4)
-                if e == -1:
-                    raise _Malformed(p, "unterminated comment")
-                p = e + 3
-            elif text.startswith("<!", p):
-                e = text.find(">", p)
-                if e == -1:
-                    raise _Malformed(p, "unterminated markup declaration")
-                p = e + 1
-            else:
-                break
-        if p >= n:
-            raise _Malformed(max(0, n - 1), "missing root element")
-        node, p = sc.read_element(p)
+        node, p = sc.read_element(_skip_prolog(text))
         while p < n:
             if text[p].isspace():
                 p += 1
@@ -804,7 +788,8 @@ def read_document(text: str, path: str) -> tuple[XmlElement | None, list[Diagnos
 
 
 def duplicate_id_diags(units) -> list[Diagnostic]:
-    """Cross-unit E008s, identical whether emitted at workspace parse or resolve."""
+    """Cross-unit E008s: a later unit's bean that reuses an earlier unit's id.
+    Resolution reports them, so they follow every fold."""
     first: dict[ElementId, SourceSpan] = {}
     out: list[Diagnostic] = []
     for unit in units:
@@ -853,23 +838,41 @@ def read_unit_text(root, rel: str) -> tuple[str | None, Diagnostic | None]:
         return None, dx.error(dx.PARSE, f"unreadable unit: {exc}", SourceSpan(rel, 1, 1, 1, 1))
 
 
-def parse_workspace(root) -> tuple[list[SourceUnit], list[Diagnostic]]:
-    """Parse every unit under root (recursive, sorted paths, UTF-8).
+def read_units(root, paths, known=None) -> tuple[list[SourceUnit], list[str], list[Diagnostic]]:
+    """The workspace reader: read and parse the units at paths.
 
-    Unit paths are stored root-relative with POSIX separators. Unreadable
-    files produce a diagnostic and are skipped.
+    A path whose text hashes to ``known[path].content_hash`` is skipped
+    unparsed. A file that cannot be read or decoded gives an E000
+    diagnostic and counts as absent. Returns the parsed units, the
+    unreadable paths and the diagnostics.
     """
+    known = known or {}
     units: list[SourceUnit] = []
+    unreadable: list[str] = []
     diags: list[Diagnostic] = []
-    for rel in discover_unit_paths(root):
-        text, unreadable = read_unit_text(root, rel)
-        if unreadable is not None:
-            diags.append(unreadable)
+    for rel in paths:
+        text, error = read_unit_text(root, rel)
+        if error is not None:
+            unreadable.append(rel)
+            diags.append(error)
+            continue
+        prior = known.get(rel)
+        if prior is not None and prior.content_hash == unit_hash(text):
             continue
         unit, udiags = parse_unit(text, rel)
         units.append(unit)
         diags.extend(udiags)
-    diags.extend(duplicate_id_diags(units))
+    return units, unreadable, diags
+
+
+def parse_workspace(root) -> tuple[list[SourceUnit], list[Diagnostic]]:
+    """Parse every unit under root (recursive, sorted paths, UTF-8).
+
+    Unit paths are stored root-relative with POSIX separators. Unreadable
+    files produce a diagnostic and are skipped. Cross-unit duplicate ids
+    are left to resolution.
+    """
+    units, _unreadable, diags = read_units(root, discover_unit_paths(root))
     return units, diags
 
 

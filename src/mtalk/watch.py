@@ -6,10 +6,10 @@ import os
 import time
 from dataclasses import dataclass
 
-from .compiler import CompileState, compile_workspace, incremental_compile
+from .compiler import CompileState, compile_workspace, incremental_compile, workspace_changes
 from .diagnostics import Diagnostic
 from .native import NativeManifest
-from .source import discover_unit_paths, parse_unit, read_unit_text
+from .source import discover_unit_paths
 
 
 @dataclass(frozen=True, slots=True)
@@ -21,19 +21,13 @@ class WatchResult:
     diagnostics: tuple[Diagnostic, ...]
 
 
-@dataclass(slots=True)
-class _FileSig:
-    mtime_ns: int
-    size: int
-
-
 class WatchSession:
     """Tracks one workspace and folds file changes through the compiler.
 
     poll() returns None when nothing happened, otherwise a WatchResult for
     the batch of changes seen since the previous poll. Detection is by
-    mtime/size, with content hashing deciding whether a touched file really
-    changed.
+    mtime/size; a touched file is read and hashed, and parsed only when its
+    content changed.
     """
 
     def __init__(self, root, manifest: NativeManifest | None = None,
@@ -43,52 +37,32 @@ class WatchSession:
         if state is None:
             state, _ = compile_workspace(self.root, manifest)
         self.state = state
-        self._sigs: dict[str, _FileSig] = {}
-        self._scan_sigs()
+        self._sigs = self._scan_sigs()
 
-    def _scan_sigs(self) -> dict[str, _FileSig]:
-        sigs: dict[str, _FileSig] = {}
+    def _scan_sigs(self) -> dict[str, tuple[int, int]]:
+        """(mtime, size) of every unit file present now."""
+        sigs = {}
         for rel in discover_unit_paths(self.root):
             try:
                 st = os.stat(os.path.join(self.root, rel))
             except OSError:
                 continue
-            sigs[rel] = _FileSig(st.st_mtime_ns, st.st_size)
-        previous = self._sigs
-        self._sigs = sigs
-        return previous
+            sigs[rel] = (st.st_mtime_ns, st.st_size)
+        return sigs
 
     def poll(self) -> WatchResult | None:
         """One scan step: recompile and report if any unit file was touched."""
-        previous = self._scan_sigs()
-        current = self._sigs
-        touched = [rel for rel, sig in current.items() if previous.get(rel) != sig]
-        removed = [rel for rel in previous if rel not in current]
-        if not touched and not removed:
+        previous, current = self._sigs, self._scan_sigs()
+        self._sigs = current
+        if current == previous:
             return None
+        touched = [rel for rel, sig in current.items() if previous.get(rel) != sig]
 
         old_diags = self.state.all_diagnostics()
         start = time.perf_counter()
-        changed_units = []
-        parse_diags = []
-        for rel in sorted(touched):
-            text, unreadable = read_unit_text(self.root, rel)
-            if unreadable is not None:
-                removed.append(rel)
-                parse_diags.append(unreadable)
-                continue
-            known = self.state.units.get(rel)
-            unit, diags = parse_unit(text, rel)
-            if known is not None and known.content_hash == unit.content_hash:
-                continue
-            changed_units.append(unit)
-            parse_diags.extend(diags)
+        changed, removed, parse_diags = workspace_changes(self.state, self.root, list(current), read=touched)
         state, recompiled, diagnostics = incremental_compile(
-            self.state,
-            changed_units,
-            removed_paths=sorted(set(removed)),
-            parse_diags=parse_diags,
-            manifest=self.manifest,
+            self.state, changed, removed_paths=removed, parse_diags=parse_diags, manifest=self.manifest
         )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         self.state = state

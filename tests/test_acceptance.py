@@ -23,7 +23,7 @@ from mtalk.schema import generate_schema, validate_with_schema
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic, measure_mean_dit
 
-from conftest import GOLDEN_UNITS, MANIFEST, compile_golden, write_golden
+from golden import GOLDEN_UNITS, MANIFEST, compile_golden, write_golden
 
 import json
 

@@ -9,10 +9,10 @@ import re
 import pytest
 
 from mtalk.cli import EXIT_ERRORS, EXIT_IO, EXIT_OK, main
-from mtalk.compiler import compile_model
+from mtalk.compiler import compile_workspace
 from mtalk.kernel import KERNEL_SOURCE
 
-from conftest import write_golden
+from golden import write_golden
 
 
 def run(capsys, *argv):
@@ -149,7 +149,7 @@ def test_state_of_the_previous_layout_compiles_cold(golden_root, capsys, monkeyp
     state_file.write_bytes(b"MTALKST2\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
     assert load_state(state_dir) is None
     cold = []
-    monkeypatch.setattr(cli, "compile_model", lambda *a: cold.append(1) or compile_model(*a))
+    monkeypatch.setattr(cli, "compile_workspace", lambda *a: cold.append(1) or compile_workspace(*a))
     code, out, err = run(capsys, "compile", "--root", str(golden_root))
     assert (code, out, err, cold) == (EXIT_OK, "", "", [1])
     assert state_file.read_bytes().startswith(_STATE_MAGIC)

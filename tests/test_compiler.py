@@ -32,7 +32,7 @@ from mtalk.diagnostics import (
 from mtalk.ids import ElementId
 from mtalk.native import parse_manifest
 
-from conftest import MANIFEST, compile_golden, compile_texts, write_golden
+from golden import MANIFEST, compile_golden, compile_texts, write_golden
 
 
 def eid(render):

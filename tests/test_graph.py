@@ -15,7 +15,7 @@ from mtalk.graph import (
 from mtalk.ids import UNRESOLVED, ElementId
 from mtalk.kernel import OBJECT_ID
 
-from conftest import compile_golden, compile_texts
+from golden import compile_golden, compile_texts
 
 
 def eid(render):

@@ -20,7 +20,7 @@ from mtalk.ids import ElementId
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
-from conftest import GOLDEN_UNITS, compile_golden
+from golden import GOLDEN_UNITS, compile_golden
 
 
 def eid(render):
@@ -240,6 +240,19 @@ def test_manifest_from_argument_not_prior_state():
     # omitting the manifest drops conformance checking entirely
     _, _, diags2 = incremental_compile(state, [])
     assert diags2 == []
+
+
+def test_cross_unit_duplicate_clears_when_the_first_unit_drops_it(tmp_path):
+    thing = '<model>\n  <bean id="Thing" class="Class"/>\n</model>\n'
+    (tmp_path / "a.model.xml").write_text(thing, encoding="utf-8")
+    (tmp_path / "b.model.xml").write_text(thing, encoding="utf-8")
+    state, diags = compile_workspace(tmp_path)
+    assert [(d.code, d.span.path) for d in diags] == [("E008", "b.model.xml")]
+    renamed = thing.replace('id="Thing"', 'id="Other"')
+    state, _, diags = incremental_compile(state, [parse_clean(renamed, "a.model.xml")])
+    (tmp_path / "a.model.xml").write_text(renamed, encoding="utf-8")
+    assert compile_workspace(tmp_path)[1] == []
+    assert diags == []
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from mtalk.kernel import (
 )
 from mtalk.source import parse_unit
 
-from conftest import GOLDEN_UNITS
+from golden import GOLDEN_UNITS
 
 
 def resolve_texts(**files):

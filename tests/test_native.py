@@ -16,7 +16,7 @@ from mtalk.native import (
     parse_manifest,
 )
 
-from conftest import MANIFEST
+from golden import MANIFEST
 
 
 def parse_obj(obj, path="manifest.json"):

@@ -14,7 +14,7 @@ from mtalk.rename import (
 )
 from mtalk.source import parse_unit
 
-from conftest import GOLDEN_UNITS, compile_golden, compile_texts, write_golden
+from golden import GOLDEN_UNITS, compile_golden, compile_texts, write_golden
 
 
 def eid(render):
@@ -201,7 +201,7 @@ def test_rename_manifest_entry_warns():
 
     from mtalk.native import parse_manifest
 
-    from conftest import MANIFEST
+    from golden import MANIFEST
 
     mani = parse_manifest(json.dumps(MANIFEST), "manifest.json")
     state, diags = compile_golden(manifest=mani)
@@ -324,7 +324,7 @@ def test_rename_property_manifest_warning():
 
     from mtalk.native import parse_manifest
 
-    from conftest import MANIFEST
+    from golden import MANIFEST
 
     mani = parse_manifest(json.dumps(MANIFEST), "manifest.json")
     state, diags = compile_golden(manifest=mani)

@@ -5,7 +5,7 @@ import pytest
 from mtalk.diagnostics import SCHEMA_VIOLATION
 from mtalk.schema import SchemaDoc, SchemaError, generate_schema, generate_schemas, validate_with_schema
 
-from conftest import GOLDEN_UNITS, compile_golden, compile_texts
+from golden import GOLDEN_UNITS, compile_golden, compile_texts
 
 
 def golden_schema():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtalk.compiler import compile_workspace
 from mtalk.diagnostics import PARSE, DUPLICATE_ID
 from mtalk.errors import NotFoundError
 from mtalk.ids import ElementId
@@ -22,7 +23,7 @@ from mtalk.source import (
     span_of,
 )
 
-from conftest import CORE_XML, write_golden
+from golden import CORE_XML, write_golden
 
 
 def parse(text, path="u.model.xml"):
@@ -401,6 +402,31 @@ def test_empty_text_missing_root():
     assert any("missing root element" in d.message for d in diags)
 
 
+_PROLOG_FAULTS = {
+    "unterminated PI": ('<?xml version="1.0"', "1:1: error[E000] unterminated processing instruction"),
+    "unterminated comment": ("\n  <!-- never closed", "2:3: error[E000] unterminated comment"),
+    "unterminated markup declaration": (
+        '<?xml version="1.0"?>\n<!DOCTYPE model', "2:1: error[E000] unterminated markup declaration"
+    ),
+    "missing root element": (
+        '﻿<?xml version="1.0"?>\n<!-- c -->\n', "2:11: error[E000] missing root element"
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", ["parse_unit", "read_document"])
+@pytest.mark.parametrize("fault", sorted(_PROLOG_FAULTS))
+def test_prolog_faults_render_alike_in_both_readers(fault, reader):
+    text, rendered = _PROLOG_FAULTS[fault]
+    if reader == "parse_unit":
+        unit, diags = parse_unit(text, "u.xml")
+        assert unit.beans == () and unit.root_tag is None
+    else:
+        doc, diags = read_document(text, "u.xml")
+        assert doc is None
+    assert [d.render() for d in diags] == [f"u.xml:{rendered}"]
+
+
 def test_duplicate_attribute_is_malformed():
     unit, diags = parse("<model><bean id='A' id='B' class='C'/></model>")
     assert unit.beans == ()
@@ -541,7 +567,11 @@ def test_parse_workspace_cross_unit_duplicates(tmp_path):
     (tmp_path / "a.model.xml").write_text('<model xmlns="n"><bean id="X" class="C"/></model>')
     (tmp_path / "b.model.xml").write_text('<model xmlns="n"><bean id="X" class="C"/></model>')
     units, diags = parse_workspace(tmp_path)
-    dups = [d for d in diags if d.code == DUPLICATE_ID]
+    # resolution reports cross-unit duplicates, so a fold can clear them
+    assert [d for d in diags if d.code == DUPLICATE_ID] == []
+    assert [u.path for u in units] == ["a.model.xml", "b.model.xml"]
+    _, report = compile_workspace(tmp_path)
+    dups = [d for d in report if d.code == DUPLICATE_ID]
     assert len(dups) == 1
     assert dups[0].span.path == "b.model.xml"
 

@@ -10,7 +10,7 @@ from mtalk.compiler import compile_workspace
 from mtalk.native import load_manifest
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic, measure_mean_dit
 
-from conftest import compile_texts
+from golden import compile_texts
 
 
 def spec(classes=30, metas=2, dit=2.0, instances=0, seed=1) -> BenchmarkSpec:

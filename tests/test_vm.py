@@ -27,7 +27,7 @@ from mtalk.vm import (
     resolve_native,
 )
 
-from conftest import GOLDEN_UNITS, MANIFEST, compile_golden, compile_texts
+from golden import GOLDEN_UNITS, MANIFEST, compile_golden, compile_texts
 
 import json
 

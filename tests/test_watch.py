@@ -7,7 +7,7 @@ import os
 from mtalk.compiler import compile_workspace
 from mtalk.watch import WatchSession, run_watch
 
-from conftest import write_golden
+from golden import write_golden
 
 E003_LINE = (
     "secured.model.xml:13:5: error[E003] inline bean of class StandardCache "
@@ -220,3 +220,21 @@ def test_undecodable_unit_is_reported_like_the_library_then_cleared(tmp_path):
     assert result.diagnostics == ()
     assert result.cleared_diags == tuple(expected)
     assert session.state.resolved.lookup(ElementId("", "LogoPictureRetriever")) is not None
+
+
+def test_cross_unit_duplicate_clears_when_the_first_unit_drops_it(tmp_path):
+    thing = '<model>\n  <bean id="Thing" class="Class"/>\n</model>\n'
+    (tmp_path / "a.model.xml").write_text(thing, encoding="utf-8")
+    (tmp_path / "b.model.xml").write_text(thing, encoding="utf-8")
+    session = WatchSession(str(tmp_path))
+    assert [d.render() for d in session.state.all_diagnostics()] == [
+        "b.model.xml:2:3: error[E008] duplicate element id 'Thing' "
+        "(first declared at a.model.xml:2:3) (Thing)"
+    ]
+    edit(tmp_path, "a.model.xml", 'id="Thing"', 'id="Other"')
+    result = session.poll()
+    assert result is not None
+    _, expected = compile_workspace(str(tmp_path))
+    assert expected == []
+    assert result.diagnostics == ()
+    assert [d.code for d in result.cleared_diags] == ["E008"]
