@@ -49,15 +49,17 @@ def _find_manifest(root: str, flag: str | None) -> NativeManifest | None:
     return None
 
 
-def _load_workspace(
-    root: str, manifest: NativeManifest | None, state_dir: str, no_cache: bool
-) -> tuple[CompileState, list]:
-    """Compile the workspace, folding it into the persisted state when there is one."""
-    prev = None if no_cache else load_state(state_dir)
+def _load_workspace(args) -> tuple[CompileState, list]:
+    """Compile the workspace named by args.root, folding it into the
+    persisted state when there is one."""
+    _require_root(args.root)
+    manifest = _find_manifest(args.root, args.manifest)
+    state_dir = _state_dir(args.root, args.state)
+    prev = None if args.no_cache else load_state(state_dir)
     if prev is None:
-        state, report = compile_workspace(root, manifest)
+        state, report = compile_workspace(args.root, manifest)
     else:
-        changed, removed, parse_diags = workspace_changes(prev, root)
+        changed, removed, parse_diags = workspace_changes(prev, args.root)
         state, _recompiled, report = incremental_compile(
             prev, changed, removed_paths=removed, parse_diags=parse_diags, manifest=manifest
         )
@@ -86,11 +88,7 @@ def _require_root(root: str) -> None:
 
 
 def _cmd_compile(args, out) -> int:
-    _require_root(args.root)
-    manifest = _find_manifest(args.root, args.manifest)
-    state, report = _load_workspace(
-        args.root, manifest, _state_dir(args.root, args.state), args.no_cache
-    )
+    state, report = _load_workspace(args)
     if report or args.json:
         _print_diags(report, args.json, out)
     return EXIT_ERRORS if state.has_errors else EXIT_OK
@@ -109,11 +107,7 @@ def _value_repr(value) -> str:
 
 
 def _cmd_get(args, out) -> int:
-    _require_root(args.root)
-    manifest = _find_manifest(args.root, args.manifest)
-    state, report = _load_workspace(
-        args.root, manifest, _state_dir(args.root, args.state), args.no_cache
-    )
+    state, report = _load_workspace(args)
     if state.has_errors:
         _print_diags(report, args.json, sys.stderr)
         return EXIT_ERRORS
@@ -151,11 +145,7 @@ def _closure_rows(state: CompileState, start: ElementId, reverse: bool):
 
 
 def _cmd_deps(args, out) -> int:
-    _require_root(args.root)
-    manifest = _find_manifest(args.root, args.manifest)
-    state, _report = _load_workspace(
-        args.root, manifest, _state_dir(args.root, args.state), args.no_cache
-    )
+    state, _report = _load_workspace(args)
     model = state.resolved
     target = model.lookup(ElementId.parse(args.element, ""))
     if target is None:
@@ -181,11 +171,7 @@ def _ns_filename(base: str, ns: str) -> str:
 
 
 def _cmd_schema(args, out) -> int:
-    _require_root(args.root)
-    manifest = _find_manifest(args.root, args.manifest)
-    state, _report = _load_workspace(
-        args.root, manifest, _state_dir(args.root, args.state), args.no_cache
-    )
+    state, _report = _load_workspace(args)
     docs = generate_schemas(state)
     if not args.output:
         out.write(docs[""].text)
@@ -220,11 +206,7 @@ def _cmd_schema(args, out) -> int:
 
 
 def _cmd_rename(args, out) -> int:
-    _require_root(args.root)
-    manifest = _find_manifest(args.root, args.manifest)
-    state, _report = _load_workspace(
-        args.root, manifest, _state_dir(args.root, args.state), args.no_cache
-    )
+    state, _report = _load_workspace(args)
     if args.property:
         patchset, warnings = rename_property(state, args.property, args.old, args.new)
     else:

@@ -125,7 +125,6 @@ class ResolvedModel:
         self._lineage: dict[ElementId, tuple[ElementId, ...]] = {}
         self._ancestors: dict[ElementId, frozenset[ElementId]] = {}
         self._effective: dict[ElementId, tuple[PropertyDefinition, ...]] = {}
-        self._cyclic: dict[ElementId, bool] = {}
 
     # -- reference resolution
 
@@ -190,23 +189,9 @@ class ResolvedModel:
         return cached
 
     def in_parent_cycle(self, class_id: ElementId) -> bool:
-        """True when class_id itself sits on a parent cycle."""
-        cached = self._cyclic.get(class_id)
-        if cached is not None:
-            return cached
-        seen = set()
-        cur = self.classes[class_id].parent
-        result = False
-        while cur is not None and cur in self.classes:
-            if cur == class_id:
-                result = True
-                break
-            if cur in seen:
-                break
-            seen.add(cur)
-            cur = self.classes[cur].parent
-        self._cyclic[class_id] = result
-        return result
+        """True when class_id itself sits on a parent cycle: its lineage
+        stops at the first repeat, so the last class's parent is class_id."""
+        return self.classes[self.lineage(class_id)[-1]].parent == class_id
 
     def effective_properties(self, class_id: ElementId) -> tuple[PropertyDefinition, ...]:
         cached = self._effective.get(class_id)

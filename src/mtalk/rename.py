@@ -150,10 +150,6 @@ def _may_mention(unit: SourceUnit, name: str) -> bool:
     return ("<!" in text or "<?" in text) and _SPLIT_LEAF_RE.search(text) is not None
 
 
-def _manifest_of(state: CompileState):
-    return state.manifest
-
-
 def rename_element(
     state: CompileState, old: ElementId | str, new: str
 ) -> tuple[PatchSet, list[Diagnostic]]:
@@ -228,7 +224,7 @@ def rename_element(
                 patches.append(Patch(unit.path, site.span, _encode_attr(replacement)))
 
     warnings: list[Diagnostic] = []
-    manifest = _manifest_of(state)
+    manifest = state.manifest
     if manifest is not None and manifest.get(old_id.render()) is not None:
         warnings.append(
             dx.warning(
@@ -298,7 +294,7 @@ def rename_property(
                     patches.append(Patch(unit.path, site.span, new))
 
     warnings: list[Diagnostic] = []
-    manifest = _manifest_of(state)
+    manifest = state.manifest
     if manifest is not None:
         for cls in sorted(scope, key=ElementId.render):
             sig = manifest.get(cls.render())

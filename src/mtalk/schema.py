@@ -435,27 +435,27 @@ def _lex_ok(builtin: str, text: str) -> bool:
 
 
 class _Validator:
-    def __init__(self, schema: _Schema, path: str):
+    def __init__(self, schema: _Schema):
         self.schema = schema
-        self.path = path
         self.diags: list[Diagnostic] = []
 
     def fail(self, span, message: str):
         self.diags.append(dx.error(dx.SCHEMA_VIOLATION, message, span))
 
-    def check_simple(self, type_name: str, text: str, span, what: str):
+    def simple_problem(self, type_name: str, text: str) -> str | None:
+        """What makes text not a value of type_name, or None when it is one."""
         if type_name.startswith("xs:"):
             if not _lex_ok(type_name, text):
-                self.fail(span, f"value '{text.strip()}' is not a valid {type_name} for {what}")
-            return
+                return f"value '{text.strip()}' is not a valid {type_name}"
+            return None
         st = self.schema.simple.get(type_name)
         if st is None:
             raise SchemaError(f"unknown simple type '{type_name}'")
         if st.enum is not None and text.strip() not in st.enum:
-            self.fail(span, f"value '{text.strip()}' is not allowed for {what}")
-            return
+            return f"value '{text.strip()}' is not allowed"
         if st.base and st.base.startswith("xs:") and not _lex_ok(st.base, text):
-            self.fail(span, f"value '{text.strip()}' is not a valid {st.base} for {what}")
+            return f"value '{text.strip()}' is not a valid {st.base}"
+        return None
 
     def is_simple(self, type_name: str) -> bool:
         return type_name.startswith("xs:") and type_name != "xs:anyType" or type_name in self.schema.simple
@@ -470,7 +470,9 @@ class _Validator:
             bad_attrs = [a for a in node.attrs if not a.startswith("xmlns")]
             if bad_attrs:
                 self.fail(node.span, f"attribute '{bad_attrs[0]}' not allowed on '{node.tag}'")
-            self.check_simple(type_name, node.text, node.span, f"element '{node.tag}'")
+            problem = self.simple_problem(type_name, node.text)
+            if problem:
+                self.fail(node.span, f"{problem} for element '{node.tag}'")
             return
         ct = self.schema.complex.get(type_name)
         if ct is None:
@@ -521,14 +523,11 @@ class _Validator:
             spec = ct.attrs.get(name)
             if spec is None:
                 if not ct.any_attrs:
-                    self.fail(
-                        node.attr_spans.get(name, node.span),
-                        f"attribute '{name}' not allowed on '{node.tag}'",
-                    )
+                    self.fail(node.attr_span(name), f"attribute '{name}' not allowed on '{node.tag}'")
                 continue
-            self.check_simple(
-                spec[0], value, node.attr_spans.get(name, node.span), f"attribute '{name}'"
-            )
+            problem = self.simple_problem(spec[0], value)
+            if problem:
+                self.fail(node.attr_span(name), f"{problem} for attribute '{name}'")
         for name, (_t, required) in ct.attrs.items():
             if required and name not in node.attrs:
                 self.fail(node.span, f"required attribute '{name}' missing on '{node.tag}'")
@@ -548,7 +547,7 @@ def validate_with_schema(schema: SchemaDoc | str, unit_text: str, path: str = "<
             dx.error(dx.SCHEMA_VIOLATION, f"document is not well-formed: {d.message}", d.span)
             for d in parse_diags
         ]
-    v = _Validator(sch, path)
+    v = _Validator(sch)
     declared = sch.elements.get(root.tag)
     if declared is None:
         v.fail(root.span, f"unknown root element '{root.tag}'")

@@ -1,11 +1,20 @@
-"""Textual model units: tolerant XML parsing with source spans.
+"""Textual model units: one XML document reader with source spans.
 
-A unit is one ``*.model.xml`` file: a root element (its ``xmlns`` names the
-unit's namespace) containing ``bean`` elements. Parsing is tolerant per bean:
-a malformed bean produces a diagnostic and the parser resynchronizes at the
-next ``<bean`` so the rest of the unit still loads. This parser is hand-rolled
-because recovery and exact attribute/text spans (needed for diagnostics and
-rename patches) are outside what stdlib XML parsers expose.
+A unit is one ``*.model.xml`` file. Its document is a prolog (a BOM,
+whitespace, comments, processing instructions and markup declarations such
+as ``<!DOCTYPE ...>``), one root element (its ``xmlns`` names the unit's
+namespace) containing ``bean`` elements, and then only whitespace, comments
+and processing instructions. Anything else after the root is an E000
+``content after document root``.
+
+Two readers share that skeleton and one element tree, ``XmlElement``:
+``parse_unit`` is tolerant per bean (a malformed bean produces a diagnostic
+and the parser resynchronizes at the next ``<bean`` so the rest of the unit
+still loads), and ``read_document`` is strict (the first problem ends the
+read). Elements keep offsets; line and column are computed only when a span
+is asked for. This parser is hand-rolled because recovery and exact
+attribute/text spans (needed for diagnostics and rename patches) are outside
+what stdlib XML parsers expose.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import hashlib
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import diagnostics as dx
@@ -153,11 +163,14 @@ class _Malformed(Exception):
 
 
 @dataclass(slots=True)
-class _XmlNode:
+class XmlElement:
+    """Well-formed XML element (no bean semantics) with offsets into its
+    document; spans are computed when asked for."""
+
     tag: str
     attrs: dict[str, str]
-    attr_value_spans: dict[str, tuple[int, int]]
-    children: list["_XmlNode"]
+    attr_bounds: dict[str, tuple[int, int]]  # attribute value offsets
+    children: list["XmlElement"]
     text: str
     start: int
     end: int
@@ -165,18 +178,31 @@ class _XmlNode:
     content_start: int | None  # just past the open tag's '>'
     content_end: int | None    # at the '<' of the close tag
     close_name_offset: int | None
+    doc: "_Scanner"
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.doc.span(self.start, self.end)
+
+    def attr_span(self, name: str) -> SourceSpan:
+        """Span of the value of attribute name."""
+        return self.doc.span(*self.attr_bounds[name])
 
 
 class _Scanner:
     def __init__(self, text: str, path: str):
         self.text = text
         self.path = path
+
+    @cached_property
+    def _line_starts(self) -> list[int]:
+        text = self.text
         starts = [0]
         idx = text.find("\n")
         while idx != -1:
             starts.append(idx + 1)
             idx = text.find("\n", idx + 1)
-        self._line_starts = starts
+        return starts
 
     def pos(self, offset: int) -> tuple[int, int]:
         line = bisect_right(self._line_starts, offset)
@@ -218,7 +244,7 @@ class _Scanner:
             i = m.end()
 
     def read_open_tag(self, p: int):
-        """Returns (tag, attrs, attr_value_spans, name_offset, after, self_closing)."""
+        """Returns (tag, attrs, attr_bounds, name_offset, after, self_closing)."""
         text = self.text
         m = _TAG_NAME_RE.match(text, p)
         if not m:
@@ -227,7 +253,7 @@ class _Scanner:
         name_offset = m.start(1)
         q = m.end()
         attrs: dict[str, str] = {}
-        spans: dict[str, tuple[int, int]] = {}
+        bounds: dict[str, tuple[int, int]] = {}
         while True:
             am = _ATTR_RE.match(text, q)
             if not am:
@@ -238,20 +264,20 @@ class _Scanner:
             if name in attrs:
                 raise _Malformed(am.start(1), f"duplicate attribute '{name}'")
             attrs[name] = self.decode(raw, vstart)
-            spans[name] = (vstart, vstart + len(raw))
+            bounds[name] = (vstart, vstart + len(raw))
             q = am.end()
         em = _TAG_END_RE.match(text, q)
         if not em:
             raise _Malformed(q, f"malformed tag '<{tag}'")
-        return tag, attrs, spans, name_offset, em.end(), em.group(1) == "/>"
+        return tag, attrs, bounds, name_offset, em.end(), em.group(1) == "/>"
 
-    def read_element(self, p: int, depth: int = 0) -> tuple[_XmlNode, int]:
+    def read_element(self, p: int, depth: int = 0) -> tuple[XmlElement, int]:
         if depth > _MAX_DEPTH:
             raise _Malformed(p, "element nesting too deep")
         text = self.text
         start = p
-        tag, attrs, spans, name_offset, p, self_closing = self.read_open_tag(p)
-        node = _XmlNode(tag, attrs, spans, [], "", start, p, name_offset, None, None, None)
+        tag, attrs, bounds, name_offset, p, self_closing = self.read_open_tag(p)
+        node = XmlElement(tag, attrs, bounds, [], "", start, p, name_offset, None, None, None, self)
         if self_closing:
             return node, p
         node.content_start = p
@@ -298,32 +324,47 @@ class _Scanner:
                 p = nxt
 
 
-def _skip_prolog(text: str) -> int:
-    """Offset of the root element: past a BOM, whitespace, processing
-    instructions, comments and markup declarations."""
-    p = 1 if text.startswith("\ufeff") else 0
+def _skip_misc(text: str, p: int) -> int:
+    """Offset past the whitespace, comments and processing instructions
+    at p: what XML allows around the root element."""
     n = len(text)
     while p < n:
         if text[p].isspace():
             p += 1
-        elif text.startswith("<?", p):
-            e = text.find("?>", p + 2)
-            if e == -1:
-                raise _Malformed(p, "unterminated processing instruction")
-            p = e + 2
         elif text.startswith("<!--", p):
             e = text.find("-->", p + 4)
             if e == -1:
                 raise _Malformed(p, "unterminated comment")
             p = e + 3
-        elif text.startswith("<!", p):
-            e = text.find(">", p)
+        elif text.startswith("<?", p):
+            e = text.find("?>", p + 2)
             if e == -1:
-                raise _Malformed(p, "unterminated markup declaration")
-            p = e + 1
+                raise _Malformed(p, "unterminated processing instruction")
+            p = e + 2
         else:
-            return p
-    raise _Malformed(max(0, n - 1), "missing root element")
+            break
+    return p
+
+
+def _skip_prolog(text: str) -> int:
+    """Offset of the root element: past a BOM, markup declarations and
+    what _skip_misc skips."""
+    p = _skip_misc(text, 1 if text.startswith("\ufeff") else 0)
+    while text.startswith("<!", p):
+        e = text.find(">", p)
+        if e == -1:
+            raise _Malformed(p, "unterminated markup declaration")
+        p = _skip_misc(text, e + 1)
+    if p >= len(text):
+        raise _Malformed(max(0, len(text) - 1), "missing root element")
+    return p
+
+
+def _check_trailer(text: str, p: int) -> None:
+    """After the root element only what _skip_misc skips may follow."""
+    p = _skip_misc(text, p)
+    if p < len(text):
+        raise _Malformed(p, "content after document root")
 
 
 _RESYNC_BEAN_RE = re.compile(r"<bean[\s/>]")
@@ -360,35 +401,6 @@ class _UnitParser:
         if self.sites is not None:
             sites.append(RefSite(kind, written, self.sc.span(start, end), bean, **extra))
 
-    def _attr_span(self, node: _XmlNode, name: str) -> SourceSpan:
-        s, e = node.attr_value_spans[name]
-        return self.sc.span(s, e)
-
-    def _node_span(self, node: _XmlNode) -> SourceSpan:
-        return self.sc.span(node.start, node.end)
-
-    def _skip_intertag(self, p: int) -> int:
-        """Advance past whitespace, comments and PIs between elements."""
-        text = self.text
-        n = len(text)
-        while p < n:
-            c = text[p]
-            if c.isspace():
-                p += 1
-            elif text.startswith("<!--", p):
-                e = text.find("-->", p + 4)
-                if e == -1:
-                    raise _Malformed(p, "unterminated comment")
-                p = e + 3
-            elif text.startswith("<?", p):
-                e = text.find("?>", p + 2)
-                if e == -1:
-                    raise _Malformed(p, "unterminated processing instruction")
-                p = e + 2
-            else:
-                return p
-        return p
-
     # -- driver
 
     def parse(self) -> tuple[SourceUnit, list[Diagnostic]]:
@@ -407,35 +419,34 @@ class _UnitParser:
         self.root_tag = tag
         self.namespace = attrs.get("xmlns", "")
         if not self_closing:
-            self._scan_beans(p, tag)
+            p = self._scan_beans(p, tag)
+        if p is not None:
+            try:
+                _check_trailer(self.text, p)
+            except _Malformed as m:
+                self._err(m.offset, m.message)
         return self._finish()
 
-    def _scan_beans(self, p: int, root_tag: str | None):
-        """Top-level loop: collect beans, recover at the next '<bean' on errors."""
+    def _scan_beans(self, p: int, root_tag: str | None) -> int | None:
+        """Top-level loop: collect beans, recover at the next '<bean' on errors.
+        Returns the offset past the root's close tag, None if it has none."""
         text = self.text
         n = len(text)
-        closed = root_tag is None
         while True:
             try:
-                p = self._skip_intertag(p)
+                p = _skip_misc(text, p)
             except _Malformed as m:
                 self._err(m.offset, m.message)
                 p = self._resync(m.offset + 1, root_tag)
                 continue
             if p >= n:
-                if root_tag is not None and not closed:
+                if root_tag is not None:
                     self._err(n - 1 if n else 0, f"unclosed root element '{root_tag}'")
-                return
+                return None
             if text.startswith("</", p):
                 cm = _CLOSE_TAG_RE.match(text, p)
-                if cm and root_tag is not None and cm.group(1) == root_tag:
-                    closed = True
-                    tail = cm.end()
-                    while tail < n and text[tail].isspace():
-                        tail += 1
-                    if tail < n:
-                        self._err(tail, "content after document root")
-                    return
+                if cm and cm.group(1) == root_tag:
+                    return cm.end()
                 self._err(p, "unexpected closing tag")
                 p = cm.end() if cm else self._resync(p + 1, root_tag)
                 continue
@@ -444,9 +455,9 @@ class _UnitParser:
                 if text[p : nxt if nxt != -1 else n].strip():
                     self._err(p, "stray content at root level")
                 if nxt == -1:
-                    if root_tag is not None and not closed:
+                    if root_tag is not None:
                         self._err(n - 1, f"unclosed root element '{root_tag}'")
-                    return
+                    return None
                 p = nxt
                 continue
             m = _TAG_NAME_RE.match(text, p)
@@ -486,14 +497,14 @@ class _UnitParser:
 
     # -- bean mapping
 
-    def _add_bean(self, node: _XmlNode):
-        span = self._node_span(node)
+    def _add_bean(self, node: XmlElement):
+        span = node.span
         written_id = node.attrs.get("id")
         if written_id is None:
             self._err_span(span, "bean missing required 'id' attribute")
             return
         if not is_valid_local(written_id):
-            self._err_span(self._attr_span(node, "id"), f"invalid bean id '{written_id}'")
+            self._err_span(node.attr_span("id"), f"invalid bean id '{written_id}'")
             return
         bean_id = ElementId(self.namespace, written_id)
         written_class = node.attrs.get("class")
@@ -501,26 +512,26 @@ class _UnitParser:
             self._err_span(span, "bean missing required 'class' attribute", bean_id)
             return
         if not written_class.strip():
-            self._err_span(self._attr_span(node, "class"), "empty class reference", bean_id)
+            self._err_span(node.attr_span("class"), "empty class reference", bean_id)
             return
         for a in node.attrs:
             if a not in BEAN_ATTRS:
-                self._err_span(self._attr_span(node, a), f"unknown attribute '{a}' on bean", bean_id)
+                self._err_span(node.attr_span(a), f"unknown attribute '{a}' on bean", bean_id)
 
         sites: list[RefSite] = []
         class_ref = ElementId.parse(written_class, self.namespace)
-        self._site(sites, "class-attr", written_class, *node.attr_value_spans["class"], bean_id, target=class_ref)
+        self._site(sites, "class-attr", written_class, *node.attr_bounds["class"], bean_id, target=class_ref)
 
         written_parent = node.attrs.get("parent")
         parent_ref = None
         if written_parent is not None:
             if not written_parent.strip():
-                self._err_span(self._attr_span(node, "parent"), "empty parent reference", bean_id)
+                self._err_span(node.attr_span("parent"), "empty parent reference", bean_id)
                 written_parent = None
             else:
                 parent_ref = ElementId.parse(written_parent, self.namespace)
                 self._site(
-                    sites, "parent-attr", written_parent, *node.attr_value_spans["parent"], bean_id, target=parent_ref
+                    sites, "parent-attr", written_parent, *node.attr_bounds["parent"], bean_id, target=parent_ref
                 )
 
         abstract = self._flag(node, "abstract", bean_id)
@@ -534,12 +545,12 @@ class _UnitParser:
         for child in node.children:
             if child.tag == PROPERTIES_TAG:
                 if defs is not None:
-                    self._err_span(self._node_span(child), "duplicate properties block", bean_id)
+                    self._err_span(child.span, "duplicate properties block", bean_id)
                     continue
                 defs = self._parse_defs(child, bean_id, sites)
             else:
                 if child.tag in assigned:
-                    self._err_span(self._node_span(child), f"duplicate assignment '{child.tag}'", bean_id)
+                    self._err_span(child.span, f"duplicate assignment '{child.tag}'", bean_id)
                     continue
                 expr = self._value_expr(child, bean_id, class_ref, sites)
                 if expr is not None:
@@ -579,10 +590,10 @@ class _UnitParser:
         self._ids[written_id] = decl
         self.beans.append(decl)
         if self.sites is not None:
-            self._site(sites, "bean-id", written_id, *node.attr_value_spans["id"], bean_id, target=bean_id)
+            self._site(sites, "bean-id", written_id, *node.attr_bounds["id"], bean_id, target=bean_id)
             self.sites.extend(sites)
 
-    def _flag(self, node: _XmlNode, name: str, bean_id: ElementId) -> bool:
+    def _flag(self, node: XmlElement, name: str, bean_id: ElementId) -> bool:
         raw = node.attrs.get(name)
         if raw is None:
             return False
@@ -590,31 +601,31 @@ class _UnitParser:
             return True
         if raw == "false":
             return False
-        self._err_span(self._attr_span(node, name), f"attribute '{name}' must be 'true' or 'false'", bean_id)
+        self._err_span(node.attr_span(name), f"attribute '{name}' must be 'true' or 'false'", bean_id)
         return False
 
-    def _leaf_text(self, node: _XmlNode, bean_id: ElementId) -> str | None:
+    def _leaf_text(self, node: XmlElement, bean_id: ElementId) -> str | None:
         if node.children:
-            self._err_span(self._node_span(node), f"'{node.tag}' must contain only text", bean_id)
+            self._err_span(node.span, f"'{node.tag}' must contain only text", bean_id)
             return None
         return node.text
 
     @staticmethod
-    def _leaf_bounds(node: _XmlNode) -> tuple[int, int]:
+    def _leaf_bounds(node: XmlElement) -> tuple[int, int]:
         if node.content_start is None:
             return node.start, node.end
         return node.content_start, node.content_end
 
-    def _parse_defs(self, block: _XmlNode, bean_id: ElementId, sites: list[RefSite]) -> list[RawPropertyDef]:
+    def _parse_defs(self, block: XmlElement, bean_id: ElementId, sites: list[RefSite]) -> list[RawPropertyDef]:
         defs: list[RawPropertyDef] = []
         names: set[str] = set()
         if block.text.strip():
-            self._err_span(self._node_span(block), "stray text in properties block", bean_id)
+            self._err_span(block.span, "stray text in properties block", bean_id)
         for a in block.attrs:
-            self._err_span(self._attr_span(block, a), f"unknown attribute '{a}' on properties block", bean_id)
+            self._err_span(block.attr_span(a), f"unknown attribute '{a}' on properties block", bean_id)
         for row in block.children:
             if row.tag != "property":
-                self._err_span(self._node_span(row), f"unexpected element '{row.tag}' in properties block", bean_id)
+                self._err_span(row.span, f"unexpected element '{row.tag}' in properties block", bean_id)
                 continue
             name_node = type_node = desc_node = None
             for part in row.children:
@@ -625,9 +636,9 @@ class _UnitParser:
                 elif part.tag == "description" and desc_node is None:
                     desc_node = part
                 else:
-                    self._err_span(self._node_span(part), f"unexpected element '{part.tag}' in property", bean_id)
+                    self._err_span(part.span, f"unexpected element '{part.tag}' in property", bean_id)
             if name_node is None or type_node is None:
-                self._err_span(self._node_span(row), "property must declare <name> and <type>", bean_id)
+                self._err_span(row.span, "property must declare <name> and <type>", bean_id)
                 continue
             raw_name = self._leaf_text(name_node, bean_id)
             raw_type = self._leaf_text(type_node, bean_id)
@@ -636,20 +647,20 @@ class _UnitParser:
             name = raw_name.strip()
             type_written = raw_type.strip()
             if not is_valid_local(name) or name == PROPERTIES_TAG:
-                self._err_span(self._node_span(name_node), f"invalid property name '{name}'", bean_id)
+                self._err_span(name_node.span, f"invalid property name '{name}'", bean_id)
                 continue
             if not type_written:
-                self._err_span(self._node_span(type_node), "empty property type", bean_id)
+                self._err_span(type_node.span, "empty property type", bean_id)
                 continue
             if name in names:
-                self._err_span(self._node_span(row), f"duplicate property definition '{name}'", bean_id)
+                self._err_span(row.span, f"duplicate property definition '{name}'", bean_id)
                 continue
             names.add(name)
             description = None
             if desc_node is not None:
                 description = self._leaf_text(desc_node, bean_id)
             type_ref = ElementId.parse(type_written, self.namespace)
-            defs.append(RawPropertyDef(name, type_written, type_ref, description, self._node_span(row)))
+            defs.append(RawPropertyDef(name, type_written, type_ref, description, row.span))
             self._site(sites, "name-text", raw_name, *self._leaf_bounds(name_node), bean_id, prop=name)
             self._site(
                 sites, "type-text", type_written, *self._leaf_bounds(type_node), bean_id, target=type_ref, prop=name
@@ -657,9 +668,9 @@ class _UnitParser:
         return defs
 
     def _value_expr(
-        self, node: _XmlNode, bean_id: ElementId, owner_class: ElementId, sites: list[RefSite]
+        self, node: XmlElement, bean_id: ElementId, owner_class: ElementId, sites: list[RefSite]
     ) -> ValueExpr | None:
-        span = self._node_span(node)
+        span = node.span
         prop = node.tag
         pending: list[RefSite] = []
         for offset in (node.name_offset, node.close_name_offset):
@@ -670,31 +681,31 @@ class _UnitParser:
         class_written = node.attrs.get("class")
         for a in node.attrs:
             if a not in ("ref", "class"):
-                self._err_span(self._attr_span(node, a), f"unknown attribute '{a}' on value element", bean_id)
+                self._err_span(node.attr_span(a), f"unknown attribute '{a}' on value element", bean_id)
         if ref_written is not None and class_written is not None:
             self._err_span(span, f"value '{prop}' has both 'ref' and 'class'", bean_id)
             class_written = None
 
         if ref_written is not None:
             if not ref_written.strip():
-                self._err_span(self._attr_span(node, "ref"), "empty bean reference", bean_id)
+                self._err_span(node.attr_span("ref"), "empty bean reference", bean_id)
                 return None
             if node.children or node.text.strip():
                 self._err_span(span, f"reference value '{prop}' must be empty", bean_id)
             target = ElementId.parse(ref_written, self.namespace)
             self._site(
-                pending, "ref-attr", ref_written, *node.attr_value_spans["ref"], bean_id, target=target, prop=prop
+                pending, "ref-attr", ref_written, *node.attr_bounds["ref"], bean_id, target=target, prop=prop
             )
             sites.extend(pending)
             return RefValue(target, ref_written, span)
 
         if class_written is not None:
             if not class_written.strip():
-                self._err_span(self._attr_span(node, "class"), "empty class reference", bean_id)
+                self._err_span(node.attr_span("class"), "empty class reference", bean_id)
                 return None
             inline_class = ElementId.parse(class_written, self.namespace)
             self._site(
-                pending, "class-attr", class_written, *node.attr_value_spans["class"], bean_id, target=inline_class
+                pending, "class-attr", class_written, *node.attr_bounds["class"], bean_id, target=inline_class
             )
             sites.extend(pending)
             if node.text.strip():
@@ -703,10 +714,10 @@ class _UnitParser:
             seen: set[str] = set()
             for child in node.children:
                 if child.tag == PROPERTIES_TAG:
-                    self._err_span(self._node_span(child), "inline beans cannot declare properties", bean_id)
+                    self._err_span(child.span, "inline beans cannot declare properties", bean_id)
                     continue
                 if child.tag in seen:
-                    self._err_span(self._node_span(child), f"duplicate assignment '{child.tag}'", bean_id)
+                    self._err_span(child.span, f"duplicate assignment '{child.tag}'", bean_id)
                     continue
                 expr = self._value_expr(child, bean_id, inline_class, sites)
                 if expr is not None:
@@ -742,49 +753,16 @@ def parse_unit(text: str, path: str) -> tuple[SourceUnit, list[Diagnostic]]:
     return _UnitParser(text, path).parse()
 
 
-@dataclass(slots=True)
-class XmlElement:
-    """Generic well-formed XML element tree with spans (no bean semantics)."""
-
-    tag: str
-    attrs: dict[str, str]
-    children: list["XmlElement"]
-    text: str
-    span: SourceSpan
-    attr_spans: dict[str, SourceSpan]
-
-
 def read_document(text: str, path: str) -> tuple[XmlElement | None, list[Diagnostic]]:
     """Strict single-pass read of a whole document. The first structural
     problem yields a diagnostic and None (no recovery)."""
     sc = _Scanner(text, path)
-    n = len(text)
     try:
-        node, p = sc.read_element(_skip_prolog(text))
-        while p < n:
-            if text[p].isspace():
-                p += 1
-            elif text.startswith("<!--", p):
-                e = text.find("-->", p + 4)
-                if e == -1:
-                    raise _Malformed(p, "unterminated comment")
-                p = e + 3
-            else:
-                raise _Malformed(p, "content after document root")
+        root, p = sc.read_element(_skip_prolog(text))
+        _check_trailer(text, p)
     except _Malformed as m:
         return None, [dx.error(dx.PARSE, m.message, sc.point(m.offset))]
-
-    def convert(raw: _XmlNode) -> XmlElement:
-        return XmlElement(
-            tag=raw.tag,
-            attrs=raw.attrs,
-            children=[convert(c) for c in raw.children],
-            text=raw.text,
-            span=sc.span(raw.start, raw.end),
-            attr_spans={k: sc.span(s, e) for k, (s, e) in raw.attr_value_spans.items()},
-        )
-
-    return convert(node), []
+    return root, []
 
 
 def duplicate_id_diags(units) -> list[Diagnostic]:

@@ -222,12 +222,16 @@ def test_lineage_truncates_on_cycle():
         m='<model xmlns="m">'
         '<bean id="A" class="Class" parent="B"/>'
         '<bean id="B" class="Class" parent="A"/>'
+        '<bean id="C" class="Class" parent="A"/>'
         "</model>"
     )
     assert lineage(model, eid("m:A")) == (eid("m:A"), eid("m:B"))
     assert model.in_parent_cycle(eid("m:A"))
     assert model.in_parent_cycle(eid("m:B"))
     assert not model.in_parent_cycle(CLASS_ID)
+    # C leads into the cycle but is not on it
+    assert lineage(model, eid("m:C")) == (eid("m:C"), eid("m:A"), eid("m:B"))
+    assert not model.in_parent_cycle(eid("m:C"))
 
 
 def test_lineage_requires_class():

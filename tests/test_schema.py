@@ -252,12 +252,38 @@ def test_properties_block_structure_enforced():
 
 def test_violation_spans_point_into_document():
     schema = golden_schema()
-    text = '<model>\n  <bean id="X" class="Bogus"/>\n</model>'
+    text = (
+        "<model>\n"
+        '  <bean id="X" class="Bogus"/>\n'
+        '  <bean class="HTTP_Client"/>\n'
+        '  <bean id="Y" class="HTTP_Client">\n'
+        "    <timeout>soon</timeout>\n"
+        "    <bogus/>\n"
+        "  </bean>\n"
+        "</model>"
+    )
     diags = validate_with_schema(schema, text, "u.model.xml")
-    assert len(diags) >= 1
-    d = diags[0]
-    assert d.span.line == 2
-    assert d.span.path == "u.model.xml"
+    # attribute-value span, element span, element span, child span
+    expected = [
+        ("value 'Bogus' is not allowed for attribute 'class'", 2, 23, 2, 28),
+        ("required attribute 'id' missing on 'bean'", 3, 3, 3, 30),
+        ("value 'soon' is not a valid xs:long for element 'timeout'", 5, 5, 5, 28),
+        ("element 'bogus' not allowed in 'bean'", 6, 5, 6, 13),
+    ]
+    assert [d.to_dict() for d in diags] == [
+        {
+            "severity": "error",
+            "code": SCHEMA_VIOLATION,
+            "message": message,
+            "element": None,
+            "path": "u.model.xml",
+            "line": line,
+            "column": column,
+            "endLine": end_line,
+            "endColumn": end_column,
+        }
+        for message, line, column, end_line, end_column in expected
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,39 @@ def test_prolog_faults_render_alike_in_both_readers(fault, reader):
     assert [d.render() for d in diags] == [f"u.xml:{rendered}"]
 
 
+# XML 1.0: document ::= prolog element Misc*, where Misc is whitespace,
+# comments and processing instructions.
+_DOCUMENT_SHAPES = {
+    "trailing comment": ("<model></model>\n<!-- done -->\n", []),
+    "trailing PI": ("<model></model>\n<?editor x?>\n", []),
+    "trailing comment after self-closing root": ("<model/><!-- done -->", []),
+    "element after root": (
+        "<model></model>\n<extra/>", ["2:1: error[E000] content after document root"]
+    ),
+    "bean after self-closing root": (
+        '<model/>\n<bean id="A" class="Class"/>', ["2:1: error[E000] content after document root"]
+    ),
+    "unterminated trailing comment": (
+        "<model></model>\n<!-- open", ["2:1: error[E000] unterminated comment"]
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", ["parse_unit", "read_document"])
+@pytest.mark.parametrize("shape", sorted(_DOCUMENT_SHAPES))
+def test_document_shape_renders_alike_in_both_readers(shape, reader):
+    text, rendered = _DOCUMENT_SHAPES[shape]
+    if reader == "parse_unit":
+        unit, diags = parse_unit(text, "u.xml")
+        assert unit.root_tag == "model"
+        # a bean is never dropped without a diagnostic
+        assert len(unit.beans) == text.count("<bean") or diags
+    else:
+        doc, diags = read_document(text, "u.xml")
+        assert (doc is None) == bool(rendered)
+    assert [d.render() for d in diags] == [f"u.xml:{r}" for r in rendered]
+
+
 def test_duplicate_attribute_is_malformed():
     unit, diags = parse("<model><bean id='A' id='B' class='C'/></model>")
     assert unit.beans == ()
@@ -521,7 +554,7 @@ def test_read_document_round_trip():
     bean = doc.children[0]
     assert bean.tag == "bean"
     assert bean.children[0].text == "1"
-    assert bean.attr_spans["id"].line == 1
+    assert bean.attr_span("id").line == 1
 
 
 def test_read_document_rejects_malformed():
