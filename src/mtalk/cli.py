@@ -16,6 +16,7 @@ from .compiler import (
     save_state,
     workspace_changes,
 )
+from .diagnostics import has_errors
 from .errors import ModelError, NotFoundError
 from .graph import MANIFEST_NS
 from .ids import UNRESOLVED, ElementId
@@ -91,7 +92,7 @@ def _cmd_compile(args, out) -> int:
     state, report = _load_workspace(args)
     if report or args.json:
         _print_diags(report, args.json, out)
-    return EXIT_ERRORS if state.has_errors else EXIT_OK
+    return EXIT_ERRORS if has_errors(report) else EXIT_OK
 
 
 def _value_repr(value) -> str:
@@ -108,7 +109,7 @@ def _value_repr(value) -> str:
 
 def _cmd_get(args, out) -> int:
     state, report = _load_workspace(args)
-    if state.has_errors:
+    if has_errors(report):
         _print_diags(report, args.json, sys.stderr)
         return EXIT_ERRORS
     vm = vmmod.load(state.model())

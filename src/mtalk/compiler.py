@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import diagnostics as dx
-from .diagnostics import Diagnostic, Severity, sort_diagnostics
+from .diagnostics import Diagnostic, has_errors, sort_diagnostics
 from .errors import NotFoundError
 from .graph import (
     PARENT_BEAN,
@@ -262,7 +262,7 @@ def _check_instance(model, eid, decl: BeanDecl, diags):
                 eid,
             )
         )
-    # parent template legality
+    # parent template legality and parent chain cycle
     if decl.parent_ref is not None:
         parent = model.lookup(decl.parent_ref)
         if parent is not None:
@@ -293,23 +293,11 @@ def _check_instance(model, eid, decl: BeanDecl, diags):
                             eid,
                         )
                     )
-    # parent chain cycle
-    seen = {eid}
-    cur = eid
-    while True:
-        pref = model.elements[cur].decl.parent_ref
-        if pref is None:
-            break
-        nxt = model.lookup(pref)
-        if nxt is None or model.elements[nxt].kind is not ElementKind.INSTANCE:
-            break
-        if nxt == eid:
-            diags.append(dx.error(dx.CYCLE, "cycle in parent chain", decl.span, eid))
-            break
-        if nxt in seen:
-            break
-        seen.add(nxt)
-        cur = nxt
+                # the chain stops at the first repeat, so eid is on a parent
+                # cycle when the last template's parent is eid itself
+                last = model.elements[model.template_chain(eid)[-1]].decl.parent_ref
+                if last is not None and model.lookup(last) == eid:
+                    diags.append(dx.error(dx.CYCLE, "cycle in parent chain", decl.span, eid))
     # values against the class
     if cls is not None and cls in model.classes:
         props = {p.name: p for p in model.effective_properties(cls)}
@@ -537,7 +525,7 @@ class CompiledModel:
 
     @property
     def error_free(self) -> bool:
-        return all(d.severity is not Severity.ERROR for d in self.diagnostics)
+        return not has_errors(self.diagnostics)
 
 
 @dataclass
@@ -567,7 +555,7 @@ class CompileState:
 
     @property
     def has_errors(self) -> bool:
-        return any(d.severity is Severity.ERROR for d in self.all_diagnostics())
+        return has_errors(self.all_diagnostics())
 
     def content_hash_by_unit(self) -> dict[str, str]:
         return {path: u.content_hash for path, u in self.units.items()}
@@ -634,10 +622,6 @@ def workspace_changes(
     units, unreadable, parse_diags = read_units(root, paths if read is None else read, prev.units)
     removed = (prev.units.keys() | prev.parse_by_path.keys()) - set(paths) | set(unreadable)
     return units, sorted(removed), parse_diags
-
-
-# canonical operation name; compile_model avoids shadowing the builtin inside this module
-compile = compile_model  # noqa: A001
 
 
 def changed_element_ids(prev: ResolvedModel, new: ResolvedModel) -> set[ElementId]:

@@ -193,6 +193,21 @@ class ResolvedModel:
         stops at the first repeat, so the last class's parent is class_id."""
         return self.classes[self.lineage(class_id)[-1]].parent == class_id
 
+    def template_chain(self, bean_id: ElementId) -> tuple[ElementId, ...]:
+        """Instance bean and its parent templates, nearest first, truncated
+        at the first repeat and at a parent that is not an instance bean."""
+        chain = [bean_id]
+        seen = {bean_id}
+        pref = self.elements[bean_id].decl.parent_ref
+        while pref is not None:
+            cur = self.lookup(pref)
+            if cur is None or cur in seen or self.elements[cur].kind is not ElementKind.INSTANCE:
+                break
+            chain.append(cur)
+            seen.add(cur)
+            pref = self.elements[cur].decl.parent_ref
+        return tuple(chain)
+
     def effective_properties(self, class_id: ElementId) -> tuple[PropertyDefinition, ...]:
         cached = self._effective.get(class_id)
         if cached is not None:

@@ -325,11 +325,11 @@ class _Scanner:
 
 
 def _skip_misc(text: str, p: int) -> int:
-    """Offset past the whitespace, comments and processing instructions
-    at p: what XML allows around the root element."""
+    """Offset past the whitespace (space, tab, CR, LF), comments and
+    processing instructions at p: what XML allows around the root element."""
     n = len(text)
     while p < n:
-        if text[p].isspace():
+        if text[p] in " \t\r\n":
             p += 1
         elif text.startswith("<!--", p):
             e = text.find("-->", p + 4)
@@ -346,17 +346,45 @@ def _skip_misc(text: str, p: int) -> int:
     return p
 
 
+def _skip_declaration(text: str, p: int) -> int:
+    """Offset past the markup declaration at p ('<!'). A '>' inside a quoted
+    literal or the bracketed internal subset does not end it; the subset is
+    skipped, so nothing declared there is known to the readers."""
+    n = len(text)
+    q = p + 2
+    in_subset = False
+    while q < n:
+        c = text[q]
+        if c == '"' or c == "'":
+            q = text.find(c, q + 1)
+            if q == -1:
+                break
+        elif in_subset and text.startswith(("<!--", "<?"), q):
+            close = "-->" if text[q + 1] == "!" else "?>"
+            q = text.find(close, q + 2)
+            if q == -1:
+                break
+            q += len(close) - 1
+        elif c == "[":
+            in_subset = True
+        elif c == "]":
+            in_subset = False
+        elif c == ">" and not in_subset:
+            return q + 1
+        q += 1
+    raise _Malformed(p, "unterminated markup declaration")
+
+
 def _skip_prolog(text: str) -> int:
     """Offset of the root element: past a BOM, markup declarations and
     what _skip_misc skips."""
     p = _skip_misc(text, 1 if text.startswith("\ufeff") else 0)
     while text.startswith("<!", p):
-        e = text.find(">", p)
-        if e == -1:
-            raise _Malformed(p, "unterminated markup declaration")
-        p = _skip_misc(text, e + 1)
+        p = _skip_misc(text, _skip_declaration(text, p))
     if p >= len(text):
         raise _Malformed(max(0, len(text) - 1), "missing root element")
+    if text[p] != "<":
+        raise _Malformed(p, "content before document root")
     return p
 
 

@@ -13,10 +13,11 @@ mixture.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from .compiler import CompiledModel, CompileState
+from .diagnostics import Severity, has_errors
 from .errors import ModelError, NotFoundError, WrongKindError
 from .ids import ElementId
 from .kernel import ElementKind, PropertyDefinition, ResolvedModel, TypeRef
@@ -97,29 +98,27 @@ class VmHandle:
         return self._snap.model
 
 
-def _as_compiled(model) -> CompiledModel:
+def _loadable(model, refusal: str) -> CompiledModel:
+    """The compiled model of a CompiledModel or CompileState, refused with
+    LoadRefusedError when it has compile errors."""
     if isinstance(model, CompileState):
-        return model.model()
-    if isinstance(model, CompiledModel):
-        return model
-    raise TypeError("expected CompiledModel or CompileState")
+        model = model.model()
+    elif not isinstance(model, CompiledModel):
+        raise TypeError("expected CompiledModel or CompileState")
+    if has_errors(model.diagnostics):
+        n = sum(1 for d in model.diagnostics if d.severity is Severity.ERROR)
+        raise LoadRefusedError(f"model has {n} compile error(s); {refusal}")
+    return model
 
 
 def load(compiled, registry: NativeRegistry | None = None) -> VmHandle:
     """Load an error-free compiled model."""
-    compiled = _as_compiled(compiled)
-    if not compiled.error_free:
-        n = sum(1 for d in compiled.diagnostics if d.severity.value == "error")
-        raise LoadRefusedError(f"model has {n} compile error(s); refusing to load")
-    return VmHandle(_Snapshot(compiled, registry))
+    return VmHandle(_Snapshot(_loadable(compiled, "refusing to load"), registry))
 
 
 def reload(vm: VmHandle, compiled, registry: NativeRegistry | None = None) -> None:
     """Atomically replace the VM's model. On refusal the old model stays."""
-    compiled = _as_compiled(compiled)
-    if not compiled.error_free:
-        n = sum(1 for d in compiled.diagnostics if d.severity.value == "error")
-        raise LoadRefusedError(f"model has {n} compile error(s); keeping current model")
+    compiled = _loadable(compiled, "keeping current model")
     vm._snap = _Snapshot(compiled, registry if registry is not None else vm._snap.registry)
 
 
@@ -144,23 +143,6 @@ def _resolve_id(snap: _Snapshot, ref) -> ElementId:
 # Value merging
 
 
-def _template_chain(model: ResolvedModel, eid: ElementId) -> list[ElementId]:
-    """Instance bean and its parent templates, nearest first, cycle-safe."""
-    chain = [eid]
-    seen = {eid}
-    cur = eid
-    while True:
-        pref = model.elements[cur].decl.parent_ref
-        if pref is None:
-            return chain
-        nxt = model.lookup(pref)
-        if nxt is None or nxt in seen or model.elements[nxt].kind is not ElementKind.INSTANCE:
-            return chain
-        chain.append(nxt)
-        seen.add(nxt)
-        cur = nxt
-
-
 def effective_values(vm_or_model, bean_id) -> dict[str, ValueExpr]:
     """Raw merged assignment map for a bean.
 
@@ -180,11 +162,9 @@ def effective_values(vm_or_model, bean_id) -> dict[str, ValueExpr]:
     if entry is None:
         raise NotFoundError(f"unknown bean '{bean_id.render()}'")
     if entry.kind is ElementKind.INSTANCE:
-        chain = _template_chain(model, bean_id)
-        sources = [model.elements[b].decl.assignments for b in chain]
+        sources = [model.elements[b].decl.assignments for b in model.template_chain(bean_id)]
     else:
-        chain = model.lineage(bean_id)
-        sources = [model.classes[c].class_assignments for c in chain]
+        sources = [model.classes[c].class_assignments for c in model.lineage(bean_id)]
     merged: dict[str, ValueExpr] = {}
     for assignments in reversed(sources):
         for name, expr in assignments:
@@ -236,9 +216,17 @@ def _build(
     class_id: ElementId,
     raw: dict[str, ValueExpr],
     stack: tuple,
+    target: ElementId | None = None,
 ) -> RuntimeInstance:
-    key = bean_id if bean_id is not None else ("inline", id(raw))
+    """Inject raw into an instance of class_id: a named bean, an inline bean
+    (bean_id None), or with target the MetaView of that class."""
+    if target is not None:
+        key = ("meta", target)
+    else:
+        key = bean_id if bean_id is not None else ("inline", id(raw))
     if key in stack:
+        if target is not None:
+            raise InjectionError(f"injection cycle at metaview '{target.render()}'")
         raise InjectionError(f"injection cycle at '{class_id.render()}'")
     stack = stack + (key,)
     values: dict[str, object] = {}
@@ -252,13 +240,17 @@ def _build(
         factory = snap.registry.factory_for(native)
         if factory is not None:
             native_object = factory(dict(values))
-    return RuntimeInstance(
-        class_id=class_id,
-        bean_id=bean_id,
-        native=native,
-        values=MappingProxyType(values),
-        native_object=native_object,
-    )
+    if target is None:
+        return RuntimeInstance(class_id, bean_id, native, MappingProxyType(values), native_object)
+    return MetaView(class_id, bean_id, native, MappingProxyType(values), native_object, target)
+
+
+def _class_of(snap: _Snapshot, eid: ElementId) -> ElementId:
+    """The resolved class of instance bean eid."""
+    cls = snap.model.lookup(snap.model.elements[eid].decl.class_ref)
+    if cls is None or cls not in snap.model.classes:
+        raise InjectionError(f"bean '{eid.render()}' has no resolvable class")
+    return cls
 
 
 def _instance(snap: _Snapshot, eid: ElementId, stack: tuple) -> RuntimeInstance:
@@ -270,9 +262,7 @@ def _instance(snap: _Snapshot, eid: ElementId, stack: tuple) -> RuntimeInstance:
         raise WrongKindError(f"'{eid.render()}' is a class; request its MetaView instead")
     if entry.decl.abstract:
         raise AbstractInstantiationError(f"bean '{eid.render()}' is abstract")
-    cls = snap.model.lookup(entry.decl.class_ref)
-    if cls is None or cls not in snap.model.classes:
-        raise InjectionError(f"bean '{eid.render()}' has no resolvable class")
+    cls = _class_of(snap, eid)
     with snap.lock:
         cached = snap.instances.get(eid)
         if cached is not None:
@@ -296,30 +286,7 @@ def _meta_view(snap: _Snapshot, class_id: ElementId, stack: tuple) -> MetaView:
         cached = snap.metaviews.get(class_id)
         if cached is not None:
             return cached
-        raw = effective_values(snap.model, class_id)
-        key = ("meta", class_id)
-        if key in stack:
-            raise InjectionError(f"injection cycle at metaview '{class_id.render()}'")
-        stack = stack + (key,)
-        values: dict[str, object] = {}
-        for p in snap.model.effective_properties(mc):
-            if p.name not in raw or p.type.is_unresolved:
-                continue
-            values[p.name] = _convert(snap, raw[p.name], p.type, stack)
-        native = resolve_native(snap, mc)
-        native_object = None
-        if native is not None and snap.registry is not None:
-            factory = snap.registry.factory_for(native)
-            if factory is not None:
-                native_object = factory(dict(values))
-        view = MetaView(
-            class_id=mc,
-            bean_id=class_id,
-            native=native,
-            values=MappingProxyType(values),
-            native_object=native_object,
-            target=class_id,
-        )
+        view = _build(snap, class_id, mc, effective_values(snap.model, class_id), stack, target=class_id)
         snap.metaviews[class_id] = view
         return view
 
@@ -342,13 +309,7 @@ def get_class(vm: VmHandle, ref) -> MetaView:
         class_id = ref.class_id
     else:
         eid = _resolve_id(snap, ref)
-        if eid in snap.model.classes:
-            class_id = eid
-        else:
-            cls = snap.model.lookup(snap.model.elements[eid].decl.class_ref)
-            if cls is None or cls not in snap.model.classes:
-                raise InjectionError(f"bean '{eid.render()}' has no resolvable class")
-            class_id = cls
+        class_id = eid if eid in snap.model.classes else _class_of(snap, eid)
     return _meta_view(snap, class_id, ())
 
 

@@ -27,7 +27,7 @@ class WatchSession:
     poll() returns None when nothing happened, otherwise a WatchResult for
     the batch of changes seen since the previous poll. Detection is by
     mtime/size; a touched file is read and hashed, and parsed only when its
-    content changed.
+    content changed. report is the diagnostics of the current state.
     """
 
     def __init__(self, root, manifest: NativeManifest | None = None,
@@ -35,8 +35,11 @@ class WatchSession:
         self.root = os.fspath(root)
         self.manifest = manifest
         if state is None:
-            state, _ = compile_workspace(self.root, manifest)
+            state, report = compile_workspace(self.root, manifest)
+        else:
+            report = state.all_diagnostics()
         self.state = state
+        self.report = report
         self._sigs = self._scan_sigs()
 
     def _scan_sigs(self) -> dict[str, tuple[int, int]]:
@@ -58,7 +61,7 @@ class WatchSession:
             return None
         touched = [rel for rel, sig in current.items() if previous.get(rel) != sig]
 
-        old_diags = self.state.all_diagnostics()
+        old_diags = self.report
         start = time.perf_counter()
         changed, removed, parse_diags = workspace_changes(self.state, self.root, list(current), read=touched)
         state, recompiled, diagnostics = incremental_compile(
@@ -66,6 +69,7 @@ class WatchSession:
         )
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         self.state = state
+        self.report = diagnostics
 
         old_set = set(old_diags)
         new_set = set(diagnostics)
@@ -86,7 +90,7 @@ def run_watch(root, manifest: NativeManifest | None = None, interval: float = 0.
     interrupted. Returns 0 on clean shutdown.
     """
     session = WatchSession(root, manifest)
-    for d in session.state.all_diagnostics():
+    for d in session.report:
         emit(d.render())
     emit(f"watching {session.root}")
     polls = 0

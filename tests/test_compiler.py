@@ -381,6 +381,8 @@ def test_instance_parent_cycle():
         '<bean id="C" class="Class"/>'
         '<bean id="I1" class="C" parent="I2" abstract="true"/>'
         '<bean id="I2" class="C" parent="I1" abstract="true"/>'
+        # leads into the cycle without being on it
+        '<bean id="I3" class="C" parent="I1" abstract="true"/>'
         "</model>"
     )
     cyc = [d for d in diags if d.code == CYCLE and "parent chain" in d.message]

@@ -4,7 +4,8 @@ A state machine edits a real workspace directory and, after every edit,
 compiles it three ways: ``compile_workspace`` from scratch, an in-process
 ``mtalk compile --json`` folding into the state it saved last time, and one
 long-lived ``WatchSession``. All three must report the same diagnostics and
-none may raise.
+none may raise. When the report has no error, a VM loaded from the library's
+state and one loaded from the watch state must inject the same values.
 
 Every write sets the file's mtime one second past the previous write, so the
 watch's mtime/size check sees each edit however quickly the rules run. The
@@ -28,7 +29,9 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from mtalk import cli
+from mtalk import vm as vmmod
 from mtalk.compiler import compile_workspace
+from mtalk.diagnostics import has_errors
 from mtalk.errors import ModelError
 from mtalk.ids import ElementId
 from mtalk.native import load_manifest
@@ -63,6 +66,23 @@ _CLASS_EDITS = [
     ("core.model.xml", 'id="MetaCache" class="Class" parent="Class"', 'id="MetaCache" class="Class"'),
 ]
 _RENAMES = [("StandardCache", "PlainCache"), ("FastHTTP_Client", "QuickClient"), ("MetaCache", "CacheMeta")]
+# the non-abstract instance beans of _UNITS, and a class with class-level values
+_VM_BEANS = ("PontisLogoRetriever", "LogoPictureRetriever", "CNN_NewsRetriever", "x:Mirror")
+_VM_CLASS = "NewsRetriever"
+
+
+def _vm_values(state) -> dict[str, object]:
+    """What a VM loaded from state injects into the sampled beans and the
+    class's MetaView, or the error it raises for one that is gone or renamed."""
+    vm = vmmod.load(state)
+    out: dict[str, object] = {}
+    for name in (*_VM_BEANS, _VM_CLASS):
+        get = vmmod.get_class if name == _VM_CLASS else vmmod.get_instance
+        try:
+            out[name] = vmmod.dump_instance(get(vm, name))
+        except ModelError as e:
+            out[name] = f"{type(e).__name__}: {e}"
+    return out
 
 
 class EntryPoints(RuleBasedStateMachine):
@@ -130,6 +150,8 @@ class EntryPoints(RuleBasedStateMachine):
         self.session.poll()
         assert [d.to_dict() for d in self.session.state.all_diagnostics()] == want
         assert self.session.state.resolved.elements.keys() == state.resolved.elements.keys()
+        if not has_errors(expected):
+            assert _vm_values(self.session.state) == _vm_values(state)
 
     # -- edits
 

@@ -336,3 +336,66 @@ def test_unusable_schema_texts_raise():
             '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema"><xs:group name="g"/></xs:schema>',
             "<model/>",
         )
+
+
+# ---------------------------------------------------------------------------
+# Open and mixed types
+
+
+_BROKEN_CLASSES = (
+    '<model><bean id="A" class="Class" parent="B"/><bean id="B" class="Class" parent="A"/>'
+    '<bean id="L" class="Class">'
+    "<properties><property><name>lost</name><type>Ghost</type></property></properties>"
+    "</bean></model>"
+)
+
+
+def test_broken_class_types_are_open():
+    # a class on a parent cycle, or with a property of unresolved type
+    state, diags = compile_texts(m_model_xml=_BROKEN_CLASSES)
+    assert {d.code for d in diags} == {"E004", "E012"}
+    text = generate_schema(state).text
+    for name, broken in (("t.A", True), ("t.B", True), ("t.L", True), ("t.Object", False)):
+        start = text.index(f'<xs:complexType name="{name}">')
+        body = text[start : text.index("</xs:complexType>", start)]
+        assert ('<xs:any minOccurs="0" maxOccurs="unbounded" processContents="skip"/>' in body) == broken
+        assert ('<xs:anyAttribute processContents="skip"/>' in body) == broken
+        assert ("<xs:all>" in body) != broken
+    # the unresolved type name is the one violation the schema sees
+    diags = validate_with_schema(text, _BROKEN_CLASSES)
+    assert [d.message for d in diags] == ["value 'Ghost' is not allowed for element 'type'"]
+
+
+def test_property_typed_differently_by_two_classes_is_any_type():
+    state, diags = compile_texts(
+        m_model_xml='<model>'
+        '<bean id="C1" class="Class" declarative="true">'
+        "<properties><property><name>v</name><type>Long</type></property></properties></bean>"
+        '<bean id="C2" class="Class" declarative="true">'
+        "<properties><property><name>v</name><type>String</type></property></properties></bean>"
+        "</model>"
+    )
+    assert diags == []
+    schema = generate_schema(state)
+    assert '<xs:element name="v" type="xs:anyType" minOccurs="0"/>' in schema.text
+    # xs:anyType admits any content, text and child elements alike
+    for value in ("12", "twelve", '<bean id="X" class="C1"/>'):
+        assert validate_with_schema(schema, f'<model><bean id="I" class="C1"><v>{value}</v></bean></model>') == []
+
+
+def test_double_lexical_space():
+    state, diags = compile_texts(
+        m_model_xml='<model><bean id="C" class="Class" declarative="true">'
+        "<properties><property><name>ratio</name><type>Double</type></property></properties>"
+        "</bean></model>"
+    )
+    assert diags == []
+    schema = generate_schema(state)
+    assert '<xs:element name="ratio" type="xs:double" minOccurs="0"/>' in schema.text
+    for value in ("2.5", " -1e3 ", "INF", "-INF", "NaN", "7"):
+        unit = f'<model><bean id="I" class="C"><ratio>{value}</ratio></bean></model>'
+        assert validate_with_schema(schema, unit) == [], value
+    for value in ("fast", "1,5", ""):
+        check_one(
+            schema, f'<model><bean id="I" class="C"><ratio>{value}</ratio></bean></model>', "not a valid xs:double"
+        )

@@ -411,6 +411,12 @@ _PROLOG_FAULTS = {
     "missing root element": (
         '﻿<?xml version="1.0"?>\n<!-- c -->\n', "2:11: error[E000] missing root element"
     ),
+    "unterminated internal subset": (
+        "<!DOCTYPE model [\n<model/>", "1:1: error[E000] unterminated markup declaration"
+    ),
+    "text before root": ("x<model/>", "1:1: error[E000] content before document root"),
+    # XML whitespace is space, tab, CR and LF only
+    "no-break space before root": ("\xa0<model/>", "1:1: error[E000] content before document root"),
 }
 
 
@@ -442,6 +448,12 @@ _DOCUMENT_SHAPES = {
     "unterminated trailing comment": (
         "<model></model>\n<!-- open", ["2:1: error[E000] unterminated comment"]
     ),
+    # a '>' in the internal subset or in a quoted literal ends no declaration
+    "DOCTYPE with internal subset": ('<!DOCTYPE model [<!ENTITY a "b">]>\n<model/>', []),
+    "DOCTYPE with '>' in a system literal": ('<!DOCTYPE model SYSTEM "a>b">\n<model/>', []),
+    "line separator after root": ("<model/>\u2028", ["1:9: error[E000] content after document root"]),
+    # text inside the root is stripped as str.strip() does
+    "no-break spaces inside root": ('<model>\xa0<bean id="A" class="Class"/>\xa0</model>', []),
 }
 
 

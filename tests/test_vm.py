@@ -16,6 +16,7 @@ from mtalk.vm import (
     MetaView,
     RuntimeInstance,
     VmHandle,
+    _Snapshot,
     dump_instance,
     effective_values,
     get_class,
@@ -58,7 +59,7 @@ def test_load_refuses_errors():
         m='<model xmlns="m"><bean id="X" class="Ghost"/></model>'
     )
     assert diags != []
-    with pytest.raises(LoadRefusedError, match="1 compile error"):
+    with pytest.raises(LoadRefusedError, match=r"^model has 1 compile error\(s\); refusing to load$"):
         load(state)
 
 
@@ -392,6 +393,71 @@ def test_dump_instance_nested():
 
 
 # ---------------------------------------------------------------------------
+# Injection faults: load() refuses these models, so the VM is built directly
+
+
+def unchecked_vm(**units):
+    state, diags = compile_texts(**units)
+    assert diags != []
+    return VmHandle(_Snapshot(state.model(), None))
+
+
+def test_instance_ref_cycle_raises_at_the_class():
+    vm = unchecked_vm(
+        m='<model xmlns="m">'
+        '<bean id="C" class="Class">'
+        "<properties><property><name>peer</name><type>C</type></property></properties>"
+        "</bean>"
+        '<bean id="A" class="C"><peer ref="B"/></bean>'
+        '<bean id="B" class="C"><peer ref="A"/></bean>'
+        "</model>"
+    )
+    with pytest.raises(InjectionError, match=r"^injection cycle at 'm:C'$"):
+        get_instance(vm, "m:A")
+
+
+def test_class_value_ref_to_itself_raises_at_the_metaview():
+    vm = unchecked_vm(
+        m='<model xmlns="m">'
+        '<bean id="MC" class="Class" parent="Class">'
+        "<properties><property><name>peer</name><type>Object</type></property></properties>"
+        "</bean>"
+        '<bean id="C" class="MC"><peer ref="C"/></bean>'
+        "</model>"
+    )
+    with pytest.raises(InjectionError, match=r"^injection cycle at metaview 'm:C'$"):
+        get_class(vm, "m:C")
+
+
+def test_class_without_resolvable_metaclass():
+    vm = unchecked_vm(m='<model xmlns="m"><bean id="MC" class="Ghost" parent="Class"/></model>')
+    with pytest.raises(InjectionError, match=r"^class 'm:MC' has no resolvable metaclass$"):
+        get_class(vm, "m:MC")
+
+
+def test_metaview_skips_property_of_unresolved_type():
+    vm = unchecked_vm(
+        m='<model xmlns="m">'
+        '<bean id="MC" class="Class" parent="Class">'
+        "<properties><property><name>lost</name><type>Ghost</type></property>"
+        "<property><name>label</name><type>String</type></property></properties>"
+        "</bean>"
+        '<bean id="C" class="MC" declarative="true"><lost>x</lost><label>y</label></bean>'
+        "</model>"
+    )
+    view = get_class(vm, "m:C")
+    assert (view.class_id, view.bean_id, view.target) == (eid("m:MC"), eid("m:C"), eid("m:C"))
+    assert dict(view.values) == {"label": "y"}
+
+
+def test_bean_without_resolvable_class():
+    vm = unchecked_vm(m='<model xmlns="m"><bean id="X" class="Ghost"/></model>')
+    for op in (get_instance, get_class):
+        with pytest.raises(InjectionError, match=r"^bean 'm:X' has no resolvable class$"):
+            op(vm, "m:X")
+
+
+# ---------------------------------------------------------------------------
 # Reload
 
 
@@ -419,7 +485,7 @@ def test_reload_refusal_keeps_old_model():
         m='<model xmlns="m"><bean id="X" class="Ghost"/></model>'
     )
     assert diags != []
-    with pytest.raises(LoadRefusedError):
+    with pytest.raises(LoadRefusedError, match=r"^model has 1 compile error\(s\); keeping current model$"):
         reload(vm, state)
     assert get_instance(vm, "PontisLogoRetriever").values["timeout"] == 2
 
