@@ -23,7 +23,7 @@ from .ids import UNRESOLVED, ElementId
 from .kernel import KERNEL_SOURCE
 from .native import NativeManifest, load_manifest
 from .rename import apply_patchset, rename_element, rename_property
-from .schema import generate_schemas
+from .schema import generate_schemas, schema_files
 from .synthetic import BenchmarkSpec, generate_synthetic
 from .watch import run_watch
 
@@ -163,14 +163,6 @@ def _cmd_deps(args, out) -> int:
     return EXIT_OK
 
 
-def _ns_filename(base: str, ns: str) -> str:
-    stem, ext = os.path.splitext(base)
-    if not ns:
-        return f"{stem}.root{ext}"
-    safe = "".join(c if c.isalnum() else "_" for c in ns)
-    return f"{stem}.{safe}{ext}"
-
-
 def _cmd_schema(args, out) -> int:
     state, _report = _load_workspace(args)
     docs = generate_schemas(state)
@@ -180,24 +172,11 @@ def _cmd_schema(args, out) -> int:
     target = args.output
     os.makedirs(os.path.dirname(os.path.abspath(target)), exist_ok=True)
     written = []
-    includes = []
-    for ns in sorted(docs):
-        path = os.path.join(os.path.dirname(target), _ns_filename(os.path.basename(target), ns))
+    for name, text in schema_files(docs, os.path.basename(target)).items():
+        path = os.path.join(os.path.dirname(target), name)
         with open(path, "w", encoding="utf-8") as f:
-            f.write(docs[ns].text)
+            f.write(text)
         written.append(path)
-        includes.append((ns, os.path.basename(path)))
-    agg = ['<?xml version="1.0" encoding="UTF-8"?>']
-    agg.append('<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">')
-    for ns, fname in includes:
-        if ns:
-            agg.append(f'  <xs:import namespace="{ns}" schemaLocation="{fname}"/>')
-        else:
-            agg.append(f'  <xs:include schemaLocation="{fname}"/>')
-    agg.append("</xs:schema>")
-    with open(target, "w", encoding="utf-8") as f:
-        f.write("\n".join(agg) + "\n")
-    written.append(target)
     if args.json:
         out.write(json.dumps({"files": sorted(written)}, indent=2) + "\n")
     else:

@@ -14,7 +14,6 @@ compile.
 from __future__ import annotations
 
 import pickle
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from .graph import (
     build_dependency_graph,
     element_edges,
 )
-from .ids import ElementId, SourceSpan
+from .ids import SCALARS, ElementId, SourceSpan
 from .kernel import (
     ElementKind,
     ResolvedModel,
@@ -50,24 +49,12 @@ from .source import (
     read_units,
 )
 
-LONG_MIN = -(2**63)
-LONG_MAX = 2**63 - 1
-_LONG_RE = re.compile(r"[+-]?[0-9]+")
-_DOUBLE_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
-
-
 def scalar_conforms(text: str, builtin: str) -> bool:
     """Lexical conformance of literal text to a builtin scalar type."""
-    if builtin == "String":
-        return True
-    s = text.strip()
-    if builtin == "Long":
-        return bool(_LONG_RE.fullmatch(s)) and LONG_MIN <= int(s) <= LONG_MAX
-    if builtin == "Double":
-        return bool(_DOUBLE_RE.fullmatch(s))
-    if builtin == "Boolean":
-        return s in ("true", "false")
-    raise ValueError(f"unknown builtin '{builtin}'")
+    rule = SCALARS.get(builtin)
+    if rule is None:
+        raise ValueError(f"unknown builtin '{builtin}'")
+    return rule.conforms(text)
 
 
 def _clip(text: str, limit: int = 40) -> str:

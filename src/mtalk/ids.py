@@ -1,4 +1,4 @@
-"""Element identity, builtin scalar names, and source positions.
+"""Element identity, builtin scalars and their lexical rules, and source positions.
 
 Everything downstream (parser, type system, compiler, VM, tools) shares these
 primitives, so they live in a leaf module with no package-internal imports.
@@ -6,11 +6,59 @@ primitives, so they live in a leaf module with no package-internal imports.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-# Nominal scalar types. Reserved as bean ids in every namespace.
-BUILTIN_SCALARS = ("String", "Long", "Boolean", "Double")
+_DECIMAL = r"[\+\-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][\+\-]?[0-9]+)?"
+_INTEGER = re.compile(r"[\+\-]?[0-9]+")
+
+
+def _long(s: str) -> int:
+    # leading zeros go first, so they never count against int()'s digit limit
+    magnitude = int(s.lstrip("+-0") or "0")
+    return -magnitude if s[0] == "-" else magnitude
+
+
+# Lexical spaces of the XSD builtins (W3C XML Schema 1.1 Part 2), trimmed.
+XSD_LEXICAL: dict[str, Callable[[str], object]] = {
+    "xs:string": lambda s: True,
+    "xs:long": lambda s: bool(_INTEGER.fullmatch(s)) and len(s.lstrip("+-0")) <= 19 and -(2**63) <= _long(s) < 2**63,
+    "xs:double": re.compile(_DECIMAL + r"|[\+\-]?INF|NaN").fullmatch,
+    "xs:boolean": {"true", "false", "1", "0"}.__contains__,
+}
+
+
+class Scalar(NamedTuple):
+    """A lexical rule: literals of the XSD builtin `xsd` that also match `pattern`, if
+    any, after str.strip() unless `xsd` is xs:string; `convert` gives their value."""
+
+    xsd: str
+    pattern: re.Pattern | None
+    convert: Callable[[str], object]
+
+    def lexeme(self, text: str) -> str:
+        return text if self.xsd == "xs:string" else text.strip()
+
+    def conforms(self, text: str) -> bool:
+        s = self.lexeme(text)
+        return bool(XSD_LEXICAL[self.xsd](s)) and (self.pattern is None or bool(self.pattern.fullmatch(s)))
+
+    def value(self, text: str):
+        return self.convert(self.lexeme(text))
+
+
+# Nominal scalar types and their rules. Reserved as bean ids in every namespace.
+SCALARS = {
+    "String": Scalar("xs:string", None, str),
+    "Long": Scalar("xs:long", None, _long),
+    "Boolean": Scalar("xs:boolean", re.compile("true|false"), lambda s: s == "true"),
+    "Double": Scalar("xs:double", re.compile(_DECIMAL), float),
+}
+BUILTIN_SCALARS = tuple(SCALARS)
+
+# The bean flags abstract and declarative: exactly 'true' or 'false', untrimmed.
+FLAG = Scalar("xs:string", re.compile("true|false"), lambda s: s == "true")
 
 
 class ElementId(NamedTuple):

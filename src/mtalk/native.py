@@ -99,7 +99,7 @@ def load_manifest(path) -> NativeManifest:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from None
     return parse_manifest(text, str(path))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +26,7 @@ from . import diagnostics as dx
 from .compiler import CompiledModel, CompileState
 from .diagnostics import Diagnostic
 from .errors import ModelError
-from .ids import BUILTIN_SCALARS, ElementId
+from .ids import BUILTIN_SCALARS, FLAG, SCALARS, XSD_LEXICAL, ElementId, Scalar
 from .kernel import ElementKind, ResolvedModel
 from .source import XmlElement, read_document
 
@@ -41,12 +42,9 @@ class SchemaDoc:
     generated_from: str
 
 
-_XS_BY_BUILTIN = {
-    "String": "xs:string",
-    "Long": "xs:long",
-    "Boolean": "xs:boolean",
-    "Double": "xs:double",
-}
+_RULES = {**SCALARS, "flag": FLAG}
+# Each rule's generated type: its XSD builtin, or a restriction named after it.
+_TYPE_NAMES = {name: f"{name.lower()}Type" if rule.pattern else rule.xsd for name, rule in _RULES.items()}
 
 
 def _model_fingerprint(units) -> str:
@@ -64,12 +62,12 @@ def _type_name_for_class(eid: ElementId) -> str:
 
 
 def _merged_property_kinds(model: ResolvedModel) -> dict[str, str]:
-    """Property name -> xs type ('xs:long'...), 'bean', or 'any' when mixed."""
+    """Property name -> scalar type ('xs:long', 'doubleType'...), 'bean', or 'any' when mixed."""
     merged: dict[str, str] = {}
     for eid in sorted(model.classes, key=ElementId.render):
         for p in model.classes[eid].own_properties:
             if p.type.is_builtin:
-                kind = _XS_BY_BUILTIN[p.type.builtin]
+                kind = _TYPE_NAMES[p.type.builtin]
             elif p.type.is_class:
                 kind = "bean"
             else:
@@ -154,8 +152,8 @@ def _generate_for_namespace(model: ResolvedModel, ns: str, root_tags, fingerprin
     w.append('    <xs:attribute name="id" type="xs:string" use="required"/>')
     w.append('    <xs:attribute name="class" type="classNameType" use="required"/>')
     w.append('    <xs:attribute name="parent" type="xs:string"/>')
-    w.append('    <xs:attribute name="abstract" type="xs:boolean"/>')
-    w.append('    <xs:attribute name="declarative" type="xs:boolean"/>')
+    w.append('    <xs:attribute name="abstract" type="flagType"/>')
+    w.append('    <xs:attribute name="declarative" type="flagType"/>')
     w.append("  </xs:complexType>")
 
     w.append('  <xs:complexType name="beanValueType">')
@@ -191,6 +189,13 @@ def _generate_for_namespace(model: ResolvedModel, ns: str, root_tags, fingerprin
         w.append(f'      <xs:enumeration value="{_esc(name)}"/>')
     w.append("    </xs:restriction>")
     w.append("  </xs:simpleType>")
+    for name, rule in _RULES.items():
+        if rule.pattern is not None:
+            w.append(f'  <xs:simpleType name="{_TYPE_NAMES[name]}">')
+            w.append(f'    <xs:restriction base="{rule.xsd}">')
+            w.append(f'      <xs:pattern value="{_esc(rule.pattern.pattern)}"/>')
+            w.append("    </xs:restriction>")
+            w.append("  </xs:simpleType>")
 
     # per-class named types: editor metadata, not referenced by beanType
     for eid in sorted(model.classes, key=ElementId.render):
@@ -211,7 +216,7 @@ def _generate_for_namespace(model: ResolvedModel, ns: str, root_tags, fingerprin
             w.append('      <xs:element name="properties" type="propertiesType" minOccurs="0"/>')
             for p in model.effective_properties(eid):
                 if p.type.is_builtin:
-                    t = _XS_BY_BUILTIN[p.type.builtin]
+                    t = _TYPE_NAMES[p.type.builtin]
                 else:
                     t = "beanValueType"
                 w.append(f'      <xs:element name="{_esc(p.name)}" type="{t}" minOccurs="0"/>')
@@ -219,8 +224,8 @@ def _generate_for_namespace(model: ResolvedModel, ns: str, root_tags, fingerprin
             w.append('    <xs:attribute name="id" type="xs:string"/>')
             w.append('    <xs:attribute name="class" type="classNameType"/>')
             w.append('    <xs:attribute name="parent" type="xs:string"/>')
-            w.append('    <xs:attribute name="abstract" type="xs:boolean"/>')
-            w.append('    <xs:attribute name="declarative" type="xs:boolean"/>')
+            w.append('    <xs:attribute name="abstract" type="flagType"/>')
+            w.append('    <xs:attribute name="declarative" type="flagType"/>')
         w.append("  </xs:complexType>")
 
     w.append("</xs:schema>")
@@ -258,6 +263,35 @@ def generate_schema(compiled) -> SchemaDoc:
     return generate_schemas(compiled)[""]
 
 
+def schema_files(docs: dict[str, SchemaDoc], target: str) -> dict[str, str]:
+    """File name -> text of the schema files for the namespaces of docs, plus
+    at target an aggregate that includes the root namespace's file and
+    imports the others.
+
+    A namespace's file name is target's stem, a dot, 'root' for the root
+    namespace or else the namespace with each character other than a letter
+    or digit replaced by '_', and target's extension. A name that a namespace
+    earlier in sorted order took gets '-2', '-3', ... after the namespace part.
+    """
+    stem, ext = os.path.splitext(target)
+    files: dict[str, str] = {}
+    agg = ['<?xml version="1.0" encoding="UTF-8"?>', '<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">']
+    for ns in sorted(docs):
+        part = "".join(c if c.isalnum() else "_" for c in ns) if ns else "root"
+        name, n = f"{stem}.{part}{ext}", 1
+        while name in files:
+            n += 1
+            name = f"{stem}.{part}-{n}{ext}"
+        files[name] = docs[ns].text
+        if ns:
+            agg.append(f'  <xs:import namespace="{_esc(ns)}" schemaLocation="{_esc(name)}"/>')
+        else:
+            agg.append(f'  <xs:include schemaLocation="{_esc(name)}"/>')
+    agg.append("</xs:schema>")
+    files[target] = "\n".join(agg) + "\n"
+    return files
+
+
 # ---------------------------------------------------------------------------
 # Schema interpretation (the subset the generator emits)
 
@@ -283,18 +317,12 @@ class _ComplexType:
     required_elems: tuple[str, ...] = ()  # the required names of all_elems, in order
 
 
-@dataclass
-class _SimpleType:
-    base: str
-    enum: frozenset | None
-
-
 class _Schema:
     def __init__(self, target_ns: str):
         self.target_ns = target_ns
         self.elements: dict[str, str] = {}
         self.complex: dict[str, _ComplexType] = {}
-        self.simple: dict[str, _SimpleType] = {}
+        self.simple: dict[str, tuple[Scalar, frozenset | None]] = {}
 
 
 @lru_cache(maxsize=1)
@@ -398,40 +426,26 @@ def _parse_complex(node) -> _ComplexType:
     return ct
 
 
-def _parse_simple(node) -> _SimpleType:
+def _parse_simple(node) -> tuple[Scalar, frozenset | None]:
     for child in node:
         if child.tag == _XS + "restriction":
-            base = child.get("base")
-            enum = [e.get("value") for e in child if e.tag == _XS + "enumeration"]
-            return _SimpleType(base=base, enum=frozenset(enum) if enum else None)
+            enum, pattern = [], None
+            for facet in child:
+                if facet.tag == _XS + "enumeration":
+                    enum.append(facet.get("value"))
+                elif facet.tag == _XS + "pattern" and pattern is None and facet.get("value") in _PATTERNS:
+                    pattern = _PATTERNS[facet.get("value")]
+                elif facet.tag != _XS + "annotation":
+                    raise SchemaError(f"unsupported facet {facet.tag} {facet.get('value')!r}")
+            return Scalar(child.get("base"), pattern, None), frozenset(enum) if enum else None
         if child.tag == _XS + "annotation":
             continue
     raise SchemaError("unsupported simpleType construct")
 
 
-def _lex_ok(builtin: str, text: str) -> bool:
-    s = text.strip()
-    if builtin == "xs:string":
-        return True
-    if builtin == "xs:long":
-        try:
-            v = int(s)
-        except ValueError:
-            return False
-        return -(2**63) <= v <= 2**63 - 1
-    if builtin == "xs:double":
-        if s in ("INF", "-INF", "NaN"):
-            return True
-        try:
-            float(s)
-        except ValueError:
-            return False
-        return True
-    if builtin == "xs:boolean":
-        return s in ("true", "false", "1", "0")
-    if builtin == "xs:anyType":
-        return True
-    raise SchemaError(f"unsupported builtin {builtin}")
+# The patterns read: those of the generated types, which Python's re reads
+# exactly as XSD does. Another pattern raises SchemaError.
+_PATTERNS = {rule.pattern.pattern: rule.pattern for rule in _RULES.values() if rule.pattern is not None}
 
 
 class _Validator:
@@ -444,17 +458,16 @@ class _Validator:
 
     def simple_problem(self, type_name: str, text: str) -> str | None:
         """What makes text not a value of type_name, or None when it is one."""
-        if type_name.startswith("xs:"):
-            if not _lex_ok(type_name, text):
-                return f"value '{text.strip()}' is not a valid {type_name}"
-            return None
-        st = self.schema.simple.get(type_name)
-        if st is None:
-            raise SchemaError(f"unknown simple type '{type_name}'")
-        if st.enum is not None and text.strip() not in st.enum:
+        rule, enum = self.schema.simple.get(type_name) or (Scalar(type_name, None, None), None)
+        if rule.xsd not in XSD_LEXICAL:
+            raise SchemaError(f"unsupported simple type '{type_name}'")
+        if enum is not None and text.strip() not in enum:
             return f"value '{text.strip()}' is not allowed"
-        if st.base and st.base.startswith("xs:") and not _lex_ok(st.base, text):
-            return f"value '{text.strip()}' is not a valid {st.base}"
+        value = rule.lexeme(text)
+        if not XSD_LEXICAL[rule.xsd](value):
+            return f"value '{value}' is not a valid {rule.xsd}"
+        if not rule.conforms(text):
+            return f"value '{value}' is not allowed"
         return None
 
     def is_simple(self, type_name: str) -> bool:

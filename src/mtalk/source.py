@@ -29,7 +29,7 @@ from pathlib import Path
 from . import diagnostics as dx
 from .diagnostics import Diagnostic
 from .errors import NotFoundError
-from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, is_valid_local
+from .ids import BUILTIN_SCALARS, FLAG, ElementId, SourceSpan, is_valid_local
 
 BEAN_ATTRS = ("id", "class", "parent", "abstract", "declarative")
 PROPERTIES_TAG = "properties"
@@ -625,10 +625,8 @@ class _UnitParser:
         raw = node.attrs.get(name)
         if raw is None:
             return False
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
+        if FLAG.conforms(raw):
+            return FLAG.value(raw)
         self._err_span(node.attr_span(name), f"attribute '{name}' must be 'true' or 'false'", bean_id)
         return False
 

@@ -19,7 +19,7 @@ from types import MappingProxyType
 from .compiler import CompiledModel, CompileState
 from .diagnostics import Severity, has_errors
 from .errors import ModelError, NotFoundError, WrongKindError
-from .ids import ElementId
+from .ids import SCALARS, ElementId
 from .kernel import ElementKind, PropertyDefinition, ResolvedModel, TypeRef
 from .native import NativeManifest, NativeRegistry
 from .source import InlineBean, RefValue, ScalarValue, ValueExpr
@@ -176,25 +176,11 @@ def effective_values(vm_or_model, bean_id) -> dict[str, ValueExpr]:
 # Instantiation
 
 
-def _scalar(expr: ScalarValue, t: TypeRef):
-    text = expr.text
-    if t.builtin == "String":
-        return text
-    s = text.strip()
-    if t.builtin == "Long":
-        return int(s)
-    if t.builtin == "Double":
-        return float(s)
-    if t.builtin == "Boolean":
-        return s == "true"
-    raise InjectionError(f"cannot inject scalar into {t.render()}")
-
-
 def _convert(snap: _Snapshot, expr: ValueExpr, t: TypeRef, stack: tuple):
     if t.is_builtin:
         if not isinstance(expr, ScalarValue):
             raise InjectionError(f"non-scalar value for {t.builtin} property")
-        return _scalar(expr, t)
+        return SCALARS[t.builtin].value(expr.text)
     if isinstance(expr, RefValue):
         target = snap.model.lookup(expr.target)
         if target is None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -331,6 +332,44 @@ def test_schema_output_writes_per_namespace_files(golden_root, tmp_path, capsys)
     listed = out.splitlines()
     assert str(root_schema) in listed
     assert str(target) in listed
+
+
+def test_schema_output_names_one_file_per_namespace(tmp_path, capsys):
+    root = tmp_path / "ws"
+    root.mkdir()
+    namespaces = ["", "root", "a.b", "a_b", 'a&b"c']
+    for i, ns in enumerate(namespaces):
+        xmlns = f' xmlns="{ns.replace("&", "&amp;").replace(chr(34), "&quot;")}"' if ns else ""
+        (root / f"u{i}.model.xml").write_text(
+            f'<model{xmlns}><bean id="B{i}" class="Class" declarative="true"/></model>', encoding="utf-8"
+        )
+    target = tmp_path / "out" / "schema.xsd"
+    code, out, _ = run(capsys, "schema", "--root", str(root), "-o", str(target))
+    assert code == EXIT_OK
+    files = {
+        "": "schema.root.xsd",
+        'a&b"c': "schema.a_b_c.xsd",
+        "a.b": "schema.a_b.xsd",
+        "a_b": "schema.a_b-2.xsd",
+        "root": "schema.root-2.xsd",
+    }
+    assert sorted(out.splitlines()) == sorted(str(target.parent / f) for f in [*files.values(), "schema.xsd"])
+    xs = "{http://www.w3.org/2001/XMLSchema}"
+    for ns, name in files.items():
+        doc = ET.parse(target.parent / name).getroot()
+        assert doc.get("targetNamespace", "") == ns
+    agg = ET.parse(target).getroot()
+    assert [(e.tag, e.get("namespace"), e.get("schemaLocation")) for e in agg] == [
+        (xs + ("import" if ns else "include"), ns or None, name) for ns, name in sorted(files.items())
+    ]
+
+
+def test_non_utf8_manifest_is_named(golden_root, capsys):
+    (golden_root / "manifest.json").write_bytes(b"\xff{}")
+    code, out, err = run(capsys, "compile", "--root", str(golden_root))
+    assert code == EXIT_ERRORS
+    assert out == ""
+    assert err.startswith(f"cannot read manifest {golden_root / 'manifest.json'}: 'utf-8' codec can't decode")
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,10 @@ def test_compile_workspace_reads_directory(tmp_path):
         ("1.5", False),
         ("ten", False),
         ("", False),
+        ("1_000", False),
+        ("٣", False),
+        pytest.param("0" * 5000 + "7", True, id="5000-leading-zeros"),
+        pytest.param("1" * 5000, False, id="5000-digits"),
     ],
 )
 def test_scalar_long(text, ok):
@@ -107,6 +111,12 @@ def test_scalar_long(text, ok):
         ("nan", False),
         ("1.2.3", False),
         ("", False),
+        ("INF", False),
+        ("-INF", False),
+        ("NaN", False),
+        ("inf", False),
+        ("Infinity", False),
+        ("1_0.5", False),
     ],
 )
 def test_scalar_double(text, ok):
@@ -115,7 +125,7 @@ def test_scalar_double(text, ok):
 
 @pytest.mark.parametrize(
     "text,ok",
-    [("true", True), ("false", True), (" true ", True), ("True", False), ("1", False)],
+    [("true", True), ("false", True), (" true ", True), ("True", False), ("1", False), ("0", False)],
 )
 def test_scalar_boolean(text, ok):
     assert scalar_conforms(text, "Boolean") is ok

@@ -52,12 +52,26 @@ _EXTRA = (
     '<model xmlns="x">\n  <bean id="Mirror" class="HTTP_Client" parent="RobustHTTP_Client">\n'
     "    <URL>mirror.example.org</URL>\n  </bean>\n</model>\n",
 )
-_UNITS = {**GOLDEN_UNITS, _EXTRA[0]: _EXTRA[1], FIRST: _FIRST_TEXTS["unique"]}
+# a unit with a Double slot, written next to the golden units
+_GAUGE = (
+    "gauge.model.xml",
+    '<model>\n  <bean id="Gauge" class="Class" declarative="true">\n'
+    "    <properties><property><name>ratio</name><type>Double</type></property></properties>\n"
+    '  </bean>\n  <bean id="Dial" class="Gauge">\n    <ratio>0.5</ratio>\n  </bean>\n</model>\n',
+)
+_START = {**GOLDEN_UNITS, _GAUGE[0]: _GAUGE[1]}
+_UNITS = {**_START, _EXTRA[0]: _EXTRA[1], FIRST: _FIRST_TEXTS["unique"]}
 # (unit, written, rewritten): each rule toggles one between its two forms
 _VALUE_EDITS = [
     ("core.model.xml", "<timeout>2</timeout>", "<timeout>3</timeout>"),
     ("core.model.xml", "<numberOfRetries>8</numberOfRetries>", "<numberOfRetries>many</numberOfRetries>"),
     ("secured.model.xml", "<timeToLive>10</timeToLive>", "<timeToLive>99</timeToLive>"),
+    # lexemes the compiler and the generated schema read alike: rejected,
+    # rejected, and accepted once trimmed (it follows the 2 -> 3 edit)
+    ("core.model.xml", "<timeout>15</timeout>", "<timeout>1_000</timeout>"),
+    ("core.model.xml", "<timeout>2</timeout>", "<timeout>٣</timeout>"),
+    ("core.model.xml", "<timeout>3</timeout>", "<timeout> 7 </timeout>"),
+    (_GAUGE[0], "<ratio>0.5</ratio>", "<ratio>INF</ratio>"),
 ]
 _CLASS_EDITS = [
     ("caches.model.xml", "<name>timeToLive</name>", "<name>ttl</name>"),
@@ -67,7 +81,7 @@ _CLASS_EDITS = [
 ]
 _RENAMES = [("StandardCache", "PlainCache"), ("FastHTTP_Client", "QuickClient"), ("MetaCache", "CacheMeta")]
 # the non-abstract instance beans of _UNITS, and a class with class-level values
-_VM_BEANS = ("PontisLogoRetriever", "LogoPictureRetriever", "CNN_NewsRetriever", "x:Mirror")
+_VM_BEANS = ("PontisLogoRetriever", "LogoPictureRetriever", "CNN_NewsRetriever", "x:Mirror", "Dial")
 _VM_CLASS = "NewsRetriever"
 
 
@@ -92,7 +106,7 @@ class EntryPoints(RuleBasedStateMachine):
         self.root = self.tmp / "ws"
         self.state_dir = self.tmp / "state"
         self.root.mkdir()
-        self.texts = dict(GOLDEN_UNITS)
+        self.texts = dict(_START)
         self.mtime_ns = time.time_ns()
 
     def teardown(self):
@@ -137,6 +151,7 @@ class EntryPoints(RuleBasedStateMachine):
     @initialize(first=st.sampled_from([None, *sorted(_FIRST_TEXTS)]))
     def start(self, first):
         write_golden(self.root)
+        self._put(*_GAUGE)
         if first is not None:
             self._put(FIRST, _FIRST_TEXTS[first])
         self._cli()  # cold: every later CLI compile folds into its state

@@ -101,6 +101,14 @@ def test_load_manifest_missing_file(tmp_path):
         load_manifest(tmp_path / "absent.json")
 
 
+def test_load_manifest_not_utf8_names_the_file(tmp_path):
+    p = tmp_path / "manifest.json"
+    p.write_bytes(b"\xff{}")
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(p)
+    assert str(exc.value).startswith(f"cannot read manifest {p}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_signature_value_semantics():
     a = NativeClassSig("A", None, (NativeFieldSig("x", "Long"),))
     b = NativeClassSig("A", None, (NativeFieldSig("x", "Long"),))

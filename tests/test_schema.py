@@ -1,9 +1,19 @@
 """Schema generation determinism and the in-package document validator."""
 
-import pytest
+import functools
+import random
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mtalk import vm as vmmod
+from mtalk.compiler import scalar_conforms
 from mtalk.diagnostics import SCHEMA_VIOLATION
+from mtalk.ids import BUILTIN_SCALARS
 from mtalk.schema import SchemaDoc, SchemaError, generate_schema, generate_schemas, validate_with_schema
+from mtalk.source import parse_unit
 
 from golden import GOLDEN_UNITS, compile_golden, compile_texts
 
@@ -205,7 +215,7 @@ def test_boolean_lexical_space():
     assert diags == []
     schema = generate_schema(state)
     assert validate_with_schema(schema, '<model><bean id="I" class="C"><flag>true</flag></bean></model>') == []
-    assert validate_with_schema(schema, '<model><bean id="I" class="C"><flag>1</flag></bean></model>') == []
+    check_one(schema, '<model><bean id="I" class="C"><flag>1</flag></bean></model>', "value '1' is not allowed")
     check_one(schema, '<model><bean id="I" class="C"><flag>yes</flag></bean></model>', "not a valid xs:boolean")
 
 
@@ -391,11 +401,159 @@ def test_double_lexical_space():
     )
     assert diags == []
     schema = generate_schema(state)
-    assert '<xs:element name="ratio" type="xs:double" minOccurs="0"/>' in schema.text
-    for value in ("2.5", " -1e3 ", "INF", "-INF", "NaN", "7"):
+    assert '<xs:element name="ratio" type="doubleType" minOccurs="0"/>' in schema.text
+    for value in ("2.5", " -1e3 ", "7"):
         unit = f'<model><bean id="I" class="C"><ratio>{value}</ratio></bean></model>'
         assert validate_with_schema(schema, unit) == [], value
+    for value in ("INF", "-INF", "NaN"):
+        check_one(
+            schema, f'<model><bean id="I" class="C"><ratio>{value}</ratio></bean></model>', f"value '{value}' is not allowed"
+        )
     for value in ("fast", "1,5", ""):
         check_one(
             schema, f'<model><bean id="I" class="C"><ratio>{value}</ratio></bean></model>', "not a valid xs:double"
         )
+
+
+# ---------------------------------------------------------------------------
+# One lexical rule per builtin: generated schema, compiler and VM agree
+
+
+# a class with one property per builtin, named after its type
+_SCALAR_CLASS = (
+    '<model><bean id="C" class="Class" declarative="true"><properties>'
+    + "".join(f"<property><name>{b}</name><type>{b}</type></property>" for b in BUILTIN_SCALARS)
+    + "</properties></bean>"
+)
+_VALUE_TYPES = {"String": str, "Long": int, "Boolean": bool, "Double": float}
+# pieces of literals: ASCII and non-ASCII digits, '_', signs, points,
+# exponents, the XSD specials and their near misses, and Unicode whitespace
+_PIECES = (
+    "0", "1", "7", "٣", "０", "۵", "_", "+", "-", ".", "e", "E", "INF", "NaN", "inf", "Infinity",
+    "true", "false", "x", " ", "\t", "\n", "\xa0", "\x85", "\u2003", "\u2028", "\u3000",
+)
+
+
+@functools.cache
+def _scalar_schema():
+    state, diags = compile_texts(m_model_xml=_SCALAR_CLASS + "</model>")
+    assert diags == []
+    return generate_schema(state)
+
+
+@settings(max_examples=400, deadline=None)
+@given(builtin=st.sampled_from(BUILTIN_SCALARS), text=st.lists(st.sampled_from(_PIECES), max_size=6).map("".join))
+def test_generated_schema_accepts_exactly_what_the_compiler_accepts(builtin, text):
+    unit = f'{_SCALAR_CLASS}<bean id="I" class="C"><{builtin}>{text}</{builtin}></bean></model>'
+    ok = scalar_conforms(text, builtin)
+    state, diags = compile_texts(m_model_xml=unit)
+    assert [d.code for d in diags] == ([] if ok else ["E003"])
+    assert (validate_with_schema(_scalar_schema(), unit) == []) == ok
+    if ok:
+        values = vmmod.dump_instance(vmmod.get_instance(vmmod.load(state), "I"))["values"]
+        assert type(values[builtin]) is _VALUE_TYPES[builtin]
+
+
+@pytest.mark.parametrize("value,ok", [("true", True), ("false", True), ("1", False), ("0", False),
+                                      (" true", False), ("TRUE", False)])
+@pytest.mark.parametrize("flag", ["abstract", "declarative"])
+def test_flag_rule_schema_matches_parser(flag, value, ok):
+    unit = f'<model><bean id="X" class="Class" {flag}="{value}"/></model>'
+    _parsed, diags = parse_unit(unit, "u.model.xml")
+    assert (diags == []) == ok
+    violations = validate_with_schema(golden_schema(), unit, "u.model.xml")
+    assert [d.message for d in violations] == ([] if ok else [f"value '{value}' is not allowed for attribute '{flag}'"])
+    assert [d.span for d in violations] == [d.span for d in diags]
+
+
+_MUTANT_LEXEMES = (
+    "1_000", "٣", " 7 ", "INF", "NaN", "-0", "+5", "1", "0", "true", " true", "TRUE", "", str(2**63), "0" * 30 + "9",
+)
+_LONG_SLOT = re.compile(r">([^<>]*)</(?:timeout|numberOfRetries|timeToLive|maxElementsInMemory)>")
+_FLAG_SLOT = re.compile(r'(?:abstract|declarative)="([^"]*)"')
+
+
+def test_seeded_value_and_flag_mutations_report_at_the_same_elements():
+    """The generated schema reports a value E015 exactly where the compiler
+    reports a lexical E003 or a flag E000."""
+    rng = random.Random(9)
+    schema = golden_schema()
+    agreed = {True: 0, False: 0}
+    for path, text in sorted(GOLDEN_UNITS.items()):
+        slots = [m.span(1) for pattern in (_LONG_SLOT, _FLAG_SLOT) for m in pattern.finditer(text)]
+        for start, end in slots:
+            for lexeme in rng.sample(_MUTANT_LEXEMES, 4):
+                mutant = text[:start] + lexeme + text[end:]
+                _state, diags = compile_texts(
+                    **{p.replace(".", "_"): (mutant if p == path else t) for p, t in GOLDEN_UNITS.items()}
+                )
+                compiler_at = {
+                    (d.span.line, d.span.column, d.span.end_line, d.span.end_column)
+                    for d in diags
+                    if d.span.path == path and (d.code == "E003" or "must be 'true' or 'false'" in d.message)
+                }
+                schema_at = {
+                    (d.span.line, d.span.column, d.span.end_line, d.span.end_column)
+                    for d in validate_with_schema(schema, mutant, path)
+                }
+                assert schema_at == compiler_at, (path, lexeme)
+                agreed[bool(compiler_at)] += 1
+    assert agreed[True] and agreed[False], agreed
+
+
+# a schema written by hand: its xs:* builtins follow W3C XML Schema 1.1
+_OUTSIDE_SCHEMA = """<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="row" type="rowType"/>
+  <xs:complexType name="rowType">
+    <xs:all>
+      <xs:element name="n" type="xs:long" minOccurs="0"/>
+      <xs:element name="d" type="xs:double" minOccurs="0"/>
+      <xs:element name="b" type="xs:boolean" minOccurs="0"/>
+      <xs:element name="flag" type="flagType" minOccurs="0"/>
+    </xs:all>
+  </xs:complexType>
+  <xs:simpleType name="flagType">
+    <xs:restriction base="xs:string">
+      <xs:pattern value="true|false"/>
+    </xs:restriction>
+  </xs:simpleType>
+</xs:schema>
+"""
+
+
+@pytest.mark.parametrize(
+    "tag,value,ok",
+    [
+        ("d", "INF", True),
+        ("d", "-INF", True),
+        ("d", "+INF", True),
+        ("d", "NaN", True),
+        ("d", " 2.5e3 ", True),
+        ("b", "1", True),
+        ("b", "0", True),
+        ("b", "true", True),
+        ("n", "-0", True),
+        ("n", "1_000", False),
+        ("n", "٣", False),
+        ("d", "inf", False),
+        ("d", "Infinity", False),
+        ("d", "1_0.5", False),
+        ("d", "nan", False),
+        ("b", "TRUE", False),
+        ("flag", "false", True),
+        ("flag", "0", False),
+        ("flag", " true", False),
+    ],
+)
+def test_outside_schema_builtins_follow_w3c(tag, value, ok):
+    diags = validate_with_schema(_OUTSIDE_SCHEMA, f"<row><{tag}>{value}</{tag}></row>")
+    assert (diags == []) == ok, [d.message for d in diags]
+
+
+@pytest.mark.parametrize(
+    "facet", ['<xs:pattern value="[A-Z]+"/>', '<xs:pattern value="\\d+"/>', '<xs:minLength value="2"/>']
+)
+def test_outside_facet_not_interpreted_exactly_raises(facet):
+    schema = _OUTSIDE_SCHEMA.replace('<xs:pattern value="true|false"/>', facet)
+    with pytest.raises(SchemaError, match="unsupported facet"):
+        validate_with_schema(schema, "<row/>")

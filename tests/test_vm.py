@@ -102,6 +102,7 @@ def test_scalar_conversion_by_type():
         "<property><name>s</name><type>String</type></property>"
         "</properties></bean>"
         '<bean id="I" class="C"><n> 42 </n><d>2.5</d><b>true</b><s> keep </s></bean>'
+        f'<bean id="J" class="C"><n>-{"0" * 5000}7</n><b> false </b></bean>'
         "</model>"
     )
     values = get_instance(vm, "m:I").values
@@ -109,6 +110,8 @@ def test_scalar_conversion_by_type():
     assert values["d"] == 2.5
     assert values["b"] is True
     assert values["s"] == " keep "  # String keeps text verbatim
+    # leading zeros do not count against int()'s digit limit
+    assert get_instance(vm, "m:J").values == {"n": -7, "b": False}
 
 
 def test_unassigned_properties_absent():
