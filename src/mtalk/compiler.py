@@ -14,7 +14,7 @@ compile.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import diagnostics as dx
@@ -509,6 +509,10 @@ class CompiledModel:
     graph: DependencyGraph
     diagnostics: tuple[Diagnostic, ...]
     manifest: NativeManifest | None
+    # the state's lineage, for the VM's reload (see CompileState)
+    token: object = field(default_factory=object, compare=False, repr=False)
+    folded_from: object = field(default=None, compare=False, repr=False)
+    dirty: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     @property
     def error_free(self) -> bool:
@@ -517,7 +521,13 @@ class CompiledModel:
 
 @dataclass
 class CompileState:
-    """Everything needed to answer queries and recompile incrementally."""
+    """Everything needed to answer queries and recompile incrementally.
+
+    token is fresh per compile. A fold's state records the token of the
+    state it was folded from (a token, not a reference, so no state keeps
+    its parent alive) and the fold's dirty set: every id whose meaning may
+    differ between the two. A full compile's folded_from is None.
+    """
 
     units: dict[str, SourceUnit]
     parse_by_path: dict[str, tuple[Diagnostic, ...]]
@@ -528,6 +538,9 @@ class CompileState:
     graph_diags: tuple[Diagnostic, ...]
     conformance_diags: tuple[Diagnostic, ...]
     manifest: NativeManifest | None = None
+    token: object = field(default_factory=object, compare=False, repr=False)
+    folded_from: object = field(default=None, compare=False, repr=False)
+    dirty: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def all_diagnostics(self) -> list[Diagnostic]:
         merged: list[Diagnostic] = []
@@ -548,7 +561,10 @@ class CompileState:
         return {path: u.content_hash for path, u in self.units.items()}
 
     def model(self) -> CompiledModel:
-        return CompiledModel(self.resolved, self.graph, tuple(self.all_diagnostics()), self.manifest)
+        diagnostics = tuple(self.all_diagnostics())
+        return CompiledModel(
+            self.resolved, self.graph, diagnostics, self.manifest, self.token, self.folded_from, self.dirty
+        )
 
 
 def _group_parse_diags(units, parse_diags) -> dict[str, tuple[Diagnostic, ...]]:
@@ -710,6 +726,8 @@ def incremental_compile(
         graph_diags=graph_diags,
         conformance_diags=conf,
         manifest=manifest,
+        folded_from=prev.token,
+        dirty=frozenset(dirty),
     )
     return state, recompiled, state.all_diagnostics()
 
@@ -717,7 +735,7 @@ def incremental_compile(
 # ---------------------------------------------------------------------------
 # State persistence
 
-_STATE_MAGIC = b"MTALKST3\n"
+_STATE_MAGIC = b"MTALKST4\n"
 STATE_FILENAME = "state.bin"
 
 

@@ -12,6 +12,7 @@ from typing import Callable, NamedTuple
 
 _DECIMAL = r"[\+\-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][\+\-]?[0-9]+)?"
 _INTEGER = re.compile(r"[\+\-]?[0-9]+")
+_XML_SPACE = re.compile(r"[ \t\r\n]+")
 
 
 def _long(s: str) -> int:
@@ -23,6 +24,7 @@ def _long(s: str) -> int:
 # Lexical spaces of the XSD builtins (W3C XML Schema 1.1 Part 2), trimmed.
 XSD_LEXICAL: dict[str, Callable[[str], object]] = {
     "xs:string": lambda s: True,
+    "xs:token": lambda s: True,
     "xs:long": lambda s: bool(_INTEGER.fullmatch(s)) and len(s.lstrip("+-0")) <= 19 and -(2**63) <= _long(s) < 2**63,
     "xs:double": re.compile(_DECIMAL + r"|[\+\-]?INF|NaN").fullmatch,
     "xs:boolean": {"true", "false", "1", "0"}.__contains__,
@@ -31,14 +33,19 @@ XSD_LEXICAL: dict[str, Callable[[str], object]] = {
 
 class Scalar(NamedTuple):
     """A lexical rule: literals of the XSD builtin `xsd` that also match `pattern`, if
-    any, after str.strip() unless `xsd` is xs:string; `convert` gives their value."""
+    any, after str.strip(); xs:string keeps its text and xs:token collapses XML
+    whitespace as W3C does. `convert` gives their value."""
 
     xsd: str
     pattern: re.Pattern | None
     convert: Callable[[str], object]
 
     def lexeme(self, text: str) -> str:
-        return text if self.xsd == "xs:string" else text.strip()
+        if self.xsd == "xs:string":
+            return text
+        if self.xsd == "xs:token":
+            return _XML_SPACE.sub(" ", text).strip(" ")
+        return text.strip()
 
     def conforms(self, text: str) -> bool:
         s = self.lexeme(text)

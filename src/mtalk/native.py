@@ -113,11 +113,15 @@ class NativeRegistry:
 
     manifest: NativeManifest
     bindings: dict[str, Factory] = field(default_factory=dict)
+    # how many bind() calls so far; the VM's reload carries built native
+    # objects only while this is unchanged
+    binds: int = field(default=0, init=False, compare=False, repr=False)
 
     def bind(self, name: str, factory: Factory) -> None:
         if self.manifest.get(name) is None:
             raise NotFoundError(f"cannot bind '{name}': not in manifest {self.manifest.path}")
         self.bindings[name] = factory
+        self.binds += 1
 
     def factory_for(self, name: str) -> Factory | None:
         return self.bindings.get(name)

@@ -139,7 +139,6 @@ def _generate_for_namespace(model: ResolvedModel, ns: str, root_tags, fingerprin
     w.append("    <xs:sequence>")
     w.append('      <xs:element name="bean" type="beanType" minOccurs="0" maxOccurs="unbounded"/>')
     w.append("    </xs:sequence>")
-    w.append('    <xs:attribute name="xmlns" type="xs:string"/>')
     w.append("  </xs:complexType>")
 
     prop_lines = _property_element_lines(merged, "      ")
@@ -184,7 +183,7 @@ def _generate_for_namespace(model: ResolvedModel, ns: str, root_tags, fingerprin
     w.append("    </xs:restriction>")
     w.append("  </xs:simpleType>")
     w.append('  <xs:simpleType name="typeNameType">')
-    w.append('    <xs:restriction base="xs:string">')
+    w.append('    <xs:restriction base="xs:token">')
     for name in type_names:
         w.append(f'      <xs:enumeration value="{_esc(name)}"/>')
     w.append("    </xs:restriction>")
@@ -448,6 +447,10 @@ def _parse_simple(node) -> tuple[Scalar, frozenset | None]:
 _PATTERNS = {rule.pattern.pattern: rule.pattern for rule in _RULES.values() if rule.pattern is not None}
 
 
+def _is_namespace_declaration(attr: str) -> bool:
+    return attr == "xmlns" or attr.startswith("xmlns:")
+
+
 class _Validator:
     def __init__(self, schema: _Schema):
         self.schema = schema
@@ -461,9 +464,9 @@ class _Validator:
         rule, enum = self.schema.simple.get(type_name) or (Scalar(type_name, None, None), None)
         if rule.xsd not in XSD_LEXICAL:
             raise SchemaError(f"unsupported simple type '{type_name}'")
-        if enum is not None and text.strip() not in enum:
-            return f"value '{text.strip()}' is not allowed"
         value = rule.lexeme(text)
+        if enum is not None and value not in enum:
+            return f"value '{value}' is not allowed"
         if not XSD_LEXICAL[rule.xsd](value):
             return f"value '{value}' is not a valid {rule.xsd}"
         if not rule.conforms(text):
@@ -480,7 +483,7 @@ class _Validator:
             if node.children:
                 self.fail(node.span, f"element '{node.tag}' must not have child elements")
                 return
-            bad_attrs = [a for a in node.attrs if not a.startswith("xmlns")]
+            bad_attrs = [a for a in node.attrs if not _is_namespace_declaration(a)]
             if bad_attrs:
                 self.fail(node.span, f"attribute '{bad_attrs[0]}' not allowed on '{node.tag}'")
             problem = self.simple_problem(type_name, node.text)
@@ -531,7 +534,7 @@ class _Validator:
 
     def check_attrs(self, node: XmlElement, ct: _ComplexType):
         for name, value in node.attrs.items():
-            if name.startswith("xmlns"):
+            if _is_namespace_declaration(name):
                 continue
             spec = ct.attrs.get(name)
             if spec is None:

@@ -7,7 +7,8 @@ reified as an instance of its metaclass (its MetaView). Native bindings are
 resolved along the class lineage: a declarative class is served by its
 nearest natively bound ancestor. Reload swaps the entire model snapshot in
 one step: a request observes either the old model or the new one, never a
-mixture.
+mixture. After a fold, the new snapshot keeps the instances the fold did
+not touch.
 """
 
 from __future__ import annotations
@@ -69,12 +70,13 @@ class MetaView(RuntimeInstance):
 class _Snapshot:
     """One immutable world: compiled model, registry, instance caches."""
 
-    __slots__ = ("compiled", "model", "registry", "manifest", "instances", "metaviews", "lock")
+    __slots__ = ("compiled", "model", "registry", "binds", "manifest", "instances", "metaviews", "lock")
 
     def __init__(self, compiled: CompiledModel, registry: NativeRegistry | None):
         self.compiled = compiled
         self.model: ResolvedModel = compiled.resolved
         self.registry = registry
+        self.binds = registry.binds if registry is not None else 0
         self.manifest: NativeManifest | None = (
             registry.manifest if registry is not None else compiled.manifest
         )
@@ -117,9 +119,47 @@ def load(compiled, registry: NativeRegistry | None = None) -> VmHandle:
 
 
 def reload(vm: VmHandle, compiled, registry: NativeRegistry | None = None) -> None:
-    """Atomically replace the VM's model. On refusal the old model stays."""
+    """Atomically replace the VM's model. On refusal the old model stays.
+
+    The new snapshot starts with the old one's cached instances and
+    MetaViews, less the fold's dirty ids, when the new model is an
+    incremental_compile fold of the loaded one, the registry and the
+    manifest are the same objects, and no factory was bound since the old
+    snapshot was made. Otherwise it starts empty.
+
+    Carrying is sound because every model read that builds an instance or a
+    MetaView follows a dependency edge out of its id, and the dirty set
+    holds the fold's seeds with their reverse closures over the old and the
+    new graph:
+      - template chain (effective_values of a bean): parent-bean
+      - lineage, effective properties and class-level values: subclass-of
+      - property types (_build skips unresolved ones): property-type
+      - value references and the instances or MetaViews they inject:
+        value-ref
+      - a bean's class, inline classes and a class's metaclass: instance-of
+      - resolve_native: native-binding, plus the manifest-identity gate;
+        the factory that builds a native object: the bind-count gate
+    A reference whose lookup flips to or from the root-namespace fallback
+    names an id that was added or removed, a seed, through an edge of the
+    graph that holds it. So a carried object equals what the new model
+    builds, and a request, which reads one snapshot, sees one model version.
+    """
     compiled = _loadable(compiled, "keeping current model")
-    vm._snap = _Snapshot(compiled, registry if registry is not None else vm._snap.registry)
+    old = vm._snap
+    snap = _Snapshot(compiled, registry if registry is not None else old.registry)
+    if (
+        compiled.folded_from is old.compiled.token
+        and snap.registry is old.registry
+        and snap.binds == old.binds
+        and snap.manifest is old.manifest
+    ):
+        with old.lock:
+            snap.instances = dict(old.instances)
+            snap.metaviews = dict(old.metaviews)
+        for eid in compiled.dirty:
+            snap.instances.pop(eid, None)
+            snap.metaviews.pop(eid, None)
+    vm._snap = snap
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ compiles it three ways: ``compile_workspace`` from scratch, an in-process
 ``mtalk compile --json`` folding into the state it saved last time, and one
 long-lived ``WatchSession``. All three must report the same diagnostics and
 none may raise. When the report has no error, a VM loaded from the library's
-state and one loaded from the watch state must inject the same values.
+state and one loaded from the watch state must inject the same values, and so
+must a long-lived VM that reloads the watch state after every edit.
 
 Every write sets the file's mtime one second past the previous write, so the
 watch's mtime/size check sees each edit however quickly the rules run. The
@@ -85,10 +86,9 @@ _VM_BEANS = ("PontisLogoRetriever", "LogoPictureRetriever", "CNN_NewsRetriever",
 _VM_CLASS = "NewsRetriever"
 
 
-def _vm_values(state) -> dict[str, object]:
-    """What a VM loaded from state injects into the sampled beans and the
-    class's MetaView, or the error it raises for one that is gone or renamed."""
-    vm = vmmod.load(state)
+def _vm_values(vm) -> dict[str, object]:
+    """What the VM injects into the sampled beans and the class's MetaView,
+    or the error it raises for one that is gone or renamed."""
     out: dict[str, object] = {}
     for name in (*_VM_BEANS, _VM_CLASS):
         get = vmmod.get_class if name == _VM_CLASS else vmmod.get_instance
@@ -108,6 +108,7 @@ class EntryPoints(RuleBasedStateMachine):
         self.root.mkdir()
         self.texts = dict(_START)
         self.mtime_ns = time.time_ns()
+        self.served = None
 
     def teardown(self):
         shutil.rmtree(self.tmp, ignore_errors=True)
@@ -166,7 +167,14 @@ class EntryPoints(RuleBasedStateMachine):
         assert [d.to_dict() for d in self.session.state.all_diagnostics()] == want
         assert self.session.state.resolved.elements.keys() == state.resolved.elements.keys()
         if not has_errors(expected):
-            assert _vm_values(self.session.state) == _vm_values(state)
+            fresh = _vm_values(vmmod.load(self.session.state))
+            assert fresh == _vm_values(vmmod.load(state))
+            # a VM that follows the watch keeps what each fold did not touch
+            if self.served is None:
+                self.served = vmmod.load(self.session.state)
+            else:
+                vmmod.reload(self.served, self.session.state)
+            assert _vm_values(self.served) == fresh
 
     # -- edits
 
@@ -231,3 +239,24 @@ EntryPoints.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 test_entry_points_agree = EntryPoints.TestCase
+
+
+def test_a_reloading_vm_follows_every_edit():
+    """Each value and class edit done and undone, then a value edit made while
+    the report has an error, so that the next reload is two folds away."""
+    machine = EntryPoints()
+    try:
+        machine.start(None)
+        machine.entry_points_agree()
+        for edit in (*_VALUE_EDITS, *_CLASS_EDITS):
+            machine.value_edit(edit)
+            machine.entry_points_agree()
+            machine.value_edit(edit)
+            machine.entry_points_agree()
+        retries, timeout = _VALUE_EDITS[1], _VALUE_EDITS[0]
+        for edit in (retries, timeout, retries):
+            machine.value_edit(edit)
+            machine.entry_points_agree()
+        assert "<timeout>3</timeout>" in machine.texts["core.model.xml"]
+    finally:
+        machine.teardown()

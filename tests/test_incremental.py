@@ -206,6 +206,22 @@ def test_unit_removal_breaks_dependents():
     assert_equivalent(state2, parsed)
 
 
+def test_fold_records_its_parent_and_dirty_set():
+    state = golden_state()
+    assert state.folded_from is None and state.dirty == frozenset()
+    edited = GOLDEN_UNITS["core.model.xml"].replace("<timeout>2</timeout>", "<timeout>4</timeout>")
+    state2, recompiled, _ = incremental_compile(state, [parse_clean(edited, "core.model.xml")])
+    assert state2.folded_from is state.token
+    assert state2.token is not state.token
+    assert state2.dirty == recompiled
+    model = state2.model()
+    assert (model.token, model.folded_from, model.dirty) == (state2.token, state.token, state2.dirty)
+    # removed ids are dirty although nothing revalidates them
+    state3, recompiled3, _ = incremental_compile(state2, [], removed_paths=["caches.model.xml"])
+    assert state3.folded_from is state2.token
+    assert eid("StandardCache") in state3.dirty - recompiled3
+
+
 def test_readding_removed_unit_restores_clean_state():
     state = golden_state()
     state2, _, _ = incremental_compile(state, [], removed_paths=["caches.model.xml"])

@@ -3,6 +3,7 @@
 import functools
 import random
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,21 @@ def test_generate_schemas_per_namespace():
     assert "targetNamespace" not in docs[""].text
 
 
+def test_no_generated_schema_declares_an_xmlns_attribute():
+    # XML Schema forbids the declaration, and a standard processor refuses
+    # a schema that makes it
+    state, diags = compile_texts(
+        a_model_xml='<model xmlns="alpha"><bean id="A" class="Class" declarative="true"/></model>',
+        c_model_xml='<model><bean id="C" class="Class" declarative="true"/></model>',
+    )
+    assert diags == []
+    docs = generate_schemas(state)
+    for doc in (*docs.values(), golden_schema()):
+        names = {a.get("name") for a in ET.fromstring(doc.text).iter("{http://www.w3.org/2001/XMLSchema}attribute")}
+        assert "class" in names and "xmlns" not in names, doc.namespace
+    assert validate_with_schema(docs["alpha"], '<model xmlns="alpha"><bean id="X" class="A"/></model>') == []
+
+
 def test_unqualified_local_classes_enumerated_in_namespace_schema():
     state, diags = compile_texts(
         a_model_xml='<model xmlns="alpha">'
@@ -179,6 +195,50 @@ def test_unknown_attr_rejected():
         schema,
         '<model><bean id="X" class="Class" lazy="true"/></model>',
         "attribute 'lazy' not allowed",
+    )
+
+
+def test_only_namespace_declarations_pass_unchecked():
+    schema = golden_schema()
+    ok = '<model xmlns:x="urn:x"><bean id="X" class="MetaCache" xmlns:y="urn:y"><timeout xmlns="">1</timeout></bean></model>'
+    assert validate_with_schema(schema, ok) == []
+    check_one(schema, '<model><bean id="X" class="Class" xmlnsy="1"/></model>', "attribute 'xmlnsy' not allowed")
+    check_one(
+        schema,
+        '<model><bean id="X" class="MetaCache"><timeout xmlnsy="1">1</timeout></bean></model>',
+        "attribute 'xmlnsy' not allowed on 'timeout'",
+    )
+
+
+def compile_with_golden(text):
+    """The report of the golden units plus text as x.model.xml."""
+    golden = {path.replace(".", "_"): t for path, t in GOLDEN_UNITS.items()}
+    return compile_texts(**golden, x_model_xml=text)[1]
+
+
+def test_class_enumeration_reads_the_attribute_unstripped():
+    # the compiler resolves class=" MetaCache" as written and reports E001
+    text = '<model><bean id="X" class=" MetaCache"/></model>'
+    assert [d.code for d in compile_with_golden(text)] == ["E001"]
+    check_one(golden_schema(), text, "value ' MetaCache' is not allowed for attribute 'class'")
+
+
+def test_property_type_enumeration_collapses_whitespace():
+    # parse_unit strips <type> text, and typeNameType is an xs:token
+    schema = golden_schema()
+    assert '<xs:simpleType name="typeNameType">\n    <xs:restriction base="xs:token">' in schema.text
+    for written in (" Long ", "\n  Long\t", "CacheManager "):
+        text = (
+            '<model><bean id="C" class="Class" declarative="true"><properties><property>'
+            f"<name>n</name><type>{written}</type></property></properties></bean></model>"
+        )
+        assert compile_with_golden(text) == [], written
+        assert validate_with_schema(schema, text) == [], written
+    check_one(
+        schema,
+        '<model><bean id="C" class="Class"><properties><property>'
+        "<name>n</name><type>Lo  ng</type></property></properties></bean></model>",
+        "value 'Lo ng' is not allowed for element 'type'",
     )
 
 

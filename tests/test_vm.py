@@ -4,10 +4,10 @@ import threading
 
 import pytest
 
-from mtalk.compiler import compile_model
+from mtalk.compiler import compile_model, incremental_compile
 from mtalk.errors import NotFoundError, WrongKindError
 from mtalk.ids import ElementId
-from mtalk.native import NativeRegistry, parse_manifest
+from mtalk.native import NativeRegistry, bind, parse_manifest
 from mtalk.source import parse_unit
 from mtalk.vm import (
     AbstractInstantiationError,
@@ -502,6 +502,126 @@ def test_reload_keeps_registry_unless_replaced():
     reload(vm, state)
     inst = get_instance(vm, "PontisLogoRetriever")
     assert inst.native_object == ("built", "www.pontis.com/logo.bmp")
+
+
+# A value fold of Val dirties Val and A, which references it; Other and the
+# classes stay untouched.
+_CARRY_TEXT = (
+    '<model xmlns="m">'
+    '<bean id="D" class="Class"><properties>'
+    "<property><name>n</name><type>Long</type></property>"
+    "</properties></bean>"
+    '<bean id="C" class="Class"><properties>'
+    "<property><name>d</name><type>D</type></property>"
+    "</properties></bean>"
+    '<bean id="Val" class="D"><n>1</n></bean>'
+    '<bean id="Other" class="D"><n>5</n></bean>'
+    '<bean id="A" class="C"><d ref="Val"/></bean>'
+    "</model>"
+)
+
+
+def fold(state, text):
+    unit, diags = parse_unit(text, "m.model.xml")
+    assert diags == []
+    new, _, report = incremental_compile(state, [unit])
+    assert report == []
+    return new
+
+
+def carry_states():
+    """The base state and a value fold of Val from 1 to 2."""
+    base, diags = compile_texts(m_model_xml=_CARRY_TEXT)
+    assert diags == []
+    return base, fold(base, _CARRY_TEXT.replace("<n>1</n>", "<n>2</n>"))
+
+
+def read_all(vm):
+    return {
+        "Val": get_instance(vm, "m:Val"),
+        "Other": get_instance(vm, "m:Other"),
+        "A": get_instance(vm, "m:A"),
+        "C": get_class(vm, "m:C"),
+    }
+
+
+def test_reload_after_a_fold_keeps_untouched_instances():
+    base, edited = carry_states()
+    vm = load(base)
+    before = read_all(vm)
+    reload(vm, edited)
+    after = read_all(vm)
+    assert after["Other"] is before["Other"]
+    assert after["C"] is before["C"]
+    assert after["Val"] is not before["Val"]
+    assert after["Val"].values["n"] == 2
+
+
+def test_reload_after_a_fold_rebuilds_the_referencing_bean():
+    base, edited = carry_states()
+    vm = load(base)
+    assert read_all(vm)["A"].values["d"].values["n"] == 1
+    reload(vm, edited)
+    a = get_instance(vm, "m:A")
+    assert a.values["d"].values["n"] == 2
+    assert a.values["d"] is get_instance(vm, "m:Val")
+
+
+def test_reload_two_folds_apart_carries_nothing():
+    base, _ = carry_states()
+    first = fold(base, _CARRY_TEXT.replace("<n>5</n>", "<n>6</n>"))
+    second = fold(first, _CARRY_TEXT.replace("<n>5</n>", "<n>6</n>").replace("<n>1</n>", "<n>2</n>"))
+    vm = load(base)
+    before = read_all(vm)
+    reload(vm, second)
+    after = read_all(vm)
+    # the second fold's dirty set does not hold Other, which the first changed
+    assert after["Other"].values["n"] == 6
+    assert all(after[k] is not before[k] for k in before)
+
+
+def test_reload_with_a_new_registry_carries_nothing():
+    mani = parse_manifest(json.dumps(MANIFEST), "manifest.json")
+    first, second = NativeRegistry(mani), NativeRegistry(mani)
+    first.bind("HTTP_Client", lambda values: "first")
+    second.bind("HTTP_Client", lambda values: "second")
+    state, _ = compile_golden(manifest=mani)
+    # no unit changed, so the fold's dirty set is empty
+    edited, _, _ = incremental_compile(state, [], manifest=mani)
+    assert edited.dirty == frozenset()
+    vm = load(state, first)
+    assert get_instance(vm, "CNN_NewsRetriever").native_object == "first"
+    reload(vm, edited, second)
+    assert get_instance(vm, "CNN_NewsRetriever").native_object == "second"
+
+
+def test_reload_after_a_bind_carries_nothing():
+    mani = parse_manifest(json.dumps(MANIFEST), "manifest.json")
+    reg = NativeRegistry(mani)
+    reg.bind("HTTP_Client", lambda values: "first")
+    state, _ = compile_golden(manifest=mani)
+    # no unit changed, so each fold's dirty set is empty
+    edited, _, _ = incremental_compile(state, [], manifest=mani)
+    again, _, _ = incremental_compile(edited, [], manifest=mani)
+    vm = load(state, reg)
+    first = get_instance(vm, "CNN_NewsRetriever")
+    reload(vm, edited)
+    assert get_instance(vm, "CNN_NewsRetriever") is first
+    bind(reg, "HTTP_Client", lambda values: "second")
+    reload(vm, again)
+    assert get_instance(vm, "CNN_NewsRetriever").native_object == "second"
+
+
+def test_reload_with_a_new_manifest_carries_nothing():
+    state, _ = compile_golden()
+    mani = parse_manifest(json.dumps(MANIFEST), "manifest.json")
+    # no unit changed, so the fold's dirty set is empty
+    edited, _, diags = incremental_compile(state, [], manifest=mani)
+    assert diags == [] and edited.dirty == frozenset()
+    vm = load(state)
+    assert get_instance(vm, "CNN_NewsRetriever").native is None
+    reload(vm, edited)
+    assert get_instance(vm, "CNN_NewsRetriever").native == "HTTP_Client"
 
 
 def test_concurrent_reads_see_single_snapshot():
