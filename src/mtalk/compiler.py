@@ -29,7 +29,7 @@ from .graph import (
     build_dependency_graph,
     element_edges,
 )
-from .ids import SCALARS, ElementId, SourceSpan
+from .ids import SCALARS, XML_SPACE, ElementId, SourceSpan
 from .kernel import (
     ElementKind,
     ResolvedModel,
@@ -58,7 +58,7 @@ def scalar_conforms(text: str, builtin: str) -> bool:
 
 
 def _clip(text: str, limit: int = 40) -> str:
-    text = text.strip()
+    text = text.strip(XML_SPACE)  # the literal as the scalar rule reads it
     return text if len(text) <= limit else text[: limit - 1] + "…"
 
 

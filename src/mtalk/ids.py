@@ -12,7 +12,8 @@ from typing import Callable, NamedTuple
 
 _DECIMAL = r"[\+\-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][\+\-]?[0-9]+)?"
 _INTEGER = re.compile(r"[\+\-]?[0-9]+")
-_XML_SPACE = re.compile(r"[ \t\r\n]+")
+XML_SPACE = " \t\r\n"  # whitespace in XML 1.0; str.strip() would also take Unicode spaces
+_XML_SPACE_RUN = re.compile(f"[{XML_SPACE}]+")
 
 
 def _long(s: str) -> int:
@@ -33,8 +34,10 @@ XSD_LEXICAL: dict[str, Callable[[str], object]] = {
 
 class Scalar(NamedTuple):
     """A lexical rule: literals of the XSD builtin `xsd` that also match `pattern`, if
-    any, after str.strip(); xs:string keeps its text and xs:token collapses XML
-    whitespace as W3C does. `convert` gives their value."""
+    any, once XML whitespace (space, tab, CR, LF) is trimmed from their ends, as W3C
+    collapses it; xs:string keeps its text and xs:token also collapses inner runs.
+    Other Unicode spaces, such as U+00A0, are part of the literal. `convert` gives
+    their value."""
 
     xsd: str
     pattern: re.Pattern | None
@@ -44,8 +47,8 @@ class Scalar(NamedTuple):
         if self.xsd == "xs:string":
             return text
         if self.xsd == "xs:token":
-            return _XML_SPACE.sub(" ", text).strip(" ")
-        return text.strip()
+            return _XML_SPACE_RUN.sub(" ", text).strip(" ")
+        return text.strip(XML_SPACE)
 
     def conforms(self, text: str) -> bool:
         s = self.lexeme(text)

@@ -8,9 +8,14 @@ restricted to known class names, and the properties definition block.
 Per-class named types are also emitted as editor metadata; the generic
 bean type does not reference them.
 
-validate_with_schema interprets the generated schema text itself (the XSD
-subset the generator emits), so a generation bug that drops or mistypes a
-construct shows up as a validation failure rather than being masked.
+A schema has one description, the `_Schema` IR: its root elements, and the
+complex and simple types they reach. The generator builds it from the model,
+and `SchemaDoc.text` is its rendering; the per-class types are rendered one
+at a time and not kept. Validating against a `SchemaDoc` reads its IR. The
+text parser, `_parse_schema`, is for schemas from outside: it reads the XSD
+subset the generator emits and raises SchemaError on anything else. A test
+parses every generated text back and compares it with its IR, so a
+rendering bug that drops or mistypes a construct fails there.
 """
 
 from __future__ import annotations
@@ -19,15 +24,15 @@ import hashlib
 import io
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from . import diagnostics as dx
 from .compiler import CompiledModel, CompileState
 from .diagnostics import Diagnostic
 from .errors import ModelError
 from .ids import BUILTIN_SCALARS, FLAG, SCALARS, XSD_LEXICAL, ElementId, Scalar
-from .kernel import ElementKind, ResolvedModel
+from .kernel import ResolvedModel
 from .source import XmlElement, read_document
 
 
@@ -35,16 +40,81 @@ class SchemaError(ModelError):
     """The schema document itself is unusable."""
 
 
+@dataclass
+class _Particle:
+    name: str
+    type: str
+    min: int
+    max: int | None  # None = unbounded
+
+
+@dataclass
+class _ComplexType:
+    # mode: "all" (unordered unique), "sequence" (ordered particles), "open"
+    # (xs:any, any attributes), "empty" (attributes only)
+    mode: str
+    all_elems: dict[str, tuple[str, bool]] = field(default_factory=dict)  # name -> (type, required)
+    sequence: tuple[_Particle, ...] = ()
+    attrs: dict[str, tuple[str, bool]] = field(default_factory=dict)  # name -> (type, required)
+    any_attrs: bool = False
+
+    @cached_property
+    def required_elems(self) -> tuple[str, ...]:  # the required names of all_elems, in order
+        return tuple(name for name, (_t, required) in self.all_elems.items() if required)
+
+
+@dataclass
+class _Schema:
+    target_ns: str
+    elements: dict[str, str] = field(default_factory=dict)  # root tag -> type
+    complex: dict[str, _ComplexType] = field(default_factory=dict)
+    simple: dict[str, tuple[Scalar, frozenset | None]] = field(default_factory=dict)  # name -> (rule, enumeration)
+
+
+def _keep_reachable(sch: _Schema) -> None:
+    """Drop the types no root element reaches, such as the per-class editor
+    types and the unused pattern types: validation never looks them up."""
+    reached: set[str] = set()
+    todo = list(sch.elements.values())
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        ct = sch.complex.get(name)
+        if ct is not None:
+            todo += {t for t, _required in ct.all_elems.values()}
+            todo += {p.type for p in ct.sequence}
+            todo += {t for t, _required in ct.attrs.values()}
+    sch.complex = {k: v for k, v in sch.complex.items() if k in reached}
+    sch.simple = {k: v for k, v in sch.simple.items() if k in reached}
+
+
 @dataclass(frozen=True)
 class SchemaDoc:
     namespace: str
-    text: str
+    text: str  # renders ir before its unreached types were dropped, then the per-class types
     generated_from: str
+    # what validation reads; equal texts have equal IRs, so the text decides equality
+    ir: _Schema = field(repr=False, compare=False)
 
 
 _RULES = {**SCALARS, "flag": FLAG}
 # Each rule's generated type: its XSD builtin, or a restriction named after it.
 _TYPE_NAMES = {name: f"{name.lower()}Type" if rule.pattern else rule.xsd for name, rule in _RULES.items()}
+_PATTERN_TYPES = {_TYPE_NAMES[n]: (Scalar(r.xsd, r.pattern, None), None) for n, r in _RULES.items() if r.pattern}
+# The bean attributes: their type, and whether a bean in a unit must carry them.
+_BEAN_ATTRS = {"id": ("xs:string", True), "class": ("classNameType", True), "parent": ("xs:string", False),
+               "abstract": ("flagType", False), "declarative": ("flagType", False)}
+# A per-class type names every bean attribute and requires none.
+_EDITOR_ATTRS = {name: (t, False) for name, (t, _required) in _BEAN_ATTRS.items()}
+# The slot, (type, required), of an optional property element by the property's
+# builtin, None for a class: a class-typed property takes a bean. Shared, so a
+# schema's thousands of slots allocate nothing.
+_SLOTS = {None: ("beanValueType", False), **{b: (_TYPE_NAMES[b], False) for b in BUILTIN_SCALARS}}
+_ANY_SLOT = ("xs:anyType", False)
+# The per-class type of a class on a parent cycle or with an unresolved property type.
+_OPEN_TYPE = _ComplexType("open", any_attrs=True)
 
 
 def _model_fingerprint(units) -> str:
@@ -57,179 +127,141 @@ def _model_fingerprint(units) -> str:
     return h.hexdigest()
 
 
-def _type_name_for_class(eid: ElementId) -> str:
-    return "t." + eid.render().replace(":", ".")
-
-
-def _merged_property_kinds(model: ResolvedModel) -> dict[str, str]:
-    """Property name -> scalar type ('xs:long', 'doubleType'...), 'bean', or 'any' when mixed."""
-    merged: dict[str, str] = {}
-    for eid in sorted(model.classes, key=ElementId.render):
-        for p in model.classes[eid].own_properties:
-            if p.type.is_builtin:
-                kind = _TYPE_NAMES[p.type.builtin]
-            elif p.type.is_class:
-                kind = "bean"
-            else:
-                kind = "any"
-            prior = merged.get(p.name)
-            if prior is None:
-                merged[p.name] = kind
-            elif prior != kind:
-                merged[p.name] = "any"
+def _merged_property_slots(model: ResolvedModel) -> dict[str, tuple[str, bool]]:
+    """Property name -> its slot in a bean: typed as every declaring class types
+    it, or 'xs:anyType' when unresolved or typed differently by two classes."""
+    merged: dict[str, tuple[str, bool]] = {}
+    for cd in model.classes.values():
+        for p in cd.own_properties:
+            slot = _ANY_SLOT if p.type.is_unresolved else _SLOTS[p.type.builtin]
+            if merged.setdefault(p.name, slot) != slot:
+                merged[p.name] = _ANY_SLOT
     return merged
 
 
-def _writable_class_names(model: ResolvedModel, ns: str, metaclass_only: bool = False) -> list[str]:
+def _writable_class_names(model: ResolvedModel, ns: str) -> set[str]:
     """Every written form that resolves to a class from a unit in namespace ns."""
     out = set()
-    for eid, cd in model.classes.items():
-        if metaclass_only and cd.kind is not ElementKind.METACLASS:
-            continue
+    for eid in model.classes:
         if eid.namespace:
             out.add(eid.render())
         if eid.namespace == ns or eid.namespace == "":
             out.add(eid.local)
-    return sorted(out)
+    return out
 
 
-def _writable_type_names(model: ResolvedModel, ns: str) -> list[str]:
-    names = set(_writable_class_names(model, ns))
-    names.update(BUILTIN_SCALARS)
-    return sorted(names)
-
-
-def _esc(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+def _schema_ir(model: ResolvedModel, ns: str, root_tags) -> _Schema:
+    """Every type of the schema for namespace ns but the per-class ones."""
+    merged = _merged_property_slots(model)
+    props = {name: merged[name] for name in sorted(merged)}
+    class_names = _writable_class_names(model, ns)
+    any_beans = (_Particle("bean", "beanType", 0, None),)
+    return _Schema(
+        target_ns=ns,
+        elements={tag: "modelType" for tag in sorted(set(root_tags) | {"model"})},
+        complex={
+            "modelType": _ComplexType("sequence", sequence=any_beans),
+            "beanType": _ComplexType("all", {"properties": ("propertiesType", False), **props}, attrs=_BEAN_ATTRS),
+            "beanValueType": _ComplexType("all", props, attrs={"class": ("classNameType", False), "ref": ("xs:string", False)}),
+            "propertiesType": _ComplexType("sequence", sequence=(_Particle("property", "propertyDefType", 0, None),)),
+            "propertyDefType": _ComplexType("all", {"name": ("xs:string", True), "type": ("typeNameType", True),
+                                                    "description": ("xs:string", False)}),
+        },
+        simple={
+            "classNameType": (Scalar("xs:string", None, None), frozenset(class_names)),
+            "typeNameType": (Scalar("xs:token", None, None), frozenset(class_names.union(BUILTIN_SCALARS))),
+            **_PATTERN_TYPES,
+        },
     )
 
 
-def _property_element_lines(merged: dict[str, str], indent: str) -> list[str]:
-    lines = []
-    for name in sorted(merged):
-        kind = merged[name]
-        if kind == "bean":
-            t = "beanValueType"
-        elif kind == "any":
-            t = "xs:anyType"
-        else:
-            t = kind
-        lines.append(f'{indent}<xs:element name="{_esc(name)}" type="{t}" minOccurs="0"/>')
-    return lines
-
-
-def _generate_for_namespace(model: ResolvedModel, ns: str, root_tags, fingerprint: str) -> SchemaDoc:
-    merged = _merged_property_kinds(model)
-    class_names = _writable_class_names(model, ns)
-    type_names = _writable_type_names(model, ns)
-
-    w: list[str] = []
-    w.append('<?xml version="1.0" encoding="UTF-8"?>')
-    attrs = 'xmlns:xs="http://www.w3.org/2001/XMLSchema"'
-    if ns:
-        attrs += f' targetNamespace="{_esc(ns)}" xmlns="{_esc(ns)}" elementFormDefault="qualified"'
-    w.append(f"<xs:schema {attrs}>")
-    w.append("  <xs:annotation>")
-    w.append(f"    <xs:documentation>Generated from model build {fingerprint}. Do not edit.</xs:documentation>")
-    w.append("  </xs:annotation>")
-    for tag in sorted(set(root_tags) | {"model"}):
-        w.append(f'  <xs:element name="{_esc(tag)}" type="modelType"/>')
-    w.append('  <xs:complexType name="modelType">')
-    w.append("    <xs:sequence>")
-    w.append('      <xs:element name="bean" type="beanType" minOccurs="0" maxOccurs="unbounded"/>')
-    w.append("    </xs:sequence>")
-    w.append("  </xs:complexType>")
-
-    prop_lines = _property_element_lines(merged, "      ")
-
-    w.append('  <xs:complexType name="beanType">')
-    w.append("    <xs:all>")
-    w.append('      <xs:element name="properties" type="propertiesType" minOccurs="0"/>')
-    w.extend(prop_lines)
-    w.append("    </xs:all>")
-    w.append('    <xs:attribute name="id" type="xs:string" use="required"/>')
-    w.append('    <xs:attribute name="class" type="classNameType" use="required"/>')
-    w.append('    <xs:attribute name="parent" type="xs:string"/>')
-    w.append('    <xs:attribute name="abstract" type="flagType"/>')
-    w.append('    <xs:attribute name="declarative" type="flagType"/>')
-    w.append("  </xs:complexType>")
-
-    w.append('  <xs:complexType name="beanValueType">')
-    w.append("    <xs:all>")
-    w.extend(prop_lines)
-    w.append("    </xs:all>")
-    w.append('    <xs:attribute name="class" type="classNameType"/>')
-    w.append('    <xs:attribute name="ref" type="xs:string"/>')
-    w.append("  </xs:complexType>")
-
-    w.append('  <xs:complexType name="propertiesType">')
-    w.append("    <xs:sequence>")
-    w.append('      <xs:element name="property" type="propertyDefType" minOccurs="0" maxOccurs="unbounded"/>')
-    w.append("    </xs:sequence>")
-    w.append("  </xs:complexType>")
-    w.append('  <xs:complexType name="propertyDefType">')
-    w.append("    <xs:all>")
-    w.append('      <xs:element name="name" type="xs:string"/>')
-    w.append('      <xs:element name="type" type="typeNameType"/>')
-    w.append('      <xs:element name="description" type="xs:string" minOccurs="0"/>')
-    w.append("    </xs:all>")
-    w.append("  </xs:complexType>")
-
-    w.append('  <xs:simpleType name="classNameType">')
-    w.append('    <xs:restriction base="xs:string">')
-    for name in class_names:
-        w.append(f'      <xs:enumeration value="{_esc(name)}"/>')
-    w.append("    </xs:restriction>")
-    w.append("  </xs:simpleType>")
-    w.append('  <xs:simpleType name="typeNameType">')
-    w.append('    <xs:restriction base="xs:token">')
-    for name in type_names:
-        w.append(f'      <xs:enumeration value="{_esc(name)}"/>')
-    w.append("    </xs:restriction>")
-    w.append("  </xs:simpleType>")
-    for name, rule in _RULES.items():
-        if rule.pattern is not None:
-            w.append(f'  <xs:simpleType name="{_TYPE_NAMES[name]}">')
-            w.append(f'    <xs:restriction base="{rule.xsd}">')
-            w.append(f'      <xs:pattern value="{_esc(rule.pattern.pattern)}"/>')
-            w.append("    </xs:restriction>")
-            w.append("  </xs:simpleType>")
-
-    # per-class named types: editor metadata, not referenced by beanType
+def _editor_types(model: ResolvedModel):
+    """(name, type, documentation) of each per-class type, one class at a time."""
+    unresolved = {p.declared_by for cd in model.classes.values() for p in cd.own_properties if p.type.is_unresolved}
     for eid in sorted(model.classes, key=ElementId.render):
-        cd = model.classes[eid]
-        tname = _type_name_for_class(eid)
-        broken = model.in_parent_cycle(eid) or any(p.type.is_unresolved for p in cd.own_properties)
-        w.append(f'  <xs:complexType name="{_esc(tname)}">')
-        w.append("    <xs:annotation>")
-        w.append(f"      <xs:documentation>Beans of class {_esc(eid.render())}.</xs:documentation>")
-        w.append("    </xs:annotation>")
-        if broken:
-            w.append("    <xs:sequence>")
-            w.append('      <xs:any minOccurs="0" maxOccurs="unbounded" processContents="skip"/>')
-            w.append("    </xs:sequence>")
-            w.append('    <xs:anyAttribute processContents="skip"/>')
+        if eid in unresolved or model.in_parent_cycle(eid):
+            ct = _OPEN_TYPE
         else:
-            w.append("    <xs:all>")
-            w.append('      <xs:element name="properties" type="propertiesType" minOccurs="0"/>')
+            elems = {"properties": ("propertiesType", False)}
             for p in model.effective_properties(eid):
-                if p.type.is_builtin:
-                    t = _TYPE_NAMES[p.type.builtin]
-                else:
-                    t = "beanValueType"
-                w.append(f'      <xs:element name="{_esc(p.name)}" type="{t}" minOccurs="0"/>')
-            w.append("    </xs:all>")
-            w.append('    <xs:attribute name="id" type="xs:string"/>')
-            w.append('    <xs:attribute name="class" type="classNameType"/>')
-            w.append('    <xs:attribute name="parent" type="xs:string"/>')
-            w.append('    <xs:attribute name="abstract" type="flagType"/>')
-            w.append('    <xs:attribute name="declarative" type="flagType"/>')
-        w.append("  </xs:complexType>")
+                elems[p.name] = _SLOTS[p.type.builtin]
+            ct = _ComplexType("all", elems, attrs=_EDITOR_ATTRS)
+        written = eid.render()
+        yield "t." + written.replace(":", "."), ct, f"Beans of class {written}."
 
-    w.append("</xs:schema>")
-    w.append("")
-    return SchemaDoc(namespace=ns, text="\n".join(w), generated_from=fingerprint)
+
+def _esc(text: str) -> str:
+    if "&" not in text and "<" not in text and ">" not in text and '"' not in text:
+        return text  # most names: skip the four copies
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+
+
+_OPTIONAL = ' minOccurs="0"'
+_REQUIRED = ' use="required"'
+
+
+# The renderers escape the names and text that come from the model. Type and
+# attribute names are the generator's own XML names and are written as they are.
+
+
+def _attribute_lines(attrs: dict[str, tuple[str, bool]]) -> list[str]:
+    return [f'    <xs:attribute name="{a}" type="{t}"{_REQUIRED if required else ""}/>' for a, (t, required) in attrs.items()]
+
+
+# Every per-class type declares the same attributes: render them once.
+_EDITOR_ATTR_LINES = _attribute_lines(_EDITOR_ATTRS)
+
+
+def _render_complex(w: list[str], name: str, ct: _ComplexType, doc: str | None = None) -> None:
+    w.append(f'  <xs:complexType name="{_esc(name)}">')
+    if doc is not None:
+        w += ["    <xs:annotation>", f"      <xs:documentation>{_esc(doc)}</xs:documentation>", "    </xs:annotation>"]
+    if ct.mode == "all":
+        w.append("    <xs:all>")
+        w += [
+            f'      <xs:element name="{_esc(el)}" type="{t}"{"" if required else _OPTIONAL}/>'
+            for el, (t, required) in ct.all_elems.items()
+        ]
+        w.append("    </xs:all>")
+    elif ct.mode == "sequence":
+        w.append("    <xs:sequence>")
+        for p in ct.sequence:
+            occurs = "" if p.min == 1 else f' minOccurs="{p.min}"'
+            if p.max != 1:
+                occurs += f' maxOccurs="{"unbounded" if p.max is None else p.max}"'
+            w.append(f'      <xs:element name="{_esc(p.name)}" type="{p.type}"{occurs}/>')
+        w.append("    </xs:sequence>")
+    elif ct.mode == "open":
+        w += ["    <xs:sequence>", '      <xs:any minOccurs="0" maxOccurs="unbounded" processContents="skip"/>', "    </xs:sequence>"]
+    w += _EDITOR_ATTR_LINES if ct.attrs is _EDITOR_ATTRS else _attribute_lines(ct.attrs)
+    if ct.any_attrs:
+        w.append('    <xs:anyAttribute processContents="skip"/>')
+    w.append("  </xs:complexType>")
+
+
+def _render(sch: _Schema, fingerprint: str, editor_types) -> str:
+    w = ['<?xml version="1.0" encoding="UTF-8"?>']
+    attrs = 'xmlns:xs="http://www.w3.org/2001/XMLSchema"'
+    if sch.target_ns:
+        ns = _esc(sch.target_ns)
+        attrs += f' targetNamespace="{ns}" xmlns="{ns}" elementFormDefault="qualified"'
+    w += [f"<xs:schema {attrs}>", "  <xs:annotation>",
+          f"    <xs:documentation>Generated from model build {fingerprint}. Do not edit.</xs:documentation>",
+          "  </xs:annotation>"]
+    w += [f'  <xs:element name="{_esc(tag)}" type="{t}"/>' for tag, t in sch.elements.items()]
+    for name, ct in sch.complex.items():
+        _render_complex(w, name, ct)
+    for name, (rule, enum) in sch.simple.items():
+        w += [f'  <xs:simpleType name="{_esc(name)}">', f'    <xs:restriction base="{rule.xsd}">']
+        if rule.pattern is not None:
+            w.append(f'      <xs:pattern value="{_esc(rule.pattern.pattern)}"/>')
+        if enum:  # one string for all the values: an enumeration has thousands
+            w.append('      <xs:enumeration value="' + '"/>\n      <xs:enumeration value="'.join(map(_esc, sorted(enum))) + '"/>')
+        w += ["    </xs:restriction>", "  </xs:simpleType>"]
+    for name, ct, doc in editor_types:
+        _render_complex(w, name, ct, doc)
+    w += ["</xs:schema>", ""]
+    return "\n".join(w)
 
 
 def _state_parts(compiled) -> tuple[ResolvedModel, dict]:
@@ -251,10 +283,13 @@ def generate_schemas(compiled) -> dict[str, SchemaDoc]:
         namespaces.setdefault(u.namespace, set())
         if u.root_tag:
             namespaces[u.namespace].add(u.root_tag)
-    return {
-        ns: _generate_for_namespace(model, ns, tags, fingerprint)
-        for ns, tags in sorted(namespaces.items())
-    }
+    docs = {}
+    for ns, tags in sorted(namespaces.items()):
+        sch = _schema_ir(model, ns, tags)
+        text = _render(sch, fingerprint, _editor_types(model))
+        _keep_reachable(sch)
+        docs[ns] = SchemaDoc(namespace=ns, text=text, generated_from=fingerprint, ir=sch)
+    return docs
 
 
 def generate_schema(compiled) -> SchemaDoc:
@@ -292,46 +327,21 @@ def schema_files(docs: dict[str, SchemaDoc], target: str) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Schema interpretation (the subset the generator emits)
+# Schema interpretation (the subset the generator emits), for schemas from outside
 
 _XS = "{http://www.w3.org/2001/XMLSchema}"
 
 
-@dataclass
-class _Particle:
-    name: str
-    type: str
-    min: int
-    max: int | None  # None = unbounded
-
-
-@dataclass
-class _ComplexType:
-    # mode: "all" (unordered unique), "sequence" (ordered particles), "open" (xs:any)
-    mode: str
-    all_elems: dict[str, tuple[str, bool]]  # name -> (type, required)
-    sequence: list[_Particle]
-    attrs: dict[str, tuple[str, bool]]  # name -> (type, required)
-    any_attrs: bool
-    required_elems: tuple[str, ...] = ()  # the required names of all_elems, in order
-
-
-class _Schema:
-    def __init__(self, target_ns: str):
-        self.target_ns = target_ns
-        self.elements: dict[str, str] = {}
-        self.complex: dict[str, _ComplexType] = {}
-        self.simple: dict[str, tuple[Scalar, frozenset | None]] = {}
-
-
 @lru_cache(maxsize=1)
 def _parse_schema(text: str) -> _Schema:
-    """Interpret a schema text. Validating a run of units against one schema
-    parses it once; the parse is read-only from then on.
+    """Interpret a schema text into the IR. Validating a run of units against
+    one schema text parses it once; the parse is read-only from then on.
 
     The text is read incrementally and each top-level construct is dropped
-    from the tree once interpreted, so a generated schema of several MB
-    never sits in memory as a whole element tree.
+    from the tree once interpreted, so a schema of several MB never sits in
+    memory as a whole element tree. Every type is interpreted, so an
+    unsupported construct raises SchemaError even in a type no root element
+    reaches; only the reachable ones are kept.
     """
     sch = root = None
     depth = 0
@@ -366,46 +376,26 @@ def _add_top_level(sch: _Schema, child) -> None:
         raise SchemaError(f"unsupported schema construct {child.tag}")
 
 
-def _keep_reachable(sch: _Schema) -> None:
-    """Drop the types no root element reaches, such as the per-class editor
-    types: validation never looks them up. They were parsed all the same,
-    so an unsupported construct in one still raised SchemaError."""
-    reached: set[str] = set()
-    todo = list(sch.elements.values())
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        ct = sch.complex.get(name)
-        if ct is not None:
-            todo.extend(t for t, _required in ct.all_elems.values())
-            todo.extend(p.type for p in ct.sequence)
-            todo.extend(t for t, _required in ct.attrs.values())
-    sch.complex = {k: v for k, v in sch.complex.items() if k in reached}
-    sch.simple = {k: v for k, v in sch.simple.items() if k in reached}
-
-
 def _parse_complex(node) -> _ComplexType:
-    ct = _ComplexType(mode="empty", all_elems={}, sequence=[], attrs={}, any_attrs=False)
+    mode, all_elems, sequence, attrs, any_attrs = "empty", {}, [], {}, False
     for child in node:
         if child.tag == _XS + "all":
-            ct.mode = "all"
+            mode = "all"
             for el in child:
                 if el.tag != _XS + "element":
                     raise SchemaError("xs:all may contain only xs:element")
                 required = el.get("minOccurs", "1") != "0"
-                ct.all_elems[el.get("name")] = (el.get("type"), required)
+                all_elems[el.get("name")] = (el.get("type"), required)
         elif child.tag == _XS + "sequence":
-            ct.mode = "sequence"
+            mode = "sequence"
             for el in child:
                 if el.tag == _XS + "any":
-                    ct.mode = "open"
+                    mode = "open"
                     continue
                 if el.tag != _XS + "element":
                     raise SchemaError("unsupported sequence particle")
                 mx = el.get("maxOccurs", "1")
-                ct.sequence.append(
+                sequence.append(
                     _Particle(
                         name=el.get("name"),
                         type=el.get("type"),
@@ -414,15 +404,12 @@ def _parse_complex(node) -> _ComplexType:
                     )
                 )
         elif child.tag == _XS + "attribute":
-            ct.attrs[child.get("name")] = (child.get("type"), child.get("use") == "required")
+            attrs[child.get("name")] = (child.get("type"), child.get("use") == "required")
         elif child.tag == _XS + "anyAttribute":
-            ct.any_attrs = True
-        elif child.tag == _XS + "annotation":
-            continue
-        else:
+            any_attrs = True
+        elif child.tag != _XS + "annotation":
             raise SchemaError(f"unsupported complexType construct {child.tag}")
-    ct.required_elems = tuple(name for name, (_t, required) in ct.all_elems.items() if required)
-    return ct
+    return _ComplexType(mode, all_elems, tuple(sequence), attrs, any_attrs)
 
 
 def _parse_simple(node) -> tuple[Scalar, frozenset | None]:
@@ -550,13 +537,13 @@ class _Validator:
 
 
 def validate_with_schema(schema: SchemaDoc | str, unit_text: str, path: str = "<unit>") -> list[Diagnostic]:
-    """Validate a unit document against a generated schema.
+    """Validate a unit document against a generated schema, read from its IR,
+    or against a schema text.
 
     Returns diagnostics (code E015); empty means the document conforms.
-    The schema itself failing to parse raises SchemaError.
+    A schema text that fails to parse raises SchemaError.
     """
-    text = schema.text if isinstance(schema, SchemaDoc) else schema
-    sch = _parse_schema(text)
+    sch = schema.ir if isinstance(schema, SchemaDoc) else _parse_schema(schema)
     root, parse_diags = read_document(unit_text, path)
     if root is None:
         return [

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import diagnostics as dx
 from .diagnostics import Diagnostic
 from .errors import NotFoundError
-from .ids import BUILTIN_SCALARS, FLAG, ElementId, SourceSpan, is_valid_local
+from .ids import BUILTIN_SCALARS, FLAG, XML_SPACE, ElementId, SourceSpan, is_valid_local
 
 BEAN_ATTRS = ("id", "class", "parent", "abstract", "declarative")
 PROPERTIES_TAG = "properties"
@@ -329,7 +329,7 @@ def _skip_misc(text: str, p: int) -> int:
     processing instructions at p: what XML allows around the root element."""
     n = len(text)
     while p < n:
-        if text[p] in " \t\r\n":
+        if text[p] in XML_SPACE:
             p += 1
         elif text.startswith("<!--", p):
             e = text.find("-->", p + 4)
@@ -671,7 +671,7 @@ class _UnitParser:
             if raw_name is None or raw_type is None:
                 continue
             name = raw_name.strip()
-            type_written = raw_type.strip()
+            type_written = raw_type.strip(XML_SPACE)  # as the schema's xs:token reads it
             if not is_valid_local(name) or name == PROPERTIES_TAG:
                 self._err_span(name_node.span, f"invalid property name '{name}'", bean_id)
                 continue

@@ -1,6 +1,7 @@
 """Schema generation determinism and the in-package document validator."""
 
 import functools
+import hashlib
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtalk import vm as vmmod
-from mtalk.compiler import scalar_conforms
+from mtalk import schema as schema_mod
+from mtalk.compiler import compile_workspace, scalar_conforms
 from mtalk.diagnostics import SCHEMA_VIOLATION
 from mtalk.ids import BUILTIN_SCALARS
 from mtalk.schema import SchemaDoc, SchemaError, generate_schema, generate_schemas, validate_with_schema
 from mtalk.source import parse_unit
+from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
 from golden import GOLDEN_UNITS, compile_golden, compile_texts
 
@@ -224,7 +227,7 @@ def test_class_enumeration_reads_the_attribute_unstripped():
 
 
 def test_property_type_enumeration_collapses_whitespace():
-    # parse_unit strips <type> text, and typeNameType is an xs:token
+    # parse_unit trims XML whitespace from <type> text, and typeNameType is an xs:token
     schema = golden_schema()
     assert '<xs:simpleType name="typeNameType">\n    <xs:restriction base="xs:token">' in schema.text
     for written in (" Long ", "\n  Long\t", "CacheManager "):
@@ -240,6 +243,20 @@ def test_property_type_enumeration_collapses_whitespace():
         "<name>n</name><type>Lo  ng</type></property></properties></bean></model>",
         "value 'Lo ng' is not allowed for element 'type'",
     )
+
+
+def test_property_type_keeps_unicode_spaces():
+    # U+00A0 is no XML whitespace: the parser keeps it in the type name, which
+    # then resolves to nothing, and the schema's xs:token keeps it too
+    text = (
+        '<model><bean id="C" class="Class" declarative="true"><properties><property>'
+        "<name>n</name><type>\xa0Long</type></property></properties></bean></model>"
+    )
+    diags = compile_with_golden(text)
+    assert [(d.code, d.message) for d in diags] == [("E012", "unresolved property type '\xa0Long'")]
+    (violation,) = check_one(golden_schema(), text, "value '\xa0Long' is not allowed for element 'type'", "x.model.xml")
+    row, at = diags[0].span, violation.span
+    assert (row.line, row.column) <= (at.line, at.column) and (at.end_line, at.end_column) <= (row.end_line, row.end_column)
 
 
 def test_duplicate_child_in_all_group_rejected():
@@ -508,7 +525,9 @@ def test_generated_schema_accepts_exactly_what_the_compiler_accepts(builtin, tex
     ok = scalar_conforms(text, builtin)
     state, diags = compile_texts(m_model_xml=unit)
     assert [d.code for d in diags] == ([] if ok else ["E003"])
-    assert (validate_with_schema(_scalar_schema(), unit) == []) == ok
+    violations = validate_with_schema(_scalar_schema(), unit)
+    assert (violations == []) == ok
+    assert validate_with_schema(_scalar_schema().text, unit) == violations
     if ok:
         values = vmmod.dump_instance(vmmod.get_instance(vmmod.load(state), "I"))["values"]
         assert type(values[builtin]) is _VALUE_TYPES[builtin]
@@ -524,6 +543,20 @@ def test_flag_rule_schema_matches_parser(flag, value, ok):
     violations = validate_with_schema(golden_schema(), unit, "u.model.xml")
     assert [d.message for d in violations] == ([] if ok else [f"value '{value}' is not allowed for attribute '{flag}'"])
     assert [d.span for d in violations] == [d.span for d in diags]
+
+
+@pytest.mark.parametrize("builtin,literal", [("Long", "\xa07"), ("Double", "2.5\xa0"), ("Boolean", "\xa0true")])
+def test_scalar_padded_with_a_unicode_space_is_no_literal(builtin, literal):
+    # a literal is trimmed of XML whitespace only, as W3C collapses it
+    unit = f'{_SCALAR_CLASS}<bean id="I" class="C"><{builtin}>{literal}</{builtin}></bean></model>'
+    _state, diags = compile_texts(m_model_xml=unit)
+    assert [(d.code, d.message) for d in diags] == [
+        ("E003", f"value '{literal}' does not conform to {builtin} for property '{builtin}'")
+    ]
+    for schema in (_scalar_schema(), _scalar_schema().text):
+        violations = validate_with_schema(schema, unit, "m.model.xml")
+        assert [d.code for d in violations] == ["E015"]
+        assert [d.span for d in violations] == [d.span for d in diags]
 
 
 _MUTANT_LEXEMES = (
@@ -552,10 +585,9 @@ def test_seeded_value_and_flag_mutations_report_at_the_same_elements():
                     for d in diags
                     if d.span.path == path and (d.code == "E003" or "must be 'true' or 'false'" in d.message)
                 }
-                schema_at = {
-                    (d.span.line, d.span.column, d.span.end_line, d.span.end_column)
-                    for d in validate_with_schema(schema, mutant, path)
-                }
+                violations = validate_with_schema(schema, mutant, path)
+                assert validate_with_schema(schema.text, mutant, path) == violations, (path, lexeme)
+                schema_at = {(d.span.line, d.span.column, d.span.end_line, d.span.end_column) for d in violations}
                 assert schema_at == compiler_at, (path, lexeme)
                 agreed[bool(compiler_at)] += 1
     assert agreed[True] and agreed[False], agreed
@@ -617,3 +649,94 @@ def test_outside_facet_not_interpreted_exactly_raises(facet):
     schema = _OUTSIDE_SCHEMA.replace('<xs:pattern value="true|false"/>', facet)
     with pytest.raises(SchemaError, match="unsupported facet"):
         validate_with_schema(schema, "<row/>")
+
+
+# ---------------------------------------------------------------------------
+# One IR: the generated text is its rendering, and validation reads the IR
+
+
+# a second namespace over a synthetic workspace: a class with properties of a
+# root class and of three builtins, and an instance of it
+_EXT_UNIT = """<model xmlns="ext">
+  <bean id="Gauge" class="Class" declarative="true">
+    <properties>
+      <property><name>ratio</name><type>Double</type></property>
+      <property><name>on</name><type>Boolean</type></property>
+      <property><name>peer</name><type>C0002</type></property>
+      <property><name>label</name><type>String</type></property>
+    </properties>
+  </bean>
+  <bean id="g" class="Gauge"><ratio>0.5</ratio><on>true</on><label>x</label></bean>
+</model>
+"""
+
+
+def _synthetic_state(root, spec, *extra_units):
+    generate_synthetic(spec, str(root))
+    for name, text in extra_units:
+        (root / name).write_text(text, encoding="utf-8")
+    state, diags = compile_workspace(root)
+    assert diags == []
+    return state
+
+
+def _two_namespace_state(root):
+    return _synthetic_state(root, BenchmarkSpec(40, 3, 2.5, 2, 13), ("ext.model.xml", _EXT_UNIT))
+
+
+_SYNTHETIC_SPECS = (BenchmarkSpec(25, 2, 2.0, 1, 5), BenchmarkSpec(60, 4, 3.0, 3, 7), BenchmarkSpec(40, 3, 2.5, 2, 13))
+
+
+def _ir_workspaces(tmp_path):
+    """(label, compiled state) of every workspace the IR tests cover."""
+    yield "golden", compile_golden()[0]
+    yield "broken", compile_texts(m_model_xml=_BROKEN_CLASSES)[0]
+    yield "two-namespace", _two_namespace_state(tmp_path / "two")
+    for i, spec in enumerate(_SYNTHETIC_SPECS):
+        yield f"synthetic-{i}", _synthetic_state(tmp_path / f"s{i}", spec)
+
+
+# sha256 of each generated text, recorded from the line-by-line writer the IR
+# renderer replaced: the text stays byte-identical
+_PINNED = {
+    ("golden", ""): "6676e6a0aa52e5fe3a42eb719a8aa7468b098ccb3d16f760086986c8fc248c8c",
+    ("broken", ""): "afcf1c5e3d3df20c5e35d6beead13675838a876ad2bdc7ca357f0e79b47ab818",
+    ("two-namespace", ""): "f62cef4a49f105a43f7cdcb44a3bb37cb575887146ba8a63f971018247d4c9ea",
+    ("two-namespace", "ext"): "e5401d37c755234b8061f29438af80943b32f080850e2568ff94ce30a9ba3694",
+    ("synthetic-0", ""): "1634b239b7158ae8eb75a454b942dfd710330f202fd87feea079982aa3dde701",
+    ("synthetic-1", ""): "748ed857455636891b064e701828f73fdee4b8f68b15455e790ffa8099efffc2",
+    ("synthetic-2", ""): "f775cd3169a2ce32219c6652cc7f107a6d3d5f23136756c3a01963eca0f55220",
+}
+
+
+def test_generated_text_is_pinned(tmp_path):
+    found = {
+        (label, ns): hashlib.sha256(doc.text.encode("utf-8")).hexdigest()
+        for label, state in _ir_workspaces(tmp_path)
+        for ns, doc in generate_schemas(state).items()
+    }
+    assert found == _PINNED
+
+
+def test_generated_text_parses_back_to_its_ir(tmp_path):
+    """The text parser reads every generated text as the IR the validator
+    reads, so the text an editor validates against says what mtalk checks."""
+    docs = [(label, doc) for label, state in _ir_workspaces(tmp_path) for doc in generate_schemas(state).values()]
+    assert len(docs) == 7
+    for label, doc in docs:
+        assert schema_mod._parse_schema(doc.text) == doc.ir, (label, doc.namespace)
+        assert not any(name.startswith("t.") for name in doc.ir.complex), "a per-class type was kept"
+
+
+def test_validating_against_a_schema_doc_reads_its_ir(monkeypatch):
+    doc = golden_schema()
+
+    def parse(text):
+        raise AssertionError("a SchemaDoc's text was parsed")
+
+    monkeypatch.setattr(schema_mod, "_parse_schema", parse)
+    for path, text in GOLDEN_UNITS.items():
+        assert validate_with_schema(doc, text, path) == [], path
+    check_one(doc, '<model><bean id="X" class="Bogus"/></model>', "value 'Bogus' is not allowed for attribute 'class'")
+    with pytest.raises(AssertionError, match="parsed"):
+        validate_with_schema(doc.text, "<model/>")
