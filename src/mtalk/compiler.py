@@ -1,14 +1,17 @@
 """Cross-model validating compiler with dependency-driven incremental builds.
 
 A full compile resolves every element, validates each against the model, and
-derives the dependency graph. An incremental compile re-validates only the
-elements whose declarations changed plus everything reachable from them over
-the reverse dependency graph (previous and new graphs combined); untouched
-elements keep their previous diagnostics. An edit that keeps every element id
-and kind patches the previous graph at the changed elements, and keeps the
-previous injection-cycle report unless it changes an injection edge or
-touches a reported cycle. The result is observably identical to a full
-compile.
+derives the dependency graph. An incremental compile (a fold) re-resolves
+only the ids declared in the units it changes (see kernel.resolve). It
+re-validates the elements whose declarations changed plus everything
+reachable from them over the reverse dependency graph (previous and new
+graphs combined); untouched elements keep their previous diagnostics. It
+patches the previous graph at the re-resolved ids, reruns the injection-cycle
+check only on the forward closure of the changed injection edges, and
+rechecks the manifest only for the re-resolved classes unless the manifest
+changed. When resolution widens to every id, the fold rebuilds the graph and
+reruns every check, as a full compile does. The result is observably
+identical to a full compile.
 """
 
 from __future__ import annotations
@@ -352,8 +355,14 @@ def _injection_cycle_diags(model: ResolvedModel, graph: DependencyGraph) -> list
     edge would never terminate. Pure parent/subclass cycles are already
     reported per element.
     """
+    return _cycle_diags(model, graph.edges)
+
+
+def _cycle_diags(model: ResolvedModel, edges) -> list[Diagnostic]:
+    """E004 for the injection cycles among edges, whose injection edges
+    between elements must hold every out-edge of their sources."""
     adj: dict[ElementId, list[tuple[ElementId, str]]] = {}
-    for e in graph.edges:
+    for e in edges:
         if e.kind in _INJECTION_KINDS and e.src in model.elements and e.dst in model.elements:
             adj.setdefault(e.src, []).append((e.dst, e.kind))
 
@@ -435,17 +444,17 @@ def _injection_cycle_diags(model: ResolvedModel, graph: DependencyGraph) -> list
 # Conformance against the native manifest
 
 
-def check_conformance(model: ResolvedModel, manifest: NativeManifest) -> list[Diagnostic]:
+def check_conformance(model: ResolvedModel, manifest: NativeManifest, ids=None) -> list[Diagnostic]:
     """E007/W001: non-declarative classes vs their manifest entries.
 
     Checks names and own fields only. Whether the native hierarchy mirrors
     the model hierarchy is not validated. Metaclasses and the kernel are
-    model-side only and exempt.
+    model-side only and exempt. With ids, only the classes among them and
+    the manifest entries that name one are checked.
     """
     diags: list[Diagnostic] = []
-    mspan = SourceSpan(manifest.path, 1, 1, 1, 1)
-    by_name = {eid.render(): eid for eid in model.classes}
-    for eid in sorted(model.classes, key=ElementId.render):
+    classes = model.classes if ids is None else [eid for eid in ids if eid in model.classes]
+    for eid in sorted(classes, key=ElementId.render):
         cd = model.classes[eid]
         if cd.is_declarative or cd.kind is ElementKind.METACLASS or eid in model.kernel_ids:
             continue
@@ -479,22 +488,21 @@ def check_conformance(model: ResolvedModel, manifest: NativeManifest) -> list[Di
                         eid,
                     )
                 )
-    for sig in manifest.classes:
-        eid = by_name.get(sig.name)
-        if eid is None:
-            diags.append(
-                dx.warning(dx.MANIFEST_ORPHAN, f"manifest entry '{sig.name}' has no model class", mspan)
-            )
-        else:
-            if model.classes[eid].is_declarative:
-                diags.append(
-                    dx.warning(
-                        dx.MANIFEST_ORPHAN,
-                        f"manifest entry '{sig.name}' names a declarative class",
-                        mspan,
-                    )
-                )
+    if ids is None:
+        sigs = manifest.classes
+    else:
+        sigs = [sig for sig in map(manifest.get, {eid.render() for eid in ids}) if sig is not None]
+    for sig in sigs:
+        named = ElementId.parse(sig.name)
+        cd = model.classes.get(named) if named.render() == sig.name else None
+        if cd is None or cd.is_declarative:
+            diags.append(_orphan_warning(manifest, sig.name, cd is not None))
     return diags
+
+
+def _orphan_warning(manifest: NativeManifest, name: str, declarative: bool) -> Diagnostic:
+    problem = "names a declarative class" if declarative else "has no model class"
+    return dx.warning(dx.MANIFEST_ORPHAN, f"manifest entry '{name}' {problem}", SourceSpan(manifest.path, 1, 1, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +535,13 @@ class CompileState:
     state it was folded from (a token, not a reference, so no state keeps
     its parent alive) and the fold's dirty set: every id whose meaning may
     differ between the two. A full compile's folded_from is None.
+    validate_by_element holds the elements that have diagnostics.
     """
 
     units: dict[str, SourceUnit]
     parse_by_path: dict[str, tuple[Diagnostic, ...]]
     resolved: ResolvedModel
     graph: DependencyGraph
-    resolve_diags: tuple[Diagnostic, ...]
     validate_by_element: dict[ElementId, tuple[Diagnostic, ...]]
     graph_diags: tuple[Diagnostic, ...]
     conformance_diags: tuple[Diagnostic, ...]
@@ -546,7 +554,8 @@ class CompileState:
         merged: list[Diagnostic] = []
         for ds in self.parse_by_path.values():
             merged.extend(ds)
-        merged.extend(self.resolve_diags)
+        for ds in self.resolved.diags.values():
+            merged.extend(ds)
         for ds in self.validate_by_element.values():
             merged.extend(ds)
         merged.extend(self.graph_diags)
@@ -582,11 +591,13 @@ def compile_model(
     """Full compile of already-parsed units. parse_diags are carried into the
     report and tracked per unit for incremental updates."""
     units = list(units)
-    resolved, resolve_diags = resolve(units)
+    resolved, _ = resolve(units)
     graph = build_dependency_graph(resolved)
-    validate_by_element = {
-        eid: tuple(validate_element(resolved, eid)) for eid in resolved.elements
-    }
+    validate_by_element = {}
+    for eid in resolved.elements:
+        diags = validate_element(resolved, eid)
+        if diags:
+            validate_by_element[eid] = tuple(diags)
     graph_diags = tuple(_injection_cycle_diags(resolved, graph))
     conf = tuple(check_conformance(resolved, manifest)) if manifest is not None else ()
     state = CompileState(
@@ -594,7 +605,6 @@ def compile_model(
         parse_by_path=_group_parse_diags(units, parse_diags),
         resolved=resolved,
         graph=graph,
-        resolve_diags=tuple(resolve_diags),
         validate_by_element=validate_by_element,
         graph_diags=graph_diags,
         conformance_diags=conf,
@@ -628,10 +638,11 @@ def workspace_changes(
 
 
 def changed_element_ids(prev: ResolvedModel, new: ResolvedModel) -> set[ElementId]:
-    """Dirty seeds: every id whose winning declaration differs between models."""
+    """Dirty seeds: every id new's resolve touched (every id of both models
+    when it touched all) whose winning declaration differs between them."""
     seeds: set[ElementId] = set()
-    keys = set(prev.elements) | set(new.elements)
-    for eid in keys:
+    ids = new.touched if new.touched is not None else prev.elements.keys() | new.elements.keys()
+    for eid in ids:
         a = prev.elements.get(eid)
         b = new.elements.get(eid)
         if a is None or b is None:
@@ -644,18 +655,43 @@ def changed_element_ids(prev: ResolvedModel, new: ResolvedModel) -> set[ElementI
     return seeds
 
 
-def _same_shape(prev: ResolvedModel, new: ResolvedModel) -> bool:
-    """Same element ids, each of the same kind. Then every reference
-    resolves alike in both models, so an element's out-edges differ only
-    where its declaration does."""
-    if prev.elements.keys() != new.elements.keys():
-        return False
-    new_elements = new.elements
-    return all(entry.kind is new_elements[eid].kind for eid, entry in prev.elements.items())
-
-
 def _injection_edges(edges) -> set[Edge]:
     return {e for e in edges if e.kind in _INJECTION_KINDS}
+
+
+def _refolded_cycle_diags(prev_diags, model: ResolvedModel, old_edges, new_edges, seeds) -> tuple[Diagnostic, ...]:
+    """The injection-cycle report after a fold that re-derived the out-edges
+    old_edges as new_edges, from the previous report prev_diags.
+
+    Tarjan reruns on the forward injection closure of every element whose
+    injection edges changed, plus the members of each reported cycle that
+    holds such an element or a seed. That region is forward-closed, so it
+    holds whole strong components. Every reported cycle outside it has the
+    same edges and spans as before and is kept.
+    """
+    region = {e.src for e in _injection_edges(old_edges) ^ _injection_edges(new_edges)}
+    cycles: dict[str, list[Diagnostic]] = {}  # one message per reported cycle
+    for d in prev_diags:
+        cycles.setdefault(d.message, []).append(d)
+    hit = region | seeds
+    for ds in cycles.values():
+        if any(d.element in hit for d in ds):
+            region.update(d.element for d in ds)
+    if not region:
+        return prev_diags
+    # removed ids stay in the region, so the cycles they were on are dropped
+    elements = model.elements
+    edges: list[Edge] = []
+    todo = [v for v in region if v in elements]
+    while todo:
+        for e in element_edges(model, (todo.pop(),)):
+            if e.kind in _INJECTION_KINDS and e.dst in elements:
+                edges.append(e)
+                if e.dst not in region:
+                    region.add(e.dst)
+                    todo.append(e.dst)
+    kept = [d for ds in cycles.values() if region.isdisjoint(d.element for d in ds) for d in ds]
+    return tuple(kept + _cycle_diags(model, edges))
 
 
 def incremental_compile(
@@ -681,47 +717,53 @@ def incremental_compile(
         parse_by_path.setdefault(d.span.path, ())
         parse_by_path[d.span.path] = parse_by_path[d.span.path] + (d,)
 
-    resolved, resolve_diags = resolve(units.values(), prev=prev.resolved)
-    seeds = changed_element_ids(prev.resolved, resolved)
-    keep_cycles = False
-    if _same_shape(prev.resolved, resolved):
-        # only the seeds' out-edges can differ: patch the previous graph
-        old_edges = element_edges(prev.resolved, seeds)
-        new_edges = element_edges(resolved, seeds)
-        graph = prev.graph.patched(old_edges, new_edges)
-        # the injection subgraph is unchanged, and so are the spans of the
-        # members of every reported cycle
-        keep_cycles = _injection_edges(old_edges) == _injection_edges(new_edges) and not any(
-            d.element in seeds for d in prev.graph_diags
-        )
-    else:
-        graph = build_dependency_graph(resolved)
-
+    old = prev.resolved
+    resolved, _ = resolve(units.values(), prev=old)
+    seeds = changed_element_ids(old, resolved)
+    touched = resolved.touched
     dirty = set(seeds)
+    # the previous graph's reverse index is built first, so a patch keeps it
     dirty |= prev.graph.closure(seeds, reverse=True)
+    if touched is None:
+        graph = build_dependency_graph(resolved)
+        graph_diags = tuple(_injection_cycle_diags(resolved, graph))
+    else:
+        # only the touched ids' out-edges can differ, and only the seeds'
+        # while the id set stays the same
+        gone = {e for e in touched if e not in resolved.elements}
+        new = {e for e in touched if e not in old.elements}
+        rederived = touched if gone or new else seeds
+        old_edges = element_edges(old, [e for e in rederived if e not in new])
+        new_edges = element_edges(resolved, [e for e in rederived if e not in gone])
+        graph = prev.graph.patched(old_edges, new_edges, gone, new)
+        graph_diags = _refolded_cycle_diags(prev.graph_diags, resolved, old_edges, new_edges, seeds)
     if graph is not prev.graph:
         dirty |= graph.closure(seeds, reverse=True)
 
-    validate_by_element: dict[ElementId, tuple[Diagnostic, ...]] = {}
-    recompiled: set[ElementId] = set()
-    for eid in resolved.elements:
-        if eid in dirty:
-            validate_by_element[eid] = tuple(validate_element(resolved, eid))
-            recompiled.add(eid)
+    validate_by_element = dict(prev.validate_by_element)
+    recompiled = dirty & resolved.elements.keys()
+    for eid in dirty:
+        diags = validate_element(resolved, eid) if eid in recompiled else None
+        if diags:
+            validate_by_element[eid] = tuple(diags)
         else:
-            validate_by_element[eid] = prev.validate_by_element[eid]
+            validate_by_element.pop(eid, None)
 
-    if keep_cycles:
-        graph_diags = prev.graph_diags
+    if manifest is None:
+        conf = ()
+    elif touched is None or manifest != prev.manifest:
+        conf = tuple(check_conformance(resolved, manifest))
     else:
-        graph_diags = tuple(_injection_cycle_diags(resolved, graph))
-    conf = tuple(check_conformance(resolved, manifest)) if manifest is not None else ()
+        # only the touched classes and the manifest entries naming them
+        names = {eid.render() for eid in touched if manifest.get(eid.render()) is not None}
+        stale = {_orphan_warning(manifest, name, flag) for name in names for flag in (False, True)}
+        conf = tuple(d for d in prev.conformance_diags if d.element not in touched and d not in stale)
+        conf += tuple(check_conformance(resolved, manifest, touched))
     state = CompileState(
         units=units,
         parse_by_path=parse_by_path,
         resolved=resolved,
         graph=graph,
-        resolve_diags=tuple(resolve_diags),
         validate_by_element=validate_by_element,
         graph_diags=graph_diags,
         conformance_diags=conf,
@@ -735,7 +777,7 @@ def incremental_compile(
 # ---------------------------------------------------------------------------
 # State persistence
 
-_STATE_MAGIC = b"MTALKST4\n"
+_STATE_MAGIC = b"MTALKST5\n"
 STATE_FILENAME = "state.bin"
 
 

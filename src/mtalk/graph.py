@@ -8,9 +8,10 @@ element at a time. Closures are a plain walk over a lazily built index.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
-from .ids import UNRESOLVED, ElementId
+from .ids import BUILTIN_SCALARS, UNRESOLVED, ElementId
 from .kernel import ElementKind, ResolvedModel
 from .source import InlineBean, RefValue
 
@@ -109,16 +110,45 @@ class DependencyGraph:
     def dependents_of(self, element_id: ElementId) -> set[ElementId]:
         return self.closure([element_id], reverse=True)
 
-    def patched(self, removed: set[Edge], added: set[Edge]) -> DependencyGraph:
-        """This graph without the `removed` edges and with the `added` ones;
-        the graph itself when they cancel out. Manifest nodes come and go
-        with their native-binding edges."""
+    def patched(self, removed: set[Edge], added: set[Edge], gone=(), new=()) -> DependencyGraph:
+        """This graph without the `removed` edges and the `gone` nodes, and
+        with the `added` edges and the `new` nodes; the graph itself when
+        nothing changes. Manifest nodes come and go with their native-binding
+        edges. The neighbour indexes built so far are patched, not dropped."""
         removed, added = removed - added, added - removed
-        if not removed and not added:
+        if not removed and not added and not gone and not new:
             return self
-        nodes = self.nodes.difference(e.dst for e in removed if e.kind == NATIVE_BINDING)
-        nodes = nodes.union(e.dst for e in added if e.kind == NATIVE_BINDING)
-        return DependencyGraph(nodes, self.edges.difference(removed).union(added))
+        gone = {*gone, *(e.dst for e in removed if e.kind == NATIVE_BINDING)}
+        new = {*new, *(e.dst for e in added if e.kind == NATIVE_BINDING)}
+        graph = DependencyGraph(self.nodes.difference(gone).union(new), self.edges.difference(removed).union(added))
+        for reverse, index in self._neighbours.items():
+            graph._neighbours[reverse] = _patched_index(index, removed, added, reverse)
+        return graph
+
+
+def _patched_index(index, removed, added, reverse: bool) -> dict[ElementId, tuple[ElementId, ...]]:
+    """A neighbour index with the removed edges taken out and the added put in."""
+    delta: dict[ElementId, tuple[list[ElementId], list[ElementId]]] = {}
+    for edges, side in ((removed, 0), (added, 1)):
+        for src, dst, _kind in edges:
+            if reverse:
+                src, dst = dst, src
+            delta.setdefault(src, ([], []))[side].append(dst)
+    index = dict(index)
+    for key, (out, into) in delta.items():
+        drop = Counter(out)
+        kept = []
+        for v in index.get(key, ()):
+            if drop[v]:
+                drop[v] -= 1
+            else:
+                kept.append(v)
+        kept += into
+        if kept:
+            index[key] = tuple(kept)
+        else:
+            index.pop(key, None)
+    return index
 
 
 def _target(model: ResolvedModel, ref: ElementId) -> ElementId:
@@ -141,7 +171,7 @@ def element_edges(model: ResolvedModel, element_ids) -> set[Edge]:
       instance-of    bean -> its class (inline beans' classes included)
       subclass-of    class -> its superclass (implicit Object included)
       parent-bean    instance -> its parent template
-      property-type  class -> each class-typed own property's type
+      property-type  class -> each element its own properties' types name
       value-ref      bean -> each bean referenced by an assignment value
       native-binding non-declarative class -> its manifest entry node
 
@@ -163,10 +193,11 @@ def element_edges(model: ResolvedModel, element_ids) -> set[Edge]:
                 edges.add(Edge(eid, _target(model, decl.parent_ref), SUBCLASS_OF))
             elif cd.parent is not None:
                 edges.add(Edge(eid, cd.parent, SUBCLASS_OF))
-            for p in cd.own_properties:
-                if p.type.is_class:
-                    edges.add(Edge(eid, p.type.class_id, PROPERTY_TYPE))
-                elif p.type.is_unresolved:
+            for d in decl.property_defs:
+                named = model.lookup(d.type_ref)
+                if named is not None:
+                    edges.add(Edge(eid, named, PROPERTY_TYPE))
+                elif d.type_ref.local not in BUILTIN_SCALARS:
                     edges.add(Edge(eid, UNRESOLVED, PROPERTY_TYPE))
             if not cd.is_declarative:
                 edges.add(Edge(eid, manifest_node(eid), NATIVE_BINDING))

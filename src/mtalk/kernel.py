@@ -6,6 +6,13 @@ root metaclass, an instance of itself. A bean is a metaclass when it is
 ``Class`` or reaches ``Class`` through explicit parent edges; a bean whose
 class resolves to a metaclass is a model class; everything else is an
 ordinary instance.
+
+Resolution folds: given the model of an earlier resolve, resolve derives
+only the ids declared in the units that changed, appeared or went away, and
+keeps every other element as it was. An edit that could change how an id
+outside those units resolves (an added or removed id that a reference
+elsewhere names, a surviving id that changes kind, an id declared twice)
+makes it derive every id, as a resolve from scratch does.
 """
 
 from __future__ import annotations
@@ -18,7 +25,15 @@ from . import diagnostics as dx
 from .diagnostics import Diagnostic
 from .errors import NotFoundError, WrongKindError
 from .ids import BUILTIN_SCALARS, ElementId, SourceSpan
-from .source import BeanDecl, SourceUnit, ValueExpr, duplicate_id_diags, parse_unit
+from .source import (
+    BeanDecl,
+    InlineBean,
+    RefValue,
+    SourceUnit,
+    ValueExpr,
+    duplicate_id_diags,
+    parse_unit,
+)
 
 KERNEL_PATH = "<kernel>"
 OBJECT_ID = ElementId("", "Object")
@@ -110,21 +125,35 @@ class ResolvedElement:
 
 
 class ResolvedModel:
-    """Name-resolved view of a workspace: element table, classes, memoized queries."""
+    """Name-resolved view of a workspace: element table, classes, memoized queries.
+
+    diags holds resolution's diagnostics by element. touched names the ids
+    that the resolve which made this model derived, None when it derived
+    every id (see resolve). touched, the memos and the reference index are
+    caches, which a pickled model does not hold.
+    """
+
+    kernel_ids = frozenset((OBJECT_ID, CLASS_ID))
 
     def __init__(
         self,
         units: dict[str, SourceUnit],
         elements: dict[ElementId, ResolvedElement],
         classes: dict[ElementId, ClassDef],
+        diags: dict[ElementId, tuple[Diagnostic, ...]] | None = None,
     ):
         self.units = units
         self.elements = elements
         self.classes = classes
-        self.kernel_ids = frozenset((OBJECT_ID, CLASS_ID))
+        self.diags = {} if diags is None else diags
+        self.touched: set[ElementId] | None = None
+        self._ref_paths: dict[str, tuple[str, ...]] | None = None
         self._lineage: dict[ElementId, tuple[ElementId, ...]] = {}
         self._ancestors: dict[ElementId, frozenset[ElementId]] = {}
         self._effective: dict[ElementId, tuple[PropertyDefinition, ...]] = {}
+
+    def __reduce__(self):
+        return ResolvedModel, (self.units, self.elements, self.classes, self.diags)
 
     # -- reference resolution
 
@@ -226,41 +255,102 @@ class ResolvedModel:
 # Resolution
 
 
-def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, list[Diagnostic]]:
-    """Build the element table, classify every element, derive ClassDefs.
-
-    Maximal: every resolvable element is resolved even when others fail.
-    With prev, the model of an earlier resolve, an element whose declaration
-    is the same object and whose kind is unchanged keeps its ResolvedElement,
-    and a class whose references also resolve alike keeps its ClassDef, so a
-    fold allocates only for what it changed.
-    """
-    by_path: dict[str, SourceUnit] = {kernel_unit().path: kernel_unit()}
-    for u in units:
-        by_path[u.path] = u
-    ordered = dict(sorted(by_path.items()))
-    unit_list = list(ordered.values())
-
-    diags = duplicate_id_diags(unit_list)
+def _first_declarations(units) -> tuple[dict[ElementId, BeanDecl], bool]:
+    """Each id's first declaration in unit order, and whether a later unit
+    declares an id again."""
     decls: dict[ElementId, BeanDecl] = {}
-    for unit in unit_list:
+    shared = False
+    for unit in units:
         for decl in unit.beans:
-            if decl.id not in decls:
+            if decl.id in decls:
+                shared = True
+            else:
                 decls[decl.id] = decl
+    return decls, shared
 
-    def lookup(ref: ElementId) -> ElementId | None:
-        if ref in decls:
+
+def _unit_refs(unit: SourceUnit) -> set[ElementId]:
+    """Every reference a unit writes: class, parent, property type, value
+    reference and inline bean class."""
+    refs: set[ElementId] = set()
+
+    def value(expr: ValueExpr) -> None:
+        if isinstance(expr, RefValue):
+            refs.add(expr.target)
+        elif isinstance(expr, InlineBean):
+            refs.add(expr.class_ref)
+            for _, inner in expr.assignments:
+                value(inner)
+
+    for decl in unit.beans:
+        refs.add(decl.class_ref)
+        if decl.parent_ref is not None:
+            refs.add(decl.parent_ref)
+        refs.update(d.type_ref for d in decl.property_defs)
+        for _, expr in decl.assignments:
+            value(expr)
+    return refs
+
+
+def _ref_paths(model: ResolvedModel) -> dict[str, tuple[str, ...]]:
+    """Unit paths by the local names their references spell, built once."""
+    if model._ref_paths is None:
+        index: dict[str, list[str]] = {}
+        for path, unit in model.units.items():
+            for local in {ref.local for ref in _unit_refs(unit)}:
+                index.setdefault(local, []).append(path)
+        model._ref_paths = {local: tuple(paths) for local, paths in index.items()}
+    return model._ref_paths
+
+
+def _patched_ref_paths(index, prev_units, units, changed) -> dict[str, tuple[str, ...]]:
+    """The reference index of prev_units carried over to units, which differ
+    at the changed paths."""
+    before = {p: {r.local for r in _unit_refs(prev_units[p])} for p in changed if p in prev_units}
+    after = {p: {r.local for r in _unit_refs(units[p])} for p in changed if p in units}
+    if before == after:
+        return index
+    index = dict(index)
+    for local in set().union(*before.values(), *after.values()):
+        paths = tuple(p for p in index.get(local, ()) if p not in changed)
+        paths += tuple(p for p, spelled in after.items() if local in spelled)
+        if paths:
+            index[local] = paths
+        else:
+            index.pop(local, None)
+    return index
+
+
+class _Table:
+    """The declarations one resolve reads: decls for the ids it derives, and
+    prev_elements' for every other id unless touched is None (every id)."""
+
+    def __init__(self, decls, touched, prev_elements):
+        self.decls = decls
+        self.touched = touched
+        self.prev_elements = prev_elements
+        self.meta: dict[ElementId, bool] = {}
+
+    def decl(self, eid: ElementId) -> BeanDecl | None:
+        found = self.decls.get(eid)
+        if found is None and self.touched is not None and eid not in self.touched:
+            entry = self.prev_elements.get(eid)
+            if entry is not None:
+                return entry.decl
+        return found
+
+    def lookup(self, ref: ElementId) -> ElementId | None:
+        if self.decl(ref) is not None:
             return ref
         if ref.namespace:
             fb = ElementId("", ref.local)
-            if fb in decls:
+            if self.decl(fb) is not None:
                 return fb
         return None
 
-    # metaclass = Class itself, or reaches Class via explicit parent edges
-    meta: dict[ElementId, bool] = {}
-
-    def is_meta(eid: ElementId) -> bool:
+    def is_meta(self, eid: ElementId) -> bool:
+        """Class itself, or reaches Class via explicit parent edges."""
+        meta = self.meta
         known = meta.get(eid)
         if known is not None:
             return known
@@ -276,8 +366,8 @@ def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, li
                 break
             seen.add(cur)
             chain.append(cur)
-            pref = decls[cur].parent_ref
-            cur = lookup(pref) if pref is not None else None
+            pref = self.decl(cur).parent_ref
+            cur = self.lookup(pref) if pref is not None else None
         else:
             if cur is not None:
                 result = meta[cur]
@@ -286,22 +376,104 @@ def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, li
         meta[eid] = result
         return result
 
-    kinds: dict[ElementId, ElementKind] = {}
-    for eid in decls:
-        if is_meta(eid):
-            kinds[eid] = ElementKind.METACLASS
-    for eid, decl in decls.items():
-        if eid in kinds:
-            continue
-        target = lookup(decl.class_ref)
-        if target is not None and kinds.get(target) is ElementKind.METACLASS:
-            kinds[eid] = ElementKind.MODEL_CLASS
-        else:
-            kinds[eid] = ElementKind.INSTANCE
+    def kind(self, eid: ElementId) -> ElementKind:
+        if self.is_meta(eid):
+            return ElementKind.METACLASS
+        target = self.lookup(self.decls[eid].class_ref)
+        if target is not None and self.is_meta(target):
+            return ElementKind.MODEL_CLASS
+        return ElementKind.INSTANCE
 
+
+def _fold_scope(prev: ResolvedModel, units, changed) -> tuple[set | None, dict | None]:
+    """The ids a fold from prev derives, with their declarations: those
+    declared in a changed unit, before or after. (None, None) when an id
+    outside them could resolve differently, so the fold derives every id."""
+    touched: set[ElementId] = set()
+    for p in changed:
+        for unit in (prev.units.get(p), units.get(p)):
+            if unit is not None:
+                touched.update(decl.id for decl in unit.beans)
+    decls, shared = _first_declarations(units[p] for p in sorted(changed) if p in units)
+    if shared:
+        return None, None
+    for eid in touched:
+        entry = prev.elements.get(eid)
+        # declared by an unchanged unit too, now or before
+        if entry is not None and entry.unit_path not in changed:
+            return None, None
+        if any(d.code == dx.DUPLICATE_ID for d in prev.diags.get(eid, ())):
+            return None, None
+    moved = [eid for eid in touched if (eid in prev.elements) != (eid in decls)]
+    if moved:
+        # an added or removed id may capture, or drop, a reference written
+        # outside the changed units: exactly, or by namespace fallback
+        table = _Table(decls, touched, prev.elements)
+        index = _ref_paths(prev)
+        for eid in moved:
+            for path in index.get(eid.local, ()):
+                if path in changed:
+                    continue
+                for ref in _unit_refs(prev.units[path]):
+                    if ref.local == eid.local and prev.lookup(ref) != table.lookup(ref):
+                        return None, None
+    return touched, decls
+
+
+def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, list[Diagnostic]]:
+    """Build the element table, classify elements, derive ClassDefs.
+
+    Maximal: every resolvable element is resolved even when others fail.
+
+    Without prev, every id is derived. With prev, the model of an earlier
+    resolve, only the touched ids are: those declared in a unit that
+    changed, appeared or went away. Every other id keeps prev's entry, kind,
+    ClassDef and diagnostics. That holds while each reference outside the
+    touched ids resolves as before, to an element of the same kind. The
+    fold widens to every id when an edit could break that:
+      - an added or removed id that a reference outside resolves to, before
+        or after (namespace fallback included)
+      - a touched id that exists before and after and changes kind
+      - a touched id declared in two units
+    A derived entry or ClassDef equal to prev's is prev's object, so a fold
+    allocates only for what it changed. model.touched is the touched set,
+    None when every id was derived.
+    """
+    by_path: dict[str, SourceUnit] = {kernel_unit().path: kernel_unit()}
+    for u in units:
+        by_path[u.path] = u
+    ordered = dict(sorted(by_path.items()))
+
+    touched = decls = None
+    ref_paths = None
     prev_elements = prev.elements if prev is not None else {}
-    prev_classes = prev.classes if prev is not None else {}
-    elements: dict[ElementId, ResolvedElement] = {}
+    if prev is not None:
+        changed = {p for p in ordered.keys() | prev.units.keys() if ordered.get(p) is not prev.units.get(p)}
+        touched, decls = _fold_scope(prev, ordered, changed)
+        if prev._ref_paths is not None:
+            ref_paths = _patched_ref_paths(prev._ref_paths, prev.units, ordered, changed)
+    while True:
+        if touched is None:
+            decls = _first_declarations(ordered.values())[0]
+        table = _Table(decls, touched, prev_elements)
+        kinds = {eid: table.kind(eid) for eid in decls}
+        if touched is None or all(
+            prev_elements[eid].kind is kind for eid, kind in kinds.items() if eid in prev_elements
+        ):
+            break
+        touched = None  # a surviving id changed kind
+
+    if touched is None:
+        elements: dict[ElementId, ResolvedElement] = {}
+        classes: dict[ElementId, ClassDef] = {}
+        diags: dict[ElementId, tuple[Diagnostic, ...]] = {}
+    else:
+        elements, classes, diags = dict(prev.elements), dict(prev.classes), dict(prev.diags)
+        for eid in touched:
+            diags.pop(eid, None)
+            if eid not in decls:
+                del elements[eid]
+                classes.pop(eid, None)
     for eid, decl in decls.items():
         entry = prev_elements.get(eid)
         if entry is None or entry.decl is not decl or entry.kind is not kinds[eid]:
@@ -309,39 +481,36 @@ def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, li
             entry = ResolvedElement(decl, kinds[eid], decl.span.path)
         elements[eid] = entry
 
-    model = ResolvedModel(ordered, elements, {})
+    model = ResolvedModel(ordered, elements, classes, diags)
+    model.touched = touched
+    model._ref_paths = ref_paths
+    lookup = model.lookup
 
     # class/parent reference diagnostics
+    found: dict[ElementId, list[Diagnostic]] = {}
+    if touched is None:
+        for d in duplicate_id_diags(ordered.values()):
+            found.setdefault(d.element, []).append(d)
     for eid, decl in decls.items():
         target = lookup(decl.class_ref)
+        message = None
         if target is None:
-            diags.append(
-                dx.error(dx.UNRESOLVED_CLASS, f"unresolved class reference '{decl.written_class}'", decl.span, eid)
-            )
-        elif kinds[target] is ElementKind.INSTANCE:
-            diags.append(
-                dx.error(
-                    dx.UNRESOLVED_CLASS,
-                    f"class reference '{decl.written_class}' does not name a class",
-                    decl.span,
-                    eid,
-                )
-            )
-        elif kinds[eid] is ElementKind.METACLASS and kinds[target] is ElementKind.MODEL_CLASS:
-            diags.append(
-                dx.error(
-                    dx.UNRESOLVED_CLASS,
-                    f"class reference '{decl.written_class}' of a metaclass must name a metaclass",
-                    decl.span,
-                    eid,
-                )
-            )
+            message = f"unresolved class reference '{decl.written_class}'"
+        elif elements[target].kind is ElementKind.INSTANCE:
+            message = f"class reference '{decl.written_class}' does not name a class"
+        elif kinds[eid] is ElementKind.METACLASS and elements[target].kind is ElementKind.MODEL_CLASS:
+            message = f"class reference '{decl.written_class}' of a metaclass must name a metaclass"
+        if message is not None:
+            found.setdefault(eid, []).append(dx.error(dx.UNRESOLVED_CLASS, message, decl.span, eid))
         if decl.parent_ref is not None and lookup(decl.parent_ref) is None:
-            diags.append(
+            found.setdefault(eid, []).append(
                 dx.error(dx.UNRESOLVED_PARENT, f"unresolved parent reference '{decl.written_parent}'", decl.span, eid)
             )
+    for eid, ds in found.items():
+        diags[eid] = tuple(ds)
 
     # class definitions
+    prev_classes = prev.classes if prev is not None else {}
     for eid, decl in decls.items():
         kind = kinds[eid]
         if kind is ElementKind.INSTANCE:
@@ -362,13 +531,13 @@ def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, li
             and kept.parent == parent
             and all(p.type == t for p, t in zip(kept.own_properties, types))
         ):
-            model.classes[eid] = kept
+            classes[eid] = kept
             continue
         own = tuple(
             PropertyDefinition(d.name, t, d.description, eid, d.span)
             for d, t in zip(decl.property_defs, types)
         )
-        model.classes[eid] = ClassDef(
+        classes[eid] = ClassDef(
             id=eid,
             kind=kind,
             metaclass=metaclass,
@@ -380,7 +549,7 @@ def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, li
             is_abstract=decl.abstract,
         )
 
-    return model, diags
+    return model, [d for ds in diags.values() for d in ds]
 
 
 def bootstrap_kernel() -> ResolvedModel:

@@ -403,7 +403,7 @@ _RESYNC_BEAN_RE = re.compile(r"<bean[\s/>]")
 
 
 class _UnitParser:
-    def __init__(self, text: str, path: str, sites: bool = False):
+    def __init__(self, text: str, path: str, sites: bool = False, ids: dict | None = None):
         self.sc = _Scanner(text, path)
         self.text = text
         self.path = path
@@ -414,6 +414,12 @@ class _UnitParser:
         self.sites: list[RefSite] | None = [] if sites else None
         self.root_tag: str | None = None
         self._ids: dict[str, BeanDecl] = {}
+        # one ElementId object per distinct id, shared by every unit parsed with the same ids
+        self._interned: dict[ElementId, ElementId] = {} if ids is None else ids
+
+    def _id(self, written: str) -> ElementId:
+        eid = ElementId.parse(written, self.namespace)
+        return self._interned.setdefault(eid, eid)
 
     # -- helpers
 
@@ -534,7 +540,7 @@ class _UnitParser:
         if not is_valid_local(written_id):
             self._err_span(node.attr_span("id"), f"invalid bean id '{written_id}'")
             return
-        bean_id = ElementId(self.namespace, written_id)
+        bean_id = self._id(written_id)
         written_class = node.attrs.get("class")
         if written_class is None:
             self._err_span(span, "bean missing required 'class' attribute", bean_id)
@@ -547,7 +553,7 @@ class _UnitParser:
                 self._err_span(node.attr_span(a), f"unknown attribute '{a}' on bean", bean_id)
 
         sites: list[RefSite] = []
-        class_ref = ElementId.parse(written_class, self.namespace)
+        class_ref = self._id(written_class)
         self._site(sites, "class-attr", written_class, *node.attr_bounds["class"], bean_id, target=class_ref)
 
         written_parent = node.attrs.get("parent")
@@ -557,7 +563,7 @@ class _UnitParser:
                 self._err_span(node.attr_span("parent"), "empty parent reference", bean_id)
                 written_parent = None
             else:
-                parent_ref = ElementId.parse(written_parent, self.namespace)
+                parent_ref = self._id(written_parent)
                 self._site(
                     sites, "parent-attr", written_parent, *node.attr_bounds["parent"], bean_id, target=parent_ref
                 )
@@ -685,7 +691,7 @@ class _UnitParser:
             description = None
             if desc_node is not None:
                 description = self._leaf_text(desc_node, bean_id)
-            type_ref = ElementId.parse(type_written, self.namespace)
+            type_ref = self._id(type_written)
             defs.append(RawPropertyDef(name, type_written, type_ref, description, row.span))
             self._site(sites, "name-text", raw_name, *self._leaf_bounds(name_node), bean_id, prop=name)
             self._site(
@@ -718,7 +724,7 @@ class _UnitParser:
                 return None
             if node.children or node.text.strip():
                 self._err_span(span, f"reference value '{prop}' must be empty", bean_id)
-            target = ElementId.parse(ref_written, self.namespace)
+            target = self._id(ref_written)
             self._site(
                 pending, "ref-attr", ref_written, *node.attr_bounds["ref"], bean_id, target=target, prop=prop
             )
@@ -729,7 +735,7 @@ class _UnitParser:
             if not class_written.strip():
                 self._err_span(node.attr_span("class"), "empty class reference", bean_id)
                 return None
-            inline_class = ElementId.parse(class_written, self.namespace)
+            inline_class = self._id(class_written)
             self._site(
                 pending, "class-attr", class_written, *node.attr_bounds["class"], bean_id, target=inline_class
             )
@@ -774,9 +780,10 @@ def unit_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def parse_unit(text: str, path: str) -> tuple[SourceUnit, list[Diagnostic]]:
-    """Parse one unit's text. Never raises on bad input: maximal recovery."""
-    return _UnitParser(text, path).parse()
+def parse_unit(text: str, path: str, ids: dict | None = None) -> tuple[SourceUnit, list[Diagnostic]]:
+    """Parse one unit's text. Never raises on bad input: maximal recovery.
+    Units parsed with the same ids dict share one ElementId per distinct id."""
+    return _UnitParser(text, path, ids=ids).parse()
 
 
 def read_document(text: str, path: str) -> tuple[XmlElement | None, list[Diagnostic]]:
@@ -851,6 +858,7 @@ def read_units(root, paths, known=None) -> tuple[list[SourceUnit], list[str], li
     unreadable paths and the diagnostics.
     """
     known = known or {}
+    ids: dict[ElementId, ElementId] = {}  # interned for this call only
     units: list[SourceUnit] = []
     unreadable: list[str] = []
     diags: list[Diagnostic] = []
@@ -863,7 +871,7 @@ def read_units(root, paths, known=None) -> tuple[list[SourceUnit], list[str], li
         prior = known.get(rel)
         if prior is not None and prior.content_hash == unit_hash(text):
             continue
-        unit, udiags = parse_unit(text, rel)
+        unit, udiags = parse_unit(text, rel, ids)
         units.append(unit)
         diags.extend(udiags)
     return units, unreadable, diags

@@ -18,7 +18,7 @@ from mtalk.compiler import compile_model, compile_workspace, incremental_compile
 from mtalk.ids import ElementId
 from mtalk.kernel import CLASS_ID, ElementKind
 from mtalk.native import load_manifest, parse_manifest
-from mtalk.rename import apply_patchset, rename_property
+from mtalk.rename import apply_patchset, rename_element, rename_property
 from mtalk.schema import generate_schema, validate_with_schema
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic, measure_mean_dit
@@ -279,18 +279,52 @@ def test_c07_large_model_budgets(tmp_path):
     digits = list(m.group(2))
     digits[0] = str((int(digits[0]) + 1) % 10)
     edited = text[: m.start(2)] + "".join(digits) + text[m.end(2):]
-    t1 = time.perf_counter()
-    unit, pdiags = parse_unit(edited, target.name)
-    state2, recompiled, report2 = incremental_compile(
-        state, [unit], parse_diags=pdiags, manifest=manifest
-    )
-    inc_s = time.perf_counter() - t1
+    def fold(state, texts, removed=()):
+        t = time.perf_counter()
+        units, pdiags = [], []
+        for rel, text in texts.items():
+            u, d = parse_unit(text, rel)
+            units.append(u)
+            pdiags += d
+        state, recompiled, report = incremental_compile(
+            state, units, removed_paths=list(removed), parse_diags=pdiags, manifest=manifest
+        )
+        return state, recompiled, report, time.perf_counter() - t
+
+    state2, recompiled, report2, inc_s = fold(state, {target.name: edited})
+
+    # more folds, each within the same budget: a line shift, a unit added and
+    # removed, and a class rename in every unit that names it
+    folds = {}
+    shifted = edited.replace("<model>\n", "<model>\n\n", 1)
+    state3, _, report, folds["shift"] = fold(state2, {target.name: shifted})
+    reports = [report]
+    extra = '<model>\n  <bean id="Extra" class="C0003"/>\n</model>\n'
+    state3, _, report, folds["unit add"] = fold(state3, {"extra.model.xml": extra})
+    reports.append(report)
+    state3, _, report, folds["unit remove"] = fold(state3, {}, ["extra.model.xml"])
+    reports.append(report)
+    model = state3.resolved
+    native_types = {p.type.class_id for cd in model.classes.values() if not cd.is_declarative
+                    for p in cd.own_properties}
+    old = next(c for c in sorted(model.classes, key=ElementId.render)
+               if model.classes[c].is_declarative and c not in model.kernel_ids and c not in native_types
+               and len({model.elements[e.src].unit_path for e in state3.graph.incoming(c)}) >= 3)
+    patchset, warnings = rename_element(state3, old.local, old.local + "_rn")
+    apply_patchset(patchset, str(root))
+    renamed = {rel: (root / rel).read_text(encoding="utf-8") for rel in patchset.paths()}
+    _, _, report, folds["rename"] = fold(state3, renamed)
+    reports.append(report)
 
     check(
         7,
-        clean and full_s < 30.0 and inc_s < 2.0 and abs(dit - 4.75) <= 0.25,
+        clean and full_s < 30.0 and inc_s < 2.0 and abs(dit - 4.75) <= 0.25
+        and all(s < 2.0 for s in folds.values()) and reports == [[]] * 4 and warnings == []
+        and len(renamed) >= 3,
         f"4800 classes: full {full_s:.1f}s (budget <30s), one-element edit "
         f"{inc_s:.2f}s recompiling {len(recompiled)} elements (budget <2s), "
+        + ", ".join(f"{kind} {s:.2f}s" for kind, s in folds.items())
+        + f" (budget <2s each, rename over {len(renamed)} units), "
         f"mean depth {dit:.2f} (tolerance 4.75 +/- 0.25)",
     )
 

@@ -139,15 +139,16 @@ def test_corrupt_state_file_falls_back_to_full_compile(golden_root, capsys):
 
 
 def test_state_of_the_previous_layout_compiles_cold(golden_root, capsys, monkeypatch):
-    # states carried no fold lineage (token, folded_from, dirty) under MTALKST3
+    # under MTALKST4 a state held its resolve diagnostics and a resolved
+    # model's memos, and no diagnostics by element in the resolved model
     from mtalk import cli
     from mtalk.compiler import _STATE_MAGIC, load_state
 
     run(capsys, "compile", "--root", str(golden_root))
     state_dir = golden_root / ".mtalk" / "state"
     state_file = state_dir / "state.bin"
-    assert _STATE_MAGIC == b"MTALKST4\n"
-    state_file.write_bytes(b"MTALKST3\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
+    assert _STATE_MAGIC == b"MTALKST5\n"
+    state_file.write_bytes(b"MTALKST4\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
     assert load_state(state_dir) is None
     cold = []
     monkeypatch.setattr(cli, "compile_workspace", lambda *a: cold.append(1) or compile_workspace(*a))

@@ -1,11 +1,13 @@
 """Incremental recompilation: dirty seeds, reverse closure, equivalence, state cache."""
 
+import json
 import pickle
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtalk import compiler
+from mtalk import compiler, rename
 from mtalk.compiler import (
     _STATE_MAGIC,
     STATE_FILENAME,
@@ -16,11 +18,13 @@ from mtalk.compiler import (
     load_state,
     save_state,
 )
+from mtalk.errors import CollisionError, NotFoundError
 from mtalk.ids import ElementId
+from mtalk.native import load_manifest, parse_manifest
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
-from golden import GOLDEN_UNITS, compile_golden
+from golden import GOLDEN_UNITS, MANIFEST, compile_golden
 
 
 def eid(render):
@@ -350,11 +354,104 @@ def test_same_shape_folds_neither_rebuild_the_graph_nor_rerun_cycles(tmp_path, m
         assert new.graph.nodes == full.graph.nodes and new.graph.edges == full.graph.edges
         state = new
 
-    # a fold that adds an element rebuilds both
+    # a fold that adds an element no other unit can name patches the graph too
     extra = parse_clean('<model xmlns="x"><bean id="X" class="C0000"/></model>', "x.model.xml")
     calls.update(dict.fromkeys(calls, 0))
-    incremental_compile(state, [extra])
-    assert calls == {"build_dependency_graph": 1, "_injection_cycle_diags": 1}
+    new, recompiled, diags = incremental_compile(state, [extra])
+    assert calls == {"build_dependency_graph": 0, "_injection_cycle_diags": 0}
+    assert new.resolved.touched == {eid("x:X")} and recompiled == {eid("x:X")}
+    full, full_diags = compile_model([unit, *others, extra])
+    assert diags == full_diags == []
+    assert new.graph.nodes == full.graph.nodes and new.graph.edges == full.graph.edges
+
+    # a unit whose ids capture references written elsewhere widens to every id
+    state, _ = compile_model([parse_clean(t, p) for p, t in GOLDEN_UNITS.items()]
+                             + [parse_clean(_NS_CLASS, "ns_class.model.xml")])
+    for capture in (_NS_CAPTURE_META, _NS_CAPTURE_PARENT):
+        calls.update(dict.fromkeys(calls, 0))
+        new, _, _ = incremental_compile(state, [parse_clean(capture, "ns_capture.model.xml")])
+        assert new.resolved.touched is None
+        assert calls == {"build_dependency_graph": 1, "_injection_cycle_diags": 1}
+
+
+def test_clean_folds_never_derive_every_id_rebuild_the_graph_or_rerun_all_cycles(tmp_path, monkeypatch):
+    root = tmp_path / "ws"
+    generate_synthetic(BenchmarkSpec(60, 3, 2.5, 2, 17), str(root))
+    manifest = load_manifest(root / "manifest.json")
+    state, diags = compile_workspace(root, manifest)
+    assert diags == []
+    calls = {"build_dependency_graph": 0, "_injection_cycle_diags": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(compiler, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(compiler, name, counted)
+    texts = {p.name: p.read_text(encoding="utf-8") for p in root.glob("*.model.xml")}
+    model = state.resolved
+
+    # a declarative class with a scalar property, retyped to String: every value still conforms
+    cls = next(c for c in sorted(model.classes, key=ElementId.render)
+               if model.classes[c].is_declarative and c not in model.kernel_ids
+               and any(p.type.builtin in ("Long", "Double") for p in model.classes[c].own_properties))
+    cpath = model.elements[cls].unit_path
+    ctext = texts[cpath]
+    at = ctext.index(f'<bean id="{cls.local}"')
+    typed = min(i for i in (ctext.find("<type>Long</type>", at), ctext.find("<type>Double</type>", at)) if i >= 0)
+    retyped = ctext[:typed] + "<type>String</type>" + ctext[ctext.index("</type>", typed) + len("</type>"):]
+    vtext = texts["classes_000.model.xml"]
+    m = re.search(r"<(p\d+_\d+)>(\d+)</\1>", vtext)
+    value = vtext[:m.start(2)] + str(int(m.group(2)) + 1) + vtext[m.end(2):]
+    # a declarative class named from several units and by no native field
+    native_types = {p.type.class_id for cd in model.classes.values() if not cd.is_declarative
+                    for p in cd.own_properties}
+    old = next(c for c in sorted(model.classes, key=ElementId.render)
+               if model.classes[c].is_declarative and c not in model.kernel_ids and c not in native_types
+               and len({model.elements[e.src].unit_path for e in state.graph.incoming(c)}) >= 2)
+    extra = '<model>\n  <bean id="Extra" class="C0003"/>\n</model>\n'
+
+    def renamed(st, a, b):
+        patchset, warnings = rename.rename_element(st, a, b)
+        assert warnings == [] and len(patchset.paths()) >= 2
+        return {p: rename._patched_text(texts[p], [x for x in patchset.patches if x.path == p])
+                for p in patchset.paths()}
+
+    steps = [
+        ("value", lambda st: {"classes_000.model.xml": value}, ()),
+        ("class", lambda st: {cpath: retyped}, ()),
+        ("unit add", lambda st: {"extra.model.xml": extra}, ()),
+        ("unit remove", lambda st: {}, ("extra.model.xml",)),
+        ("rename", lambda st: renamed(st, old.local, old.local + "_rn"), ()),
+        ("rename back", lambda st: renamed(st, old.local + "_rn", old.local), ()),
+    ]
+    for kind, edit, removed in steps:
+        edited = edit(state)
+        assert edited or removed, kind
+        calls.update(dict.fromkeys(calls, 0))
+        new, _, diags = incremental_compile(
+            state, [parse_clean(t, p) for p, t in edited.items()], removed_paths=list(removed), manifest=manifest
+        )
+        assert calls == {"build_dependency_graph": 0, "_injection_cycle_diags": 0}, kind
+        assert new.resolved.touched and new.dirty, kind
+        texts.update(edited)
+        for p in removed:
+            del texts[p]
+        full, full_diags = compile_model([parse_clean(t, p) for p, t in texts.items()], manifest)
+        assert diags == full_diags == [], kind
+        assert new.graph.nodes == full.graph.nodes and new.graph.edges == full.graph.edges, kind
+        state = new
+
+
+def test_removing_an_instance_named_as_a_property_type_revalidates_its_class():
+    # the class's E012 names what the type resolves to, so it depends on the instance
+    holder = parse_clean(_PTYPE_HOLDER, "ptype.model.xml")
+    thing = parse_clean(_PTYPE_THING, "pthing.model.xml")
+    state, diags = compile_model([holder, thing])
+    assert [d.message for d in diags] == ["property type 'Thing' does not name a class"]
+    state, recompiled, diags = incremental_compile(state, [], removed_paths=["pthing.model.xml"])
+    assert eid("pt:Holder") in recompiled
+    assert [d.message for d in diags] == ["unresolved property type 'Thing'"]
+    _, _, diags = incremental_compile(state, [thing])
+    assert [d.message for d in diags] == ["property type 'Thing' does not name a class"]
 
 
 def test_value_fold_keeps_untouched_resolved_elements_and_class_defs(tmp_path):
@@ -400,6 +497,11 @@ _NS_CAPTURE_META = (
     '<model xmlns="ns"><bean id="MetaCache" class="Class" parent="Class" declarative="true"/></model>'
 )
 _NS_CAPTURE_PARENT = '<model xmlns="ns"><bean id="CacheManager" class="Class" declarative="true"/></model>'
+_PTYPE_HOLDER = (
+    '<model xmlns="pt"><bean id="Holder" class="Class">'
+    "<properties><property><name>x</name><type>Thing</type></property></properties></bean></model>"
+)
+_PTYPE_THING = '<model xmlns="pt"><bean id="Thing" class="Object"/></model>'
 
 # per unit path, the texts an edit may write; None removes the unit
 _VARIANTS = {
@@ -460,6 +562,9 @@ _VARIANTS = {
         _NS_CAPTURE_PARENT,
     ],
     "ns_class.model.xml": [None, _NS_CLASS],
+    # a property type that names an instance, which changes kind or goes
+    "ptype.model.xml": [None, _PTYPE_HOLDER],
+    "pthing.model.xml": [None, _PTYPE_THING, _PTYPE_THING.replace('class="Object"', 'class="Class"')],
     # an injection cycle made, broken, and moved by a line shift
     "cycle.model.xml": [
         None,
@@ -468,30 +573,67 @@ _VARIANTS = {
         _CYCLE_CLOSED.replace('  <bean id="A"', '\n  <bean id="A"'),
     ],
 }
+# one fold renames StandardCache, or its new name back, in every unit naming it
+_RENAME = "<rename>"
+_RENAMES = ("StandardCache", "PlainCache")
+# the manifest a fold is given: none, the golden one, or one that drops a
+# field, names a phantom class and names the renamed cache
+_MANIFEST = "<manifest>"
+_EDITED_MANIFEST = {"classes": [
+    *({**c, "fields": c["fields"][:1]} if c["name"] == "CacheManager" else c for c in MANIFEST["classes"]),
+    {"name": "Phantom", "fields": []},
+    {"name": "PlainCache", "fields": []},
+]}
+_MANIFESTS = [None, *(parse_manifest(json.dumps(m), "manifest.json") for m in (MANIFEST, _EDITED_MANIFEST))]
 _EDITS = [(path, i) for path, texts in _VARIANTS.items() for i in range(len(texts))]
+_EDITS += [(_RENAME, 0)] + [(_MANIFEST, i) for i in range(len(_MANIFESTS))]
+
+
+def _renamed_everywhere(state, texts) -> dict[str, str]:
+    """The unit texts a rename of StandardCache (or back) patches, patched."""
+    old, new = _RENAMES if eid(_RENAMES[0]) in state.resolved.elements else _RENAMES[::-1]
+    try:
+        patchset, _ = rename.rename_element(state, old, new)
+    except (CollisionError, NotFoundError):
+        return {}
+    return {p: rename._patched_text(texts[p], [x for x in patchset.patches if x.path == p])
+            for p in patchset.paths()}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=6))
 def test_incremental_equals_full_for_edit_sequences(steps):
     current = dict(GOLDEN_UNITS)
+    manifest = None
     state, _ = compile_golden()
     for path, variant in steps:
-        text = _VARIANTS[path][variant]
-        if text is None:
-            current.pop(path, None)
-            state, _, inc_diags = incremental_compile(state, [], removed_paths=[path])
+        if path == _MANIFEST:
+            manifest = _MANIFESTS[variant]
+            edited, removed = {}, []
+        elif path == _RENAME:
+            edited, removed = _renamed_everywhere(state, current), []
+        elif _VARIANTS[path][variant] is None:
+            edited, removed = {}, [path]
         else:
-            current[path] = text
-            unit, pdiags = parse_unit(text, path)
-            state, _, inc_diags = incremental_compile(state, [unit], parse_diags=pdiags)
+            edited, removed = {path: _VARIANTS[path][variant]}, []
+        for p in removed:
+            current.pop(p, None)
+        current.update(edited)
+        units, pdiags = [], []
+        for p, t in edited.items():
+            u, pd = parse_unit(t, p)
+            units.append(u)
+            pdiags.extend(pd)
+        state, _, inc_diags = incremental_compile(
+            state, units, removed_paths=removed, parse_diags=pdiags, manifest=manifest
+        )
         parsed = []
         all_pdiags = []
         for p, t in current.items():
             u, pd = parse_unit(t, p)
             parsed.append(u)
             all_pdiags.extend(pd)
-        full, full_diags = compile_model(parsed, parse_diags=all_pdiags)
+        full, full_diags = compile_model(parsed, manifest, parse_diags=all_pdiags)
         assert [d.render() for d in inc_diags] == [d.render() for d in full_diags]
         assert state.resolved.elements == full.resolved.elements
         assert state.resolved.classes == full.resolved.classes
@@ -533,3 +675,12 @@ def test_edit_variants_reach_their_cases():
     assert [d.code for d in captured] == ["E002"]
     flipped, _ = diags_with(**{"core.model.xml": _VARIANTS["core.model.xml"][2]})
     assert flipped.resolved.kind_of(eid("HTTP_Client")) != state.resolved.kind_of(eid("HTTP_Client"))
+    _, held = diags_with(**{"ptype.model.xml": _PTYPE_HOLDER, "pthing.model.xml": _PTYPE_THING})
+    _, dangling = diags_with(**{"ptype.model.xml": _PTYPE_HOLDER})
+    assert [d.message for d in held + dangling] == [
+        "property type 'Thing' does not name a class", "unresolved property type 'Thing'"]
+    assert sorted(_renamed_everywhere(golden_state(), GOLDEN_UNITS)) == [
+        "caches.model.xml", "core.model.xml", "retrievers.model.xml"]
+    golden = [parse_clean(t, p) for p, t in GOLDEN_UNITS.items()]
+    assert compile_model(golden, _MANIFESTS[1])[1] == []
+    assert sorted(d.code for d in compile_model(golden, _MANIFESTS[2])[1]) == ["E007", "W001", "W001"]
