@@ -123,8 +123,5 @@ class SourceSpan:
 
 def is_valid_local(name: str) -> bool:
     """Usable as a bean id local part / property name: non-empty, no ':', no whitespace."""
-    if not name:
-        return False
-    if ":" in name:
-        return False
-    return not any(c.isspace() for c in name)
+    # str.split() cuts at exactly the characters str.isspace() accepts
+    return ":" not in name and name.split() == [name]

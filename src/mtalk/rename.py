@@ -43,6 +43,11 @@ class PatchSet:
 
 
 def _line_starts(text: str) -> list[int]:
+    """Where each line of text begins. CRLF, CR and LF each end one line,
+    as they do in the newline-translated text the parser's spans count."""
+    # same-length stand-ins keep every offset: CRLF reads as ' \n', a lone CR as '\n'
+    if "\r" in text:
+        text = text.replace("\r\n", " \n").replace("\r", "\n")
     starts = [0]
     idx = text.find("\n")
     while idx != -1:
@@ -86,7 +91,8 @@ def apply_patchset(patchset: PatchSet, root: str) -> list[str]:
     """Apply patches under the workspace root. Returns the rewritten paths.
 
     All target files are read and patched in memory before any write; each
-    file is then replaced atomically.
+    file is then replaced atomically. Line endings are read and written as
+    they are, so only the patched ranges change.
     """
     by_path: dict[str, list[Patch]] = {}
     for p in patchset.patches:
@@ -95,14 +101,14 @@ def apply_patchset(patchset: PatchSet, root: str) -> list[str]:
     for rel in sorted(by_path):
         full = os.path.join(root, rel)
         try:
-            with open(full, encoding="utf-8") as f:
+            with open(full, encoding="utf-8", newline="") as f:
                 text = f.read()
         except OSError as exc:
             raise NotFoundError(f"cannot read '{rel}': {exc}") from None
         staged.append((full, _patched_text(text, by_path[rel])))
     for full, new_text in staged:
         tmp = full + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
             f.write(new_text)
         os.replace(tmp, full)
     return sorted(by_path)

@@ -456,7 +456,7 @@ class _Validator:
             return f"value '{value}' is not allowed"
         if not XSD_LEXICAL[rule.xsd](value):
             return f"value '{value}' is not a valid {rule.xsd}"
-        if not rule.conforms(text):
+        if rule.pattern is not None and not rule.pattern.fullmatch(value):
             return f"value '{value}' is not allowed"
         return None
 

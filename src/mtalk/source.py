@@ -14,17 +14,28 @@ still loads), and ``read_document`` is strict (the first problem ends the
 read). Elements keep offsets; line and column are computed only when a span
 is asked for. This parser is hand-rolled because recovery and exact
 attribute/text spans (needed for diagnostics and rename patches) are outside
-what stdlib XML parsers expose.
+what stdlib XML parsers expose. An open tag, its attributes included, is
+read with one regular-expression match; only when that match fails does the
+reader walk the tag step by step, to report its first fault. Text content is
+read one run up to the next ``<`` at a time, and entities are decoded only in
+runs and attribute values that hold an ``&``.
+
+Workspace discovery is one ``os.scandir`` walk, ``unit_signatures``, that
+returns every unit's sorted root-relative path with its ``(mtime_ns, size)``;
+``discover_unit_paths`` and a watch poll both read it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from stat import S_ISREG
+from typing import NoReturn
 
 from . import diagnostics as dx
 from .diagnostics import Diagnostic
@@ -149,7 +160,12 @@ class SourceUnit:
 _TAG_NAME_RE = re.compile(r"<([A-Za-z_][A-Za-z0-9_.\-]*)")
 _CLOSE_TAG_RE = re.compile(r"</([A-Za-z_][A-Za-z0-9_.\-]*)\s*>")
 _ATTR_RE = re.compile(r"\s+([A-Za-z_][A-Za-z0-9_.\-:]*)\s*=\s*(\"([^\"<]*)\"|'([^'<]*)')")
-_TAG_END_RE = re.compile(r"\s*(/>|>)")
+# a whole open tag: its name, its attributes as one group, and '/' if it closes itself
+_OPEN_TAG_RE = re.compile(
+    r"<([A-Za-z_][A-Za-z0-9_.\-]*)"
+    r"((?:\s+[A-Za-z_][A-Za-z0-9_.\-:]*\s*=\s*(?:\"[^\"<]*\"|'[^'<]*'))*)"
+    r"\s*(/?)>"
+)
 _ENTITY_RE = re.compile(r"&(#x[0-9A-Fa-f]+|#[0-9]+|[A-Za-z]+);")
 _NAMED_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 _MAX_DEPTH = 120
@@ -209,17 +225,17 @@ class _Scanner:
         return line, offset - self._line_starts[line - 1] + 1
 
     def span(self, start: int, end: int) -> SourceSpan:
-        l1, c1 = self.pos(start)
-        l2, c2 = self.pos(end)
-        return SourceSpan(self.path, l1, c1, l2, c2)
+        starts = self._line_starts
+        l1 = bisect_right(starts, start)
+        l2 = bisect_right(starts, end, l1 - 1)
+        return SourceSpan(self.path, l1, start - starts[l1 - 1] + 1, l2, end - starts[l2 - 1] + 1)
 
     def point(self, offset: int) -> SourceSpan:
         l1, c1 = self.pos(offset)
         return SourceSpan(self.path, l1, c1, l1, c1 + 1)
 
     def decode(self, raw: str, base: int) -> str:
-        if "&" not in raw:
-            return raw
+        """raw, which holds an '&', with its entity references replaced."""
         out = []
         i = 0
         while True:
@@ -245,31 +261,37 @@ class _Scanner:
 
     def read_open_tag(self, p: int):
         """Returns (tag, attrs, attr_bounds, name_offset, after, self_closing)."""
+        m = _OPEN_TAG_RE.match(self.text, p)
+        if m is None:
+            self._open_tag_error(p)
+        attrs: dict[str, str] = {}
+        bounds: dict[str, tuple[int, int]] = {}
+        if m.end(2) > m.start(2):
+            for am in _ATTR_RE.finditer(self.text, m.start(2), m.end(2)):
+                self._add_attr(am, attrs, bounds)
+        return m.group(1), attrs, bounds, m.start(1), m.end(), m.group(3) == "/"
+
+    def _add_attr(self, am: re.Match, attrs: dict[str, str], bounds: dict[str, tuple[int, int]]) -> None:
+        name = am.group(1)
+        if name in attrs:
+            raise _Malformed(am.start(1), f"duplicate attribute '{name}'")
+        raw, vstart = (am.group(3), am.start(3)) if am.group(3) is not None else (am.group(4), am.start(4))
+        attrs[name] = self.decode(raw, vstart) if "&" in raw else raw
+        bounds[name] = (vstart, vstart + len(raw))
+
+    def _open_tag_error(self, p: int) -> NoReturn:
+        """Raise the first fault of the open tag at p, which _OPEN_TAG_RE
+        did not match: the name, then each attribute in turn, then the end."""
         text = self.text
         m = _TAG_NAME_RE.match(text, p)
         if not m:
             raise _Malformed(p, "malformed tag")
-        tag = m.group(1)
-        name_offset = m.start(1)
         q = m.end()
         attrs: dict[str, str] = {}
-        bounds: dict[str, tuple[int, int]] = {}
-        while True:
-            am = _ATTR_RE.match(text, q)
-            if not am:
-                break
-            name = am.group(1)
-            raw = am.group(3) if am.group(3) is not None else am.group(4)
-            vstart = am.start(3) if am.group(3) is not None else am.start(4)
-            if name in attrs:
-                raise _Malformed(am.start(1), f"duplicate attribute '{name}'")
-            attrs[name] = self.decode(raw, vstart)
-            bounds[name] = (vstart, vstart + len(raw))
+        while am := _ATTR_RE.match(text, q):
+            self._add_attr(am, attrs, {})
             q = am.end()
-        em = _TAG_END_RE.match(text, q)
-        if not em:
-            raise _Malformed(q, f"malformed tag '<{tag}'")
-        return tag, attrs, bounds, name_offset, em.end(), em.group(1) == "/>"
+        raise _Malformed(q, f"malformed tag '<{m.group(1)}'")
 
     def read_element(self, p: int, depth: int = 0) -> tuple[XmlElement, int]:
         if depth > _MAX_DEPTH:
@@ -282,27 +304,16 @@ class _Scanner:
             return node, p
         node.content_start = p
         parts: list[str] = []
-        n = len(text)
         while True:
-            if p >= n:
+            lt = text.find("<", p)
+            if lt == -1:
                 raise _Malformed(start, f"unclosed element '{tag}'")
-            if text.startswith("<!--", p):
-                e = text.find("-->", p + 4)
-                if e == -1:
-                    raise _Malformed(p, "unterminated comment")
-                p = e + 3
-            elif text.startswith("<![CDATA[", p):
-                e = text.find("]]>", p + 9)
-                if e == -1:
-                    raise _Malformed(p, "unterminated CDATA section")
-                parts.append(text[p + 9 : e])
-                p = e + 3
-            elif text.startswith("<?", p):
-                e = text.find("?>", p + 2)
-                if e == -1:
-                    raise _Malformed(p, "unterminated processing instruction")
-                p = e + 2
-            elif text.startswith("</", p):
+            if lt > p:
+                run = text[p:lt]
+                parts.append(self.decode(run, p) if "&" in run else run)
+            p = lt
+            after = text[lt + 1 : lt + 2]
+            if after == "/":
                 cm = _CLOSE_TAG_RE.match(text, p)
                 if not cm:
                     raise _Malformed(p, "malformed closing tag")
@@ -313,15 +324,25 @@ class _Scanner:
                 node.end = cm.end()
                 node.text = "".join(parts)
                 return node, cm.end()
-            elif text[p] == "<":
+            if after == "!" and text.startswith("--", p + 2):
+                e = text.find("-->", p + 4)
+                if e == -1:
+                    raise _Malformed(p, "unterminated comment")
+                p = e + 3
+            elif after == "!" and text.startswith("[CDATA[", p + 2):
+                e = text.find("]]>", p + 9)
+                if e == -1:
+                    raise _Malformed(p, "unterminated CDATA section")
+                parts.append(text[p + 9 : e])
+                p = e + 3
+            elif after == "?":
+                e = text.find("?>", p + 2)
+                if e == -1:
+                    raise _Malformed(p, "unterminated processing instruction")
+                p = e + 2
+            else:
                 child, p = self.read_element(p, depth + 1)
                 node.children.append(child)
-            else:
-                nxt = text.find("<", p)
-                if nxt == -1:
-                    raise _Malformed(start, f"unclosed element '{tag}'")
-                parts.append(self.decode(text[p:nxt], p))
-                p = nxt
 
 
 def _skip_misc(text: str, p: int) -> int:
@@ -705,10 +726,11 @@ class _UnitParser:
         span = node.span
         prop = node.tag
         pending: list[RefSite] = []
-        for offset in (node.name_offset, node.close_name_offset):
-            if offset is not None:
-                self._site(pending, "prop-tag", prop, offset, offset + len(prop), bean_id,
-                           prop=prop, owner_class=owner_class)
+        if self.sites is not None:
+            for offset in (node.name_offset, node.close_name_offset):
+                if offset is not None:
+                    self._site(pending, "prop-tag", prop, offset, offset + len(prop), bean_id,
+                               prop=prop, owner_class=owner_class)
         ref_written = node.attrs.get("ref")
         class_written = node.attrs.get("class")
         for a in node.attrs:
@@ -820,24 +842,48 @@ def duplicate_id_diags(units) -> list[Diagnostic]:
     return out
 
 
-def _hidden(rel: Path) -> bool:
-    return any(part.startswith(".") for part in rel.parts)
+def unit_signatures(root) -> dict[str, tuple[int, int]]:
+    """Workspace discovery: every *.model.xml file under root with its
+    (mtime_ns, size), keyed by POSIX path relative to root, in sorted order.
+
+    One os.scandir walk (PEP 471). Names starting with '.' are skipped at
+    any depth, a symlinked directory is not entered, and a symlink to a
+    regular file counts as that file.
+    """
+    root = os.fspath(root)
+    if not os.path.isdir(root):
+        raise NotFoundError(f"workspace root is not a directory: {root}")
+    found = []
+    pending = [("", root)]
+    while pending:
+        prefix, directory = pending.pop()
+        try:
+            entries = os.scandir(directory)
+        except OSError:
+            continue
+        with entries:
+            for entry in entries:
+                name = entry.name
+                if name.startswith("."):
+                    continue
+                try:
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append((prefix + name + "/", entry.path))
+                        continue
+                    if not name.endswith(MODEL_FILE_SUFFIX):
+                        continue
+                    st = entry.stat()
+                except OSError:
+                    continue
+                if S_ISREG(st.st_mode):
+                    found.append((prefix + name, (st.st_mtime_ns, st.st_size)))
+    found.sort()
+    return dict(found)
 
 
 def discover_unit_paths(root) -> list[str]:
-    """Workspace discovery: every *.model.xml under root, sorted, dot-dirs skipped."""
-    rootp = Path(root)
-    if not rootp.is_dir():
-        raise NotFoundError(f"workspace root is not a directory: {root}")
-    rels = []
-    for p in rootp.rglob("*" + MODEL_FILE_SUFFIX):
-        if not p.is_file():
-            continue
-        rel = p.relative_to(rootp)
-        if _hidden(rel):
-            continue
-        rels.append(rel.as_posix())
-    return sorted(rels)
+    """The sorted unit paths of unit_signatures(root)."""
+    return list(unit_signatures(root))
 
 
 def read_unit_text(root, rel: str) -> tuple[str | None, Diagnostic | None]:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .compiler import CompileState, compile_workspace, incremental_compile, workspace_changes
 from .diagnostics import Diagnostic
 from .native import NativeManifest
-from .source import discover_unit_paths
+from .source import unit_signatures
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,22 +40,11 @@ class WatchSession:
             report = state.all_diagnostics()
         self.state = state
         self.report = report
-        self._sigs = self._scan_sigs()
-
-    def _scan_sigs(self) -> dict[str, tuple[int, int]]:
-        """(mtime, size) of every unit file present now."""
-        sigs = {}
-        for rel in discover_unit_paths(self.root):
-            try:
-                st = os.stat(os.path.join(self.root, rel))
-            except OSError:
-                continue
-            sigs[rel] = (st.st_mtime_ns, st.st_size)
-        return sigs
+        self._sigs = unit_signatures(self.root)
 
     def poll(self) -> WatchResult | None:
         """One scan step: recompile and report if any unit file was touched."""
-        previous, current = self._sigs, self._scan_sigs()
+        previous, current = self._sigs, unit_signatures(self.root)
         self._sigs = current
         if current == previous:
             return None

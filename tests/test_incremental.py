@@ -3,6 +3,7 @@
 import json
 import pickle
 import re
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from mtalk.compiler import (
     save_state,
 )
 from mtalk.errors import CollisionError, NotFoundError
-from mtalk.ids import ElementId
+from mtalk.graph import DependencyGraph
+from mtalk.ids import UNRESOLVED, ElementId
 from mtalk.native import load_manifest, parse_manifest
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
@@ -374,18 +376,15 @@ def test_same_shape_folds_neither_rebuild_the_graph_nor_rerun_cycles(tmp_path, m
         assert calls == {"build_dependency_graph": 1, "_injection_cycle_diags": 1}
 
 
-def test_clean_folds_never_derive_every_id_rebuild_the_graph_or_rerun_all_cycles(tmp_path, monkeypatch):
-    root = tmp_path / "ws"
+def _clean_fold_steps(root):
+    """A compiled synthetic workspace and a seeded script of clean folds over
+    it: a value edit, a class retype, a unit add and remove, and a rename
+    there and back. Returns (state, manifest, texts, steps); each step is
+    (kind, edit, removed), where edit(state) gives the edited unit texts."""
     generate_synthetic(BenchmarkSpec(60, 3, 2.5, 2, 17), str(root))
     manifest = load_manifest(root / "manifest.json")
     state, diags = compile_workspace(root, manifest)
     assert diags == []
-    calls = {"build_dependency_graph": 0, "_injection_cycle_diags": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(compiler, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(compiler, name, counted)
     texts = {p.name: p.read_text(encoding="utf-8") for p in root.glob("*.model.xml")}
     model = state.resolved
 
@@ -423,6 +422,17 @@ def test_clean_folds_never_derive_every_id_rebuild_the_graph_or_rerun_all_cycles
         ("rename", lambda st: renamed(st, old.local, old.local + "_rn"), ()),
         ("rename back", lambda st: renamed(st, old.local + "_rn", old.local), ()),
     ]
+    return state, manifest, texts, steps
+
+
+def test_clean_folds_never_derive_every_id_rebuild_the_graph_or_rerun_all_cycles(tmp_path, monkeypatch):
+    state, manifest, texts, steps = _clean_fold_steps(tmp_path / "ws")
+    calls = {"build_dependency_graph": 0, "_injection_cycle_diags": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(compiler, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(compiler, name, counted)
     for kind, edit, removed in steps:
         edited = edit(state)
         assert edited or removed, kind
@@ -439,6 +449,32 @@ def test_clean_folds_never_derive_every_id_rebuild_the_graph_or_rerun_all_cycles
         assert diags == full_diags == [], kind
         assert new.graph.nodes == full.graph.nodes and new.graph.edges == full.graph.edges, kind
         state = new
+
+
+def test_patched_neighbour_indexes_equal_freshly_built_ones(tmp_path):
+    state, manifest, texts, steps = _clean_fold_steps(tmp_path / "ws")
+    patched_folds = []
+    for kind, edit, removed in steps:
+        # build both indexes, so the fold patches them
+        state.graph.dependents_of(UNRESOLVED)
+        state.graph.dependencies_of(UNRESOLVED)
+        edited = edit(state)
+        new, _, diags = incremental_compile(
+            state, [parse_clean(t, p) for p, t in edited.items()], removed_paths=list(removed), manifest=manifest
+        )
+        assert diags == [], kind
+        assert sorted(new.graph._neighbours) == [False, True], kind
+        if new.graph is not state.graph:
+            patched_folds.append(kind)
+        fresh = DependencyGraph(new.graph.nodes, new.graph.edges)
+        for reverse in (False, True):
+            patched = {k: Counter(v) for k, v in new.graph._index(reverse).items()}
+            assert patched == {k: Counter(v) for k, v in fresh._index(reverse).items()}, (kind, reverse)
+        texts.update(edited)
+        for p in removed:
+            del texts[p]
+        state = new
+    assert patched_folds == ["unit add", "unit remove", "rename", "rename back"]
 
 
 def test_removing_an_instance_named_as_a_property_type_revalidates_its_class():

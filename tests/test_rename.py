@@ -350,6 +350,39 @@ def test_apply_patchset_on_disk(tmp_path):
     assert eid("HttpClient") in state2.resolved.classes
 
 
+def test_apply_patchset_keeps_line_endings(tmp_path):
+    # the parser counts CRLF, CR and LF alike as one line break, so the same
+    # patch set applies to every spelling and changes only the patched names
+    lf = tmp_path / "lf"
+    lf.mkdir()
+    write_golden(lf, manifest=False)
+    lf_state, _ = compile_workspace(lf)
+    lf_patchset, _ = rename_element(lf_state, eid("HTTP_Client"), "HttpClient")
+    apply_patchset(lf_patchset, str(lf))
+
+    root = tmp_path / "mixed"
+    root.mkdir()
+    write_golden(root, manifest=False)
+    breaks = {"core.model.xml": ["\r\n"], "retrievers.model.xml": ["\r"], "secured.model.xml": ["\r\n", "\n", "\r"]}
+    spelled = {}
+    for name, seps in breaks.items():
+        lines = GOLDEN_UNITS[name].split("\n")
+        spelled[name] = [seps[i % len(seps)] for i in range(len(lines) - 1)] + [""]
+        raw = "".join(line + sep for line, sep in zip(lines, spelled[name]))
+        (root / name).write_bytes(raw.encode("utf-8"))
+    state, diags = compile_workspace(root)
+    assert diags == []
+    patchset, _ = rename_element(state, eid("HTTP_Client"), "HttpClient")
+    assert patchset == lf_patchset
+    assert apply_patchset(patchset, str(root)) == sorted(breaks)
+    for name, seps in spelled.items():
+        renamed = (lf / name).read_text(encoding="utf-8").split("\n")
+        expected = "".join(line + sep for line, sep in zip(renamed, seps))
+        assert (root / name).read_bytes() == expected.encode("utf-8"), name
+    state2, diags2 = compile_workspace(root)
+    assert diags2 == [] and eid("HttpClient") in state2.resolved.classes
+
+
 def test_apply_patchset_missing_file(tmp_path):
     span = SourceSpan("ghost.model.xml", 1, 1, 1, 2)
     ps = PatchSet((Patch("ghost.model.xml", span, "x"),))

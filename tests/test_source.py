@@ -10,6 +10,7 @@ from mtalk.compiler import compile_workspace
 from mtalk.diagnostics import PARSE, DUPLICATE_ID
 from mtalk.errors import NotFoundError
 from mtalk.ids import ElementId
+from mtalk.schema import generate_schema, validate_with_schema
 from mtalk.source import (
     InlineBean,
     RefValue,
@@ -23,7 +24,7 @@ from mtalk.source import (
     span_of,
 )
 
-from golden import CORE_XML, write_golden
+from golden import CORE_XML, compile_golden, write_golden
 
 
 def parse(text, path="u.model.xml"):
@@ -472,6 +473,76 @@ def test_document_shape_renders_alike_in_both_readers(shape, reader):
     assert [d.render() for d in diags] == [f"u.xml:{r}" for r in rendered]
 
 
+# Faults inside the root element. parse_unit reports each and recovers;
+# read_document stops at the first, which validate_with_schema reports as a
+# document that is not well-formed.
+_CONTENT_FAULTS = {
+    "unterminated CDATA": (
+        '<model>\n  <bean id="A" class="C"><v><![CDATA[1</v></bean>\n</model>',
+        ["2:29: error[E000] unterminated CDATA section"],
+    ),
+    "malformed closing tag": (
+        '<model>\n  <bean id="A" class="C"><v>1</ v></bean>\n</model>',
+        ["2:30: error[E000] malformed closing tag"],
+    ),
+    "malformed tag name": (
+        '<model>\n  <bean id="A" class="C"><1v/></bean>\n</model>',
+        ["2:26: error[E000] malformed tag"],
+    ),
+    "malformed tag end": (
+        '<model>\n  <bean id="A" class="C"><v ref>1</v></bean>\n</model>',
+        ["2:28: error[E000] malformed tag '<v'"],
+    ),
+    "bad entity in text": (
+        '<model>\n  <bean id="A" class="C"><v>1 &amp 2</v></bean>\n</model>',
+        ["2:31: error[E000] bad entity reference"],
+    ),
+    "bad entity in attribute": (
+        '<model>\n  <bean id="A" class="C&lt"/>\n</model>',
+        ["2:24: error[E000] bad entity reference"],
+    ),
+    "unknown entity": (
+        '<model>\n  <bean id="A" class="C"><v>&nbsp;</v></bean>\n</model>',
+        ["2:29: error[E000] unknown entity '&nbsp;'"],
+    ),
+    "unclosed element after a tag": (
+        '<model>\n  <bean id="A" class="C">\n    <v>1</v>\n',
+        ["2:3: error[E000] unclosed element 'bean'", "3:13: error[E000] unclosed root element 'model'"],
+    ),
+    "unclosed element in text": (
+        '<model>\n  <bean id="A" class="C">\n    <v>1',
+        ["3:5: error[E000] unclosed element 'v'", "3:8: error[E000] unclosed root element 'model'"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_schema_doc():
+    state, diags = compile_golden()
+    assert diags == []
+    return generate_schema(state)
+
+
+@pytest.mark.parametrize("reader", ["parse_unit", "read_document", "validate_with_schema"])
+@pytest.mark.parametrize("fault", sorted(_CONTENT_FAULTS))
+def test_content_faults_render_alike_in_every_reader(fault, reader, golden_schema_doc):
+    text, rendered = _CONTENT_FAULTS[fault]
+    if reader == "parse_unit":
+        unit, diags = parse_unit(text, "u.xml")
+        assert unit.beans == ()
+        assert [d.render() for d in diags] == [f"u.xml:{r}" for r in rendered]
+        return
+    if reader == "read_document":
+        doc, diags = read_document(text, "u.xml")
+        assert doc is None
+        expected = rendered[0]
+    else:
+        diags = validate_with_schema(golden_schema_doc, text, "u.xml")
+        where, message = rendered[0].split(": error[E000] ")
+        expected = f"{where}: error[E015] document is not well-formed: {message}"
+    assert [d.render() for d in diags] == [f"u.xml:{expected}"]
+
+
 def test_duplicate_attribute_is_malformed():
     unit, diags = parse("<model><bean id='A' id='B' class='C'/></model>")
     assert unit.beans == ()
@@ -592,12 +663,45 @@ def test_discover_unit_paths_sorted_and_filtered(tmp_path):
     (tmp_path / "sub" / "a.model.xml").write_text("<model/>")
     (tmp_path / ".hidden" / "c.model.xml").write_text("<model/>")
     (tmp_path / "notes.txt").write_text("x")
-    assert discover_unit_paths(tmp_path) == ["b.model.xml", "sub/a.model.xml"]
+    # dot-files, and dot-directories at any depth, are skipped
+    (tmp_path / ".d.model.xml").write_text("<model/>")
+    (tmp_path / "sub" / ".git" / "deep").mkdir(parents=True)
+    (tmp_path / "sub" / ".git" / "deep" / "e.model.xml").write_text("<model/>")
+    (tmp_path / "sub" / ".f.model.xml").write_text("<model/>")
+    # a directory with the unit suffix is no unit, but it is walked
+    (tmp_path / "x.model.xml").mkdir()
+    (tmp_path / "x.model.xml" / "y.model.xml").write_text("<model/>")
+    # a symlinked unit file is listed; a symlinked directory is not entered,
+    # and a dangling link is no file
+    outside = tmp_path / ".outside"
+    outside.mkdir()
+    (outside / "o.model.xml").write_text("<model/>")
+    (tmp_path / "linked.model.xml").symlink_to(outside / "o.model.xml")
+    (tmp_path / "linkdir").symlink_to(outside, target_is_directory=True)
+    (tmp_path / "dangling.model.xml").symlink_to(tmp_path / "missing.model.xml")
+    # the order is by relative path string, not walk order: '-' < '.' < '/'
+    for rel in ("a-b/z.model.xml", "a/z.model.xml", "a.model.xml", "ab/a.model.xml"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        (tmp_path / rel).write_text("<model/>")
+    assert discover_unit_paths(tmp_path) == [
+        "a-b/z.model.xml",
+        "a.model.xml",
+        "a/z.model.xml",
+        "ab/a.model.xml",
+        "b.model.xml",
+        "linked.model.xml",
+        "sub/a.model.xml",
+        "x.model.xml/y.model.xml",
+    ]
+    assert discover_unit_paths(str(tmp_path / "sub")) == ["a.model.xml"]
 
 
 def test_discover_missing_root_raises(tmp_path):
     with pytest.raises(NotFoundError):
         discover_unit_paths(tmp_path / "nope")
+    (tmp_path / "file.model.xml").write_text("<model/>")
+    with pytest.raises(NotFoundError):
+        discover_unit_paths(tmp_path / "file.model.xml")
 
 
 def test_parse_workspace_golden_clean(tmp_path):

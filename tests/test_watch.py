@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 
+from mtalk import source
 from mtalk.compiler import compile_workspace
 from mtalk.watch import WatchSession, run_watch
 
@@ -29,6 +30,18 @@ def edit(root, name: str, old: str, new: str) -> None:
 
 def test_poll_is_none_when_nothing_changed(tmp_path):
     session = session_for(tmp_path)
+    assert session.poll() is None
+    assert session.poll() is None
+
+
+def test_idle_poll_reads_and_parses_nothing(tmp_path, monkeypatch):
+    session = session_for(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("an idle poll read or parsed a unit")
+
+    monkeypatch.setattr(source, "parse_unit", fail)
+    monkeypatch.setattr(source, "read_unit_text", fail)
     assert session.poll() is None
     assert session.poll() is None
 
