@@ -18,7 +18,7 @@ from .compiler import (
 )
 from .diagnostics import has_errors
 from .errors import ModelError, NotFoundError
-from .graph import MANIFEST_NS
+from .graph import MANIFEST_NS, breadth_first
 from .ids import UNRESOLVED, ElementId
 from .kernel import KERNEL_SOURCE
 from .native import NativeManifest, load_manifest
@@ -122,29 +122,6 @@ def _cmd_get(args, out) -> int:
     return EXIT_OK
 
 
-def _closure_rows(state: CompileState, start: ElementId, reverse: bool):
-    """BFS over the dependency graph; rows are (element, kind that reached it)."""
-    graph = state.graph
-    neighbors = graph.incoming if reverse else graph.outgoing
-    seen = {start}
-    frontier = [start]
-    rows = []
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for edge in neighbors(node):
-                other = edge.src if reverse else edge.dst
-                if other in seen:
-                    continue
-                seen.add(other)
-                if other == UNRESOLVED or other.namespace == MANIFEST_NS:
-                    continue
-                rows.append((other, edge.kind))
-                nxt.append(other)
-        frontier = nxt
-    return rows
-
-
 def _cmd_deps(args, out) -> int:
     state, _report = _load_workspace(args)
     model = state.resolved
@@ -152,7 +129,11 @@ def _cmd_deps(args, out) -> int:
     if target is None:
         sys.stderr.write(f"unknown element '{args.element}'\n")
         return EXIT_ERRORS
-    rows = _closure_rows(state, target, args.reverse)
+    graph = state.graph
+    reached = breadth_first([target], graph.incoming if args.reverse else graph.outgoing, args.reverse)
+    # manifest pseudo-nodes and the unresolved sentinel stay internal
+    rows = [(e, edge.kind) for e, edge in reached.items()
+            if edge is not None and e != UNRESOLVED and e.namespace != MANIFEST_NS]
     if args.json:
         out.write(
             json.dumps([{"id": e.render(), "kind": k} for e, k in rows], indent=2) + "\n"

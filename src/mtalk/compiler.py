@@ -355,78 +355,63 @@ def _injection_cycle_diags(model: ResolvedModel, graph: DependencyGraph) -> list
     edge would never terminate. Pure parent/subclass cycles are already
     reported per element.
     """
-    return _cycle_diags(model, graph.edges)
+    return _cycle_diags(model, graph.by_source, graph.by_source)[0]
 
 
-def _cycle_diags(model: ResolvedModel, edges) -> list[Diagnostic]:
-    """E004 for the injection cycles among edges, whose injection edges
-    between elements must hold every out-edge of their sources."""
-    adj: dict[ElementId, list[tuple[ElementId, str]]] = {}
-    for e in edges:
-        if e.kind in _INJECTION_KINDS and e.src in model.elements and e.dst in model.elements:
-            adj.setdefault(e.src, []).append((e.dst, e.kind))
+def _cycle_diags(model: ResolvedModel, by_source, roots) -> tuple[list[Diagnostic], dict[ElementId, int]]:
+    """E004 for the injection cycles reachable from roots over the edge store
+    by_source, and every element the walk reached (mapped to its index)."""
+    elements = model.elements
+
+    def successors(v):
+        return iter([e.dst for e in by_source.get(v, ()) if e.kind in _INJECTION_KINDS and e.dst in elements])
 
     # iterative Tarjan
     index: dict[ElementId, int] = {}
     low: dict[ElementId, int] = {}
     on_stack: set[ElementId] = set()
     stack: list[ElementId] = []
-    counter = [0]
     components: list[list[ElementId]] = []
 
-    def strongconnect(root: ElementId):
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+    for root in roots:
+        if root in index or root not in elements:
+            continue
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
+        work = [(root, successors(root))]
         while work:
             v, it = work[-1]
-            advanced = False
-            for w, _kind in it:
+            for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(adj.get(w, ()))))
-                    advanced = True
+                    work.append((w, successors(w)))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-
-    for v in adj:
-        if v not in index:
-            strongconnect(v)
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(comp)
 
     diags: list[Diagnostic] = []
     for comp in components:
+        # a lone element is a cycle only through a value-ref to itself
         members = set(comp)
-        if len(comp) == 1:
-            v = comp[0]
-            if not any(d == v and k == VALUE_REF for d, k in adj.get(v, ())):
-                continue
-        else:
-            has_ref = any(
-                k == VALUE_REF for v in comp for d, k in adj.get(v, ()) if d in members
-            )
-            if not has_ref:
-                continue
+        if not any(e.kind == VALUE_REF and e.dst in members for v in comp for e in by_source.get(v, ())):
+            continue
         names = ", ".join(sorted(m.render() for m in members))
         for m in sorted(members, key=ElementId.render):
             diags.append(
@@ -437,7 +422,7 @@ def _cycle_diags(model: ResolvedModel, edges) -> list[Diagnostic]:
                     m,
                 )
             )
-    return diags
+    return diags, index
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +644,10 @@ def _injection_edges(edges) -> set[Edge]:
     return {e for e in edges if e.kind in _INJECTION_KINDS}
 
 
-def _refolded_cycle_diags(prev_diags, model: ResolvedModel, old_edges, new_edges, seeds) -> tuple[Diagnostic, ...]:
-    """The injection-cycle report after a fold that re-derived the out-edges
-    old_edges as new_edges, from the previous report prev_diags.
+def _refolded_cycle_diags(prev_diags, model: ResolvedModel, prev: DependencyGraph, graph: DependencyGraph,
+                          out, seeds) -> tuple[Diagnostic, ...]:
+    """The injection-cycle report after a fold that patched prev into graph
+    with the re-derived out-edges out, from the previous report prev_diags.
 
     Tarjan reruns on the forward injection closure of every element whose
     injection edges changed, plus the members of each reported cycle that
@@ -669,7 +655,7 @@ def _refolded_cycle_diags(prev_diags, model: ResolvedModel, old_edges, new_edges
     holds whole strong components. Every reported cycle outside it has the
     same edges and spans as before and is kept.
     """
-    region = {e.src for e in _injection_edges(old_edges) ^ _injection_edges(new_edges)}
+    region = {v for v, edges in out.items() if _injection_edges(edges) != _injection_edges(prev.by_source.get(v, ()))}
     cycles: dict[str, list[Diagnostic]] = {}  # one message per reported cycle
     for d in prev_diags:
         cycles.setdefault(d.message, []).append(d)
@@ -680,18 +666,10 @@ def _refolded_cycle_diags(prev_diags, model: ResolvedModel, old_edges, new_edges
     if not region:
         return prev_diags
     # removed ids stay in the region, so the cycles they were on are dropped
-    elements = model.elements
-    edges: list[Edge] = []
-    todo = [v for v in region if v in elements]
-    while todo:
-        for e in element_edges(model, (todo.pop(),)):
-            if e.kind in _INJECTION_KINDS and e.dst in elements:
-                edges.append(e)
-                if e.dst not in region:
-                    region.add(e.dst)
-                    todo.append(e.dst)
+    found, reached = _cycle_diags(model, graph.by_source, region)
+    region.update(reached)
     kept = [d for ds in cycles.values() if region.isdisjoint(d.element for d in ds) for d in ds]
-    return tuple(kept + _cycle_diags(model, edges))
+    return tuple(kept + found)
 
 
 def incremental_compile(
@@ -733,10 +711,10 @@ def incremental_compile(
         gone = {e for e in touched if e not in resolved.elements}
         new = {e for e in touched if e not in old.elements}
         rederived = touched if gone or new else seeds
-        old_edges = element_edges(old, [e for e in rederived if e not in new])
-        new_edges = element_edges(resolved, [e for e in rederived if e not in gone])
-        graph = prev.graph.patched(old_edges, new_edges, gone, new)
-        graph_diags = _refolded_cycle_diags(prev.graph_diags, resolved, old_edges, new_edges, seeds)
+        out = element_edges(resolved, [e for e in rederived if e not in gone])
+        out.update(dict.fromkeys(gone, ()))
+        graph = prev.graph.patched(out, gone, new)
+        graph_diags = _refolded_cycle_diags(prev.graph_diags, resolved, prev.graph, graph, out, seeds)
     if graph is not prev.graph:
         dirty |= graph.closure(seeds, reverse=True)
 
@@ -777,7 +755,7 @@ def incremental_compile(
 # ---------------------------------------------------------------------------
 # State persistence
 
-_STATE_MAGIC = b"MTALKST5\n"
+_STATE_MAGIC = b"MTALKST6\n"
 STATE_FILENAME = "state.bin"
 
 

@@ -2,13 +2,16 @@
 
 Edges capture every way one element's meaning can depend on another's.
 An element's out-edges follow from its own declaration, the element-id set
-and the kinds of the elements it names, so a graph can be patched one
-element at a time. Closures are a plain walk over a lazily built index.
+and the kinds of the elements it names, so the graph keeps one edge store,
+each source's tuple of out-edges, and a fold replaces only the tuples of the
+ids it re-derived. The flat edge set and a node's sorted edges are derived
+when asked for; a by-target map is built on the first reverse walk and
+patched from then on. One breadth-first walk serves closures and the CLI's
+dependency listing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .ids import BUILTIN_SCALARS, UNRESOLVED, ElementId
@@ -43,66 +46,74 @@ class Edge(NamedTuple):
     kind: str
 
 
+def breadth_first(seeds, edges_of, reverse: bool = False) -> dict[ElementId, Edge | None]:
+    """Every node reachable from the seeds, in breadth-first order, mapped to
+    the edge that first reached it (None for a seed). edges_of(v) gives v's
+    out-edges, or its in-edges when reverse, in the order they are followed,
+    or None when there are none."""
+    reached = dict.fromkeys(seeds)
+    end = 0 if reverse else 1
+    order = list(reached)
+    for v in order:  # the list grows as the walk reaches nodes
+        for e in edges_of(v) or ():
+            w = e[end]
+            if w not in reached:
+                reached[w] = e
+                order.append(w)
+    return reached
+
+
 class DependencyGraph:
-    """Immutable node and edge sets plus lazily built indexes for queries."""
+    """Immutable: the node set and each source's tuple of out-edges (no edge
+    twice), plus a by-target map built on first need."""
 
     def __init__(self, nodes, edges):
+        by_source: dict[ElementId, list[Edge]] = {}
+        for e in dict.fromkeys(edges):
+            by_source.setdefault(e.src, []).append(e)
         self.nodes = frozenset(nodes)
-        self.edges = frozenset(edges)
-        self._out: dict[ElementId, tuple[Edge, ...]] | None = None
-        self._in: dict[ElementId, tuple[Edge, ...]] | None = None
-        self._neighbours: dict[bool, dict[ElementId, tuple[ElementId, ...]]] = {}
+        self.by_source: dict[ElementId, tuple[Edge, ...]] = {src: tuple(es) for src, es in by_source.items()}
+        self._by_target: dict[ElementId, tuple[Edge, ...]] | None = None
+
+    @classmethod
+    def _of(cls, nodes: frozenset, by_source) -> DependencyGraph:
+        graph = cls.__new__(cls)
+        graph.nodes, graph.by_source, graph._by_target = nodes, by_source, None
+        return graph
 
     def __reduce__(self):
-        # the indexes are caches: a pickled graph holds its nodes and edges only
-        return DependencyGraph, (self.nodes, self.edges)
+        # the by-target map is a cache: a pickled graph holds its nodes and store only
+        return DependencyGraph._of, (self.nodes, self.by_source)
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(e for edges in self.by_source.values() for e in edges)
+
+    def by_target(self) -> dict[ElementId, tuple[Edge, ...]]:
+        if self._by_target is None:
+            into: dict[ElementId, list[Edge]] = {}
+            for edges in self.by_source.values():
+                for e in edges:
+                    into.setdefault(e.dst, []).append(e)
+            self._by_target = {dst: tuple(es) for dst, es in into.items()}
+        return self._by_target
 
     def outgoing(self, element_id: ElementId) -> tuple[Edge, ...]:
-        if self._out is None:
-            buckets: dict[ElementId, list[Edge]] = {}
-            for e in self.edges:
-                buckets.setdefault(e.src, []).append(e)
-            self._out = {k: tuple(sorted(v, key=lambda e: (e.dst.render(), e.kind))) for k, v in buckets.items()}
-        return self._out.get(element_id, ())
+        return tuple(sorted(self.by_source.get(element_id, ()), key=lambda e: (e.dst.render(), e.kind)))
 
     def incoming(self, element_id: ElementId) -> tuple[Edge, ...]:
-        if self._in is None:
-            buckets: dict[ElementId, list[Edge]] = {}
-            for e in self.edges:
-                buckets.setdefault(e.dst, []).append(e)
-            self._in = {k: tuple(sorted(v, key=lambda e: (e.src.render(), e.kind))) for k, v in buckets.items()}
-        return self._in.get(element_id, ())
-
-    def _index(self, reverse: bool) -> dict[ElementId, tuple[ElementId, ...]]:
-        index = self._neighbours.get(reverse)
-        if index is None:
-            buckets: dict[ElementId, list[ElementId]] = {}
-            for src, dst, _kind in self.edges:
-                if reverse:
-                    src, dst = dst, src
-                buckets.setdefault(src, []).append(dst)
-            index = self._neighbours[reverse] = {k: tuple(v) for k, v in buckets.items()}
-        return index
+        return tuple(sorted(self.by_target().get(element_id, ()), key=lambda e: (e.src.render(), e.kind)))
 
     def closure(self, seeds, reverse: bool = False) -> set[ElementId]:
         """Elements reachable from seeds (seeds included; seeds that are not
         nodes are ignored). reverse=True walks edges backwards: everything
         that depends on the seeds."""
         nodes = self.nodes
-        found = {s for s in seeds if s in nodes}
+        found = [s for s in seeds if s in nodes]
         if not found:
-            return found
-        index = self._index(reverse)
-        frontier = list(found)
-        while frontier:
-            reached = []
-            for v in frontier:
-                for w in index.get(v, ()):
-                    if w not in found:
-                        found.add(w)
-                        reached.append(w)
-            frontier = reached
-        return found
+            return set()  # builds no by-target map
+        index = self.by_target() if reverse else self.by_source
+        return set(breadth_first(found, index.get, reverse))
 
     def dependencies_of(self, element_id: ElementId) -> set[ElementId]:
         return self.closure([element_id], reverse=False)
@@ -110,45 +121,43 @@ class DependencyGraph:
     def dependents_of(self, element_id: ElementId) -> set[ElementId]:
         return self.closure([element_id], reverse=True)
 
-    def patched(self, removed: set[Edge], added: set[Edge], gone=(), new=()) -> DependencyGraph:
-        """This graph without the `removed` edges and the `gone` nodes, and
-        with the `added` edges and the `new` nodes; the graph itself when
-        nothing changes. Manifest nodes come and go with their native-binding
-        edges. The neighbour indexes built so far are patched, not dropped."""
-        removed, added = removed - added, added - removed
-        if not removed and not added and not gone and not new:
+    def patched(self, out, gone=(), new=()) -> DependencyGraph:
+        """This graph with out[src] as the out-edges of each source in `out`
+        (none for a source mapped to ()), without the `gone` nodes and with
+        the `new` ones; the graph itself when nothing changes. Manifest nodes
+        come and go with their native-binding edges. A by-target map built so
+        far is patched, not dropped."""
+        by_source = self.by_source
+        changed, removed, added = {}, [], []
+        for src, edges in out.items():
+            old = by_source.get(src, ())
+            if edges != old:
+                changed[src] = edges
+                removed += set(old).difference(edges)
+                added += set(edges).difference(old)
+        if not changed and not gone and not new:
             return self
         gone = {*gone, *(e.dst for e in removed if e.kind == NATIVE_BINDING)}
         new = {*new, *(e.dst for e in added if e.kind == NATIVE_BINDING)}
-        graph = DependencyGraph(self.nodes.difference(gone).union(new), self.edges.difference(removed).union(added))
-        for reverse, index in self._neighbours.items():
-            graph._neighbours[reverse] = _patched_index(index, removed, added, reverse)
+        by_source = by_source.copy()  # copy() stays a block copy after deletions; {**d} and dict(d) do not
+        by_source.update(changed)
+        for src, edges in changed.items():
+            if not edges:
+                del by_source[src]
+        graph = DependencyGraph._of(self.nodes.difference(gone).union(new) if gone or new else self.nodes, by_source)
+        if self._by_target is not None:
+            drop = set(removed)
+            more: dict[ElementId, list[Edge]] = {}
+            for e in added:
+                more.setdefault(e.dst, []).append(e)
+            into = graph._by_target = self._by_target.copy()
+            for dst in {e.dst for e in removed}.union(more):
+                edges = tuple(e for e in into.get(dst, ()) if e not in drop) + tuple(more.get(dst, ()))
+                if edges:
+                    into[dst] = edges
+                else:
+                    del into[dst]
         return graph
-
-
-def _patched_index(index, removed, added, reverse: bool) -> dict[ElementId, tuple[ElementId, ...]]:
-    """A neighbour index with the removed edges taken out and the added put in."""
-    delta: dict[ElementId, tuple[list[ElementId], list[ElementId]]] = {}
-    for edges, side in ((removed, 0), (added, 1)):
-        for src, dst, _kind in edges:
-            if reverse:
-                src, dst = dst, src
-            delta.setdefault(src, ([], []))[side].append(dst)
-    index = dict(index)
-    for key, (out, into) in delta.items():
-        drop = Counter(out)
-        kept = []
-        for v in index.get(key, ()):
-            if drop[v]:
-                drop[v] -= 1
-            else:
-                kept.append(v)
-        kept += into
-        if kept:
-            index[key] = tuple(kept)
-        else:
-            index.pop(key, None)
-    return index
 
 
 def _target(model: ResolvedModel, ref: ElementId) -> ElementId:
@@ -156,17 +165,17 @@ def _target(model: ResolvedModel, ref: ElementId) -> ElementId:
     return found if found is not None else UNRESOLVED
 
 
-def _value_edges(model: ResolvedModel, owner: ElementId, expr, edges: set[Edge]):
+def _value_edges(model: ResolvedModel, owner: ElementId, expr, edges: list[Edge]):
     if isinstance(expr, RefValue):
-        edges.add(Edge(owner, _target(model, expr.target), VALUE_REF))
+        edges.append(Edge(owner, _target(model, expr.target), VALUE_REF))
     elif isinstance(expr, InlineBean):
-        edges.add(Edge(owner, _target(model, expr.class_ref), INSTANCE_OF))
+        edges.append(Edge(owner, _target(model, expr.class_ref), INSTANCE_OF))
         for _, inner in expr.assignments:
             _value_edges(model, owner, inner, edges)
 
 
-def element_edges(model: ResolvedModel, element_ids) -> set[Edge]:
-    """Out-edges of the given elements:
+def element_edges(model: ResolvedModel, element_ids) -> dict[ElementId, tuple[Edge, ...]]:
+    """The out-edges of each of the given elements, each edge once:
 
       instance-of    bean -> its class (inline beans' classes included)
       subclass-of    class -> its superclass (implicit Object included)
@@ -179,38 +188,38 @@ def element_edges(model: ResolvedModel, element_ids) -> set[Edge]:
     the element's own declaration, its edges depend only on which ids exist
     and on the kinds of the elements the declaration names.
     """
-    edges: set[Edge] = set()
+    out: dict[ElementId, tuple[Edge, ...]] = {}
     for eid in element_ids:
         entry = model.elements[eid]
         decl = entry.decl
-        edges.add(Edge(eid, _target(model, decl.class_ref), INSTANCE_OF))
+        edges = [Edge(eid, _target(model, decl.class_ref), INSTANCE_OF)]
         if entry.kind is ElementKind.INSTANCE:
             if decl.parent_ref is not None:
-                edges.add(Edge(eid, _target(model, decl.parent_ref), PARENT_BEAN))
+                edges.append(Edge(eid, _target(model, decl.parent_ref), PARENT_BEAN))
         else:
             cd = model.classes[eid]
             if decl.parent_ref is not None:
-                edges.add(Edge(eid, _target(model, decl.parent_ref), SUBCLASS_OF))
+                edges.append(Edge(eid, _target(model, decl.parent_ref), SUBCLASS_OF))
             elif cd.parent is not None:
-                edges.add(Edge(eid, cd.parent, SUBCLASS_OF))
+                edges.append(Edge(eid, cd.parent, SUBCLASS_OF))
             for d in decl.property_defs:
                 named = model.lookup(d.type_ref)
                 if named is not None:
-                    edges.add(Edge(eid, named, PROPERTY_TYPE))
+                    edges.append(Edge(eid, named, PROPERTY_TYPE))
                 elif d.type_ref.local not in BUILTIN_SCALARS:
-                    edges.add(Edge(eid, UNRESOLVED, PROPERTY_TYPE))
+                    edges.append(Edge(eid, UNRESOLVED, PROPERTY_TYPE))
             if not cd.is_declarative:
-                edges.add(Edge(eid, manifest_node(eid), NATIVE_BINDING))
+                edges.append(Edge(eid, manifest_node(eid), NATIVE_BINDING))
         for _, expr in decl.assignments:
             _value_edges(model, eid, expr, edges)
-    return edges
+        out[eid] = tuple(dict.fromkeys(edges))
+    return out
 
 
 def build_dependency_graph(model: ResolvedModel) -> DependencyGraph:
     """The out-edges of every element. The nodes are the elements, the
     UNRESOLVED sentinel and one manifest node per native-binding edge."""
-    edges = element_edges(model, model.elements)
-    nodes = set(model.elements)
-    nodes.add(UNRESOLVED)
-    nodes.update(e.dst for e in edges if e.kind == NATIVE_BINDING)
-    return DependencyGraph(nodes, edges)
+    by_source = element_edges(model, model.elements)
+    nodes = {*model.elements, UNRESOLVED}
+    nodes.update(e.dst for edges in by_source.values() for e in edges if e.kind == NATIVE_BINDING)
+    return DependencyGraph._of(frozenset(nodes), by_source)

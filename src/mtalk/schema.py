@@ -5,17 +5,14 @@ parser and compiler accept for units of that namespace: bean elements with
 the generic content model (the union of all property names, each typed by
 the strictest type every declaring class agrees on), the class attribute
 restricted to known class names, and the properties definition block.
-Per-class named types are also emitted as editor metadata; the generic
-bean type does not reference them.
 
 A schema has one description, the `_Schema` IR: its root elements, and the
 complex and simple types they reach. The generator builds it from the model,
-and `SchemaDoc.text` is its rendering; the per-class types are rendered one
-at a time and not kept. Validating against a `SchemaDoc` reads its IR. The
-text parser, `_parse_schema`, is for schemas from outside: it reads the XSD
-subset the generator emits and raises SchemaError on anything else. A test
-parses every generated text back and compares it with its IR, so a
-rendering bug that drops or mistypes a construct fails there.
+and `SchemaDoc.text` is its rendering. Validating against a `SchemaDoc`
+reads its IR. The text parser, `_parse_schema`, is for schemas from outside:
+it reads the XSD subset the generator emits and raises SchemaError on
+anything else. A test parses every generated text back and compares it with
+its IR, so a rendering bug that drops or mistypes a construct fails there.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from . import diagnostics as dx
 from .compiler import CompiledModel, CompileState
 from .diagnostics import Diagnostic
 from .errors import ModelError
-from .ids import BUILTIN_SCALARS, FLAG, SCALARS, XSD_LEXICAL, ElementId, Scalar
+from .ids import BUILTIN_SCALARS, FLAG, SCALARS, XSD_LEXICAL, Scalar
 from .kernel import ResolvedModel
 from .source import XmlElement, read_document
 
@@ -72,8 +69,8 @@ class _Schema:
 
 
 def _keep_reachable(sch: _Schema) -> None:
-    """Drop the types no root element reaches, such as the per-class editor
-    types and the unused pattern types: validation never looks them up."""
+    """Drop the types no root element reaches, such as the unused pattern
+    types: validation never looks them up."""
     reached: set[str] = set()
     todo = list(sch.elements.values())
     while todo:
@@ -93,7 +90,7 @@ def _keep_reachable(sch: _Schema) -> None:
 @dataclass(frozen=True)
 class SchemaDoc:
     namespace: str
-    text: str  # renders ir before its unreached types were dropped, then the per-class types
+    text: str  # renders ir before its unreached types were dropped
     generated_from: str
     # what validation reads; equal texts have equal IRs, so the text decides equality
     ir: _Schema = field(repr=False, compare=False)
@@ -106,15 +103,11 @@ _PATTERN_TYPES = {_TYPE_NAMES[n]: (Scalar(r.xsd, r.pattern, None), None) for n, 
 # The bean attributes: their type, and whether a bean in a unit must carry them.
 _BEAN_ATTRS = {"id": ("xs:string", True), "class": ("classNameType", True), "parent": ("xs:string", False),
                "abstract": ("flagType", False), "declarative": ("flagType", False)}
-# A per-class type names every bean attribute and requires none.
-_EDITOR_ATTRS = {name: (t, False) for name, (t, _required) in _BEAN_ATTRS.items()}
 # The slot, (type, required), of an optional property element by the property's
 # builtin, None for a class: a class-typed property takes a bean. Shared, so a
 # schema's thousands of slots allocate nothing.
 _SLOTS = {None: ("beanValueType", False), **{b: (_TYPE_NAMES[b], False) for b in BUILTIN_SCALARS}}
 _ANY_SLOT = ("xs:anyType", False)
-# The per-class type of a class on a parent cycle or with an unresolved property type.
-_OPEN_TYPE = _ComplexType("open", any_attrs=True)
 
 
 def _model_fingerprint(units) -> str:
@@ -151,7 +144,7 @@ def _writable_class_names(model: ResolvedModel, ns: str) -> set[str]:
 
 
 def _schema_ir(model: ResolvedModel, ns: str, root_tags) -> _Schema:
-    """Every type of the schema for namespace ns but the per-class ones."""
+    """Every type of the schema for namespace ns."""
     merged = _merged_property_slots(model)
     props = {name: merged[name] for name in sorted(merged)}
     class_names = _writable_class_names(model, ns)
@@ -175,21 +168,6 @@ def _schema_ir(model: ResolvedModel, ns: str, root_tags) -> _Schema:
     )
 
 
-def _editor_types(model: ResolvedModel):
-    """(name, type, documentation) of each per-class type, one class at a time."""
-    unresolved = {p.declared_by for cd in model.classes.values() for p in cd.own_properties if p.type.is_unresolved}
-    for eid in sorted(model.classes, key=ElementId.render):
-        if eid in unresolved or model.in_parent_cycle(eid):
-            ct = _OPEN_TYPE
-        else:
-            elems = {"properties": ("propertiesType", False)}
-            for p in model.effective_properties(eid):
-                elems[p.name] = _SLOTS[p.type.builtin]
-            ct = _ComplexType("all", elems, attrs=_EDITOR_ATTRS)
-        written = eid.render()
-        yield "t." + written.replace(":", "."), ct, f"Beans of class {written}."
-
-
 def _esc(text: str) -> str:
     if "&" not in text and "<" not in text and ">" not in text and '"' not in text:
         return text  # most names: skip the four copies
@@ -204,18 +182,8 @@ _REQUIRED = ' use="required"'
 # attribute names are the generator's own XML names and are written as they are.
 
 
-def _attribute_lines(attrs: dict[str, tuple[str, bool]]) -> list[str]:
-    return [f'    <xs:attribute name="{a}" type="{t}"{_REQUIRED if required else ""}/>' for a, (t, required) in attrs.items()]
-
-
-# Every per-class type declares the same attributes: render them once.
-_EDITOR_ATTR_LINES = _attribute_lines(_EDITOR_ATTRS)
-
-
-def _render_complex(w: list[str], name: str, ct: _ComplexType, doc: str | None = None) -> None:
+def _render_complex(w: list[str], name: str, ct: _ComplexType) -> None:
     w.append(f'  <xs:complexType name="{_esc(name)}">')
-    if doc is not None:
-        w += ["    <xs:annotation>", f"      <xs:documentation>{_esc(doc)}</xs:documentation>", "    </xs:annotation>"]
     if ct.mode == "all":
         w.append("    <xs:all>")
         w += [
@@ -231,15 +199,11 @@ def _render_complex(w: list[str], name: str, ct: _ComplexType, doc: str | None =
                 occurs += f' maxOccurs="{"unbounded" if p.max is None else p.max}"'
             w.append(f'      <xs:element name="{_esc(p.name)}" type="{p.type}"{occurs}/>')
         w.append("    </xs:sequence>")
-    elif ct.mode == "open":
-        w += ["    <xs:sequence>", '      <xs:any minOccurs="0" maxOccurs="unbounded" processContents="skip"/>', "    </xs:sequence>"]
-    w += _EDITOR_ATTR_LINES if ct.attrs is _EDITOR_ATTRS else _attribute_lines(ct.attrs)
-    if ct.any_attrs:
-        w.append('    <xs:anyAttribute processContents="skip"/>')
+    w += [f'    <xs:attribute name="{a}" type="{t}"{_REQUIRED if required else ""}/>' for a, (t, required) in ct.attrs.items()]
     w.append("  </xs:complexType>")
 
 
-def _render(sch: _Schema, fingerprint: str, editor_types) -> str:
+def _render(sch: _Schema, fingerprint: str) -> str:
     w = ['<?xml version="1.0" encoding="UTF-8"?>']
     attrs = 'xmlns:xs="http://www.w3.org/2001/XMLSchema"'
     if sch.target_ns:
@@ -258,8 +222,6 @@ def _render(sch: _Schema, fingerprint: str, editor_types) -> str:
         if enum:  # one string for all the values: an enumeration has thousands
             w.append('      <xs:enumeration value="' + '"/>\n      <xs:enumeration value="'.join(map(_esc, sorted(enum))) + '"/>')
         w += ["    </xs:restriction>", "  </xs:simpleType>"]
-    for name, ct, doc in editor_types:
-        _render_complex(w, name, ct, doc)
     w += ["</xs:schema>", ""]
     return "\n".join(w)
 
@@ -286,7 +248,7 @@ def generate_schemas(compiled) -> dict[str, SchemaDoc]:
     docs = {}
     for ns, tags in sorted(namespaces.items()):
         sch = _schema_ir(model, ns, tags)
-        text = _render(sch, fingerprint, _editor_types(model))
+        text = _render(sch, fingerprint)
         _keep_reachable(sch)
         docs[ns] = SchemaDoc(namespace=ns, text=text, generated_from=fingerprint, ir=sch)
     return docs

@@ -34,13 +34,14 @@ class WatchSession:
                  state: CompileState | None = None):
         self.root = os.fspath(root)
         self.manifest = manifest
+        # signatures first: a save during the compile then shows in the first poll
+        self._sigs = unit_signatures(self.root)
         if state is None:
             state, report = compile_workspace(self.root, manifest)
         else:
             report = state.all_diagnostics()
         self.state = state
         self.report = report
-        self._sigs = unit_signatures(self.root)
 
     def poll(self) -> WatchResult | None:
         """One scan step: recompile and report if any unit file was touched."""

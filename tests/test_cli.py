@@ -139,16 +139,16 @@ def test_corrupt_state_file_falls_back_to_full_compile(golden_root, capsys):
 
 
 def test_state_of_the_previous_layout_compiles_cold(golden_root, capsys, monkeypatch):
-    # under MTALKST4 a state held its resolve diagnostics and a resolved
-    # model's memos, and no diagnostics by element in the resolved model
+    # under MTALKST5 a state's dependency graph pickled its flat edge set,
+    # not its edges by source
     from mtalk import cli
     from mtalk.compiler import _STATE_MAGIC, load_state
 
     run(capsys, "compile", "--root", str(golden_root))
     state_dir = golden_root / ".mtalk" / "state"
     state_file = state_dir / "state.bin"
-    assert _STATE_MAGIC == b"MTALKST5\n"
-    state_file.write_bytes(b"MTALKST4\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
+    assert _STATE_MAGIC == b"MTALKST6\n"
+    state_file.write_bytes(b"MTALKST5\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
     assert load_state(state_dir) is None
     cold = []
     monkeypatch.setattr(cli, "compile_workspace", lambda *a: cold.append(1) or compile_workspace(*a))
@@ -306,6 +306,44 @@ def test_deps_json_rows(golden_root, capsys):
     rows = json.loads(out)
     assert {"id": "NewsRetriever", "kind": "instance-of"} in rows
     assert all(set(row) == {"id", "kind"} for row in rows)
+
+
+# the exact rows of `mtalk deps` on the golden workspace, in breadth-first
+# order: each element once, with the kind of the edge that first reached it
+_DEPS_ROWS = {
+    ("PontisLogoRetriever", False): [
+        ("FastHTTP_Client", "parent-bean"), ("HTTP_Client", "instance-of"), ("MetaCache", "instance-of"),
+        ("Object", "subclass-of"), ("StandardCache", "instance-of"), ("CacheManager", "property-type"),
+        ("Class", "instance-of"),
+    ],
+    ("PontisLogoRetriever", True): [],
+    ("StandardCache", False): [("CacheManager", "subclass-of"), ("Class", "instance-of"), ("Object", "subclass-of")],
+    ("StandardCache", True): [
+        ("HTTP_Client", "instance-of"), ("NewsRetriever", "instance-of"), ("PictureRetriever", "instance-of"),
+        ("StockQuoteRetriever", "instance-of"), ("BankBalanceRetriever", "subclass-of"),
+        ("FastHTTP_Client", "instance-of"), ("PontisLogoRetriever", "instance-of"),
+        ("RobustHTTP_Client", "instance-of"), ("CNN_NewsRetriever", "instance-of"),
+        ("LogoPictureRetriever", "instance-of"),
+    ],
+    ("CNN_NewsRetriever", False): [
+        ("FastHTTP_Client", "parent-bean"), ("NewsRetriever", "instance-of"), ("HTTP_Client", "instance-of"),
+        ("MetaCache", "instance-of"), ("StandardCache", "instance-of"), ("Object", "subclass-of"),
+        ("CacheManager", "property-type"), ("Class", "instance-of"),
+    ],
+    ("CNN_NewsRetriever", True): [],
+}
+
+
+@pytest.mark.parametrize("element,reverse", sorted(_DEPS_ROWS))
+def test_deps_rows_are_pinned(golden_root, capsys, element, reverse):
+    rows = _DEPS_ROWS[element, reverse]
+    flags = ["--reverse"] if reverse else []
+    code, out, _ = run(capsys, "deps", element, "--root", str(golden_root), *flags)
+    assert code == EXIT_OK
+    assert out == "".join(f"{e} ({k})\n" for e, k in rows)
+    code, out, _ = run(capsys, "deps", element, "--root", str(golden_root), "--json", *flags)
+    assert code == EXIT_OK
+    assert out == json.dumps([{"id": e, "kind": k} for e, k in rows], indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

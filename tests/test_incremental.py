@@ -455,21 +455,21 @@ def test_patched_neighbour_indexes_equal_freshly_built_ones(tmp_path):
     state, manifest, texts, steps = _clean_fold_steps(tmp_path / "ws")
     patched_folds = []
     for kind, edit, removed in steps:
-        # build both indexes, so the fold patches them
+        # build the by-target map, so the fold patches it
         state.graph.dependents_of(UNRESOLVED)
-        state.graph.dependencies_of(UNRESOLVED)
         edited = edit(state)
         new, _, diags = incremental_compile(
             state, [parse_clean(t, p) for p, t in edited.items()], removed_paths=list(removed), manifest=manifest
         )
         assert diags == [], kind
-        assert sorted(new.graph._neighbours) == [False, True], kind
+        assert new.graph._by_target is not None, kind
         if new.graph is not state.graph:
             patched_folds.append(kind)
         fresh = DependencyGraph(new.graph.nodes, new.graph.edges)
-        for reverse in (False, True):
-            patched = {k: Counter(v) for k, v in new.graph._index(reverse).items()}
-            assert patched == {k: Counter(v) for k, v in fresh._index(reverse).items()}, (kind, reverse)
+        stores = {"by_source": (new.graph.by_source, fresh.by_source),
+                  "by_target": (new.graph._by_target, fresh.by_target())}
+        for name, (patched, built) in stores.items():
+            assert {k: Counter(v) for k, v in patched.items()} == {k: Counter(v) for k, v in built.items()}, (kind, name)
         texts.update(edited)
         for p in removed:
             del texts[p]
@@ -675,6 +675,20 @@ def test_incremental_equals_full_for_edit_sequences(steps):
         assert state.resolved.classes == full.resolved.classes
         assert state.graph.nodes == full.graph.nodes
         assert state.graph.edges == full.graph.edges
+
+
+def test_fold_that_reaches_a_reported_cycle_keeps_one_copy_of_it():
+    # C is on no cycle, but its value-ref reaches the A <-> B cycle: the fold
+    # reruns Tarjan through that cycle and must drop the copy it reported
+    reacher = '<model xmlns="cy"><bean id="C" class="Node"><next ref="{}"/></bean></model>'
+    texts = {"cycle.model.xml": _CYCLE_CLOSED, "c.model.xml": reacher.format("A")}
+    state, _ = compile_model([parse_clean(t, p) for p, t in texts.items()])
+    assert sorted(d.element.render() for d in state.graph_diags) == ["cy:A", "cy:B"]
+    texts["c.model.xml"] = reacher.format("B")
+    new, _, diags = incremental_compile(state, [parse_clean(texts["c.model.xml"], "c.model.xml")])
+    full, full_diags = compile_model([parse_clean(t, p) for p, t in texts.items()])
+    assert [d.render() for d in diags] == [d.render() for d in full_diags]
+    assert sorted(d.render() for d in new.graph_diags) == sorted(d.render() for d in full.graph_diags)
 
 
 def test_fold_rebinds_an_untouched_class_whose_references_are_captured():

@@ -1,13 +1,16 @@
-"""The closure contract of DependencyGraph.closure, checked against a naive walk."""
+"""The closure contract of DependencyGraph.closure, checked against a naive
+walk, and DependencyGraph.patched checked against a freshly built graph."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtalk import graph as graphmod
 from mtalk.compiler import compile_workspace
-from mtalk.graph import VALUE_REF, DependencyGraph, Edge
+from mtalk.graph import INSTANCE_OF, NATIVE_BINDING, VALUE_REF, DependencyGraph, Edge, manifest_node
 from mtalk.ids import ElementId
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
@@ -16,10 +19,12 @@ def node(i: int) -> ElementId:
     return ElementId("g", f"n{i}")
 
 
-def make_graph(n: int, pairs) -> DependencyGraph:
-    return DependencyGraph(
-        [node(i) for i in range(n)], [Edge(node(a), node(b), VALUE_REF) for a, b in pairs]
-    )
+def make_graph(n: int, pairs, extra=()) -> DependencyGraph:
+    """Nodes 0..n-1 with a value-ref edge per pair, plus the extra edges and
+    the manifest nodes their native-binding edges name."""
+    edges = [Edge(node(a), node(b), VALUE_REF) for a, b in pairs] + list(extra)
+    manifests = [e.dst for e in extra if e.kind == NATIVE_BINDING]
+    return DependencyGraph([node(i) for i in range(n)] + manifests, edges)
 
 
 def reach(n, pairs, seeds, reverse=False) -> set[int]:
@@ -129,3 +134,63 @@ def test_c07_reverse_closure_matches_naive_walk(tmp_path):
                     todo.append(src)
         assert len(want) > 1
         assert g.closure([seed], reverse=True) == want
+
+
+# ---------------------------------------------------------------------------
+# patched
+
+
+def stores_equal(a: dict, b: dict) -> bool:
+    """Equal edge stores: the same edges under each key, none twice."""
+    assert all(len(set(v)) == len(v) for v in a.values())
+    return {k: Counter(v) for k, v in a.items()} == {k: Counter(v) for k, v in b.items()}
+
+
+@st.composite
+def patches(draw):
+    """A graph, the edges and nodes a patch takes out and puts in, and
+    whether the by-target map is built before the patch."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=n + 3)  # n..n+3 are new nodes
+    plain = st.builds(lambda a, b, k: Edge(node(a), node(b), k), index, index, st.sampled_from((VALUE_REF, INSTANCE_OF)))
+    native = st.builds(lambda a: Edge(node(a), manifest_node(node(a)), NATIVE_BINDING), index)
+    old_index = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(old_index, old_index), max_size=30))
+    extra = draw(st.lists(plain.filter(lambda e: int(e.src.local[1:]) < n) | native.filter(lambda e: int(e.src.local[1:]) < n), max_size=15))
+    graph = make_graph(n, pairs, extra)
+    edges = graph.edges
+    removed = draw(st.sets(st.sampled_from(sorted(edges)))) if edges else set()
+    added = draw(st.sets(plain | native, max_size=12))
+    gone = draw(st.sets(st.sampled_from([node(i) for i in range(n)])))
+    return graph, removed, added, gone, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(patches(), st.lists(st.integers(min_value=0, max_value=15), max_size=4))
+def test_patched_equals_a_freshly_built_graph(case, seeds):
+    graph, removed, added, gone, built = case
+    gone = {v for v in gone if not any(e.src == v for e in added)}
+    after = {e for e in graph.edges - removed | added if e.src not in gone}
+    plain = {v for v in graph.nodes if v.namespace == "g"}
+    new = {e.src for e in added} - plain
+    nodes = plain - gone | new | {e.dst for e in after if e.kind == NATIVE_BINDING}
+    fresh = DependencyGraph(nodes, after)
+    # the ids a fold re-derives: every source whose edges it touched, each
+    # mapped to all its out-edges after the patch
+    sources = {e.src for e in removed | added} | gone
+    out = {v: tuple(e for e in after if e.src == v) for v in sources}
+    if built:
+        graph.by_target()
+    before = (graph.nodes, dict(graph.by_source), graph._by_target and dict(graph._by_target))
+    patched = graph.patched(out, gone, new)
+    # the graph the patch started from is left as it was
+    assert (graph.nodes, graph.by_source, graph._by_target and dict(graph._by_target)) == before
+    assert patched.nodes == fresh.nodes
+    assert stores_equal(patched.by_source, fresh.by_source)
+    assert (patched._by_target is not None) == built
+    if built:
+        assert stores_equal(patched._by_target, fresh.by_target())
+    for reverse in (False, True):
+        want = fresh.closure([node(s) for s in seeds], reverse)
+        assert patched.closure([node(s) for s in seeds], reverse) == want
+        assert patched.closure(fresh.nodes, reverse) == fresh.closure(fresh.nodes, reverse)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from mtalk import source
+from mtalk import source, watch
 from mtalk.compiler import compile_workspace
 from mtalk.watch import WatchSession, run_watch
 
@@ -71,6 +71,28 @@ def test_edit_recompiles_the_dependent_closure(tmp_path):
     assert result.diagnostics == ()
     assert result.elapsed_ms >= 0.0
     # the session state kept the edit
+    assert session.poll() is None
+
+
+def test_save_during_the_start_up_compile_is_folded(tmp_path, monkeypatch):
+    write_golden(tmp_path, manifest=False)
+
+    def compile_then_save(root, manifest=None):
+        compiled = compile_workspace(root, manifest)
+        edit(tmp_path, "core.model.xml", "<timeout>2</timeout>", "<timeout>37</timeout>")
+        return compiled
+
+    monkeypatch.setattr(watch, "compile_workspace", compile_then_save)
+    session = WatchSession(str(tmp_path))
+    result = session.poll()
+    assert result is not None
+    assert {e.render() for e in result.recompiled} == {
+        "FastHTTP_Client",
+        "CNN_NewsRetriever",
+        "PontisLogoRetriever",
+    }
+    saved = (tmp_path / "core.model.xml").read_text(encoding="utf-8")
+    assert session.state.units["core.model.xml"].text == saved
     assert session.poll() is None
 
 
