@@ -52,7 +52,8 @@ def _find_manifest(root: str, flag: str | None) -> NativeManifest | None:
 
 def _load_workspace(args) -> tuple[CompileState, list]:
     """Compile the workspace named by args.root, folding it into the
-    persisted state when there is one."""
+    persisted state when there is one. A fold that found nothing changed
+    leaves the persisted state as it is."""
     _require_root(args.root)
     manifest = _find_manifest(args.root, args.manifest)
     state_dir = _state_dir(args.root, args.state)
@@ -64,6 +65,8 @@ def _load_workspace(args) -> tuple[CompileState, list]:
         state, _recompiled, report = incremental_compile(
             prev, changed, removed_paths=removed, parse_diags=parse_diags, manifest=manifest
         )
+        if not (changed or removed or parse_diags) and manifest == prev.manifest:
+            return state, report
     try:
         save_state(state, state_dir)
     except OSError:

@@ -16,7 +16,9 @@ identical to a full compile.
 
 from __future__ import annotations
 
+import gc
 import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -759,6 +761,19 @@ _STATE_MAGIC = b"MTALKST6\n"
 STATE_FILENAME = "state.bin"
 
 
+@contextmanager
+def _collector_paused():
+    """The cyclic collector off for one bulk pickle pass, then as it was: a
+    state is one long-lived graph, which collections would walk and not free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def save_state(state: CompileState, state_dir) -> Path:
     d = Path(state_dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -766,7 +781,8 @@ def save_state(state: CompileState, state_dir) -> Path:
     tmp = target.with_suffix(".tmp")
     with open(tmp, "wb") as fh:
         fh.write(_STATE_MAGIC)
-        pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        with _collector_paused():
+            pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
     tmp.replace(target)
     return target
 
@@ -778,7 +794,8 @@ def load_state(state_dir) -> CompileState | None:
         with open(target, "rb") as fh:
             if fh.read(len(_STATE_MAGIC)) != _STATE_MAGIC:
                 return None
-            state = pickle.load(fh)
+            with _collector_paused():
+                state = pickle.load(fh)
     except Exception:
         return None
     return state if isinstance(state, CompileState) else None

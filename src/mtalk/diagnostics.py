@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .ids import ElementId, SourceSpan
+from .ids import ElementId, SourceSpan, record
 
 
 class Severity(str, enum.Enum):
@@ -34,7 +33,7 @@ SCHEMA_VIOLATION = "E015"    # document rejected by a generated schema
 MANIFEST_ORPHAN = "W001"     # manifest entry with no model class
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Diagnostic:
     severity: Severity
     code: str

@@ -1,4 +1,5 @@
-"""Element identity, builtin scalars and their lexical rules, and source positions.
+"""Element identity, builtin scalars and their lexical rules, source positions,
+and the record decorator of the package's value types.
 
 Everything downstream (parser, type system, compiler, VM, tools) shares these
 primitives, so they live in a leaf module with no package-internal imports.
@@ -7,7 +8,8 @@ primitives, so they live in a leaf module with no package-internal imports.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 _DECIMAL = r"[\+\-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][\+\-]?[0-9]+)?"
@@ -107,7 +109,21 @@ class ElementId(NamedTuple):
 UNRESOLVED = ElementId("", "⊥unresolved")
 
 
-@dataclass(frozen=True, slots=True)
+def record(cls):
+    """dataclass(frozen=True, slots=True) that pickles as cls(*field values),
+    read by one attrgetter, not by the dataclass's __getstate__, which calls
+    fields() per object. Pickles made through __getstate__ still load."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    names = [f.name for f in fields(cls)]
+    get = attrgetter(*names)
+    if len(names) == 1:  # a one-name attrgetter gives the value, not a tuple
+        cls.__reduce__ = lambda self: (cls, (get(self),))
+    else:
+        cls.__reduce__ = lambda self: (cls, get(self))
+    return cls
+
+
+@record
 class SourceSpan:
     """Half-open region of a source unit, 1-based lines and columns."""
 

@@ -18,13 +18,12 @@ makes it derive every id, as a resolve from scratch does.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import diagnostics as dx
 from .diagnostics import Diagnostic
 from .errors import NotFoundError, WrongKindError
-from .ids import BUILTIN_SCALARS, ElementId, SourceSpan
+from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, record
 from .source import (
     BeanDecl,
     InlineBean,
@@ -64,7 +63,7 @@ class ElementKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TypeRef:
     """A property's declared type: builtin scalar, class, or unresolved."""
 
@@ -95,7 +94,7 @@ class TypeRef:
         return self.builtin == other.builtin and self.class_id == other.class_id
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PropertyDefinition:
     name: str
     type: TypeRef
@@ -104,7 +103,7 @@ class PropertyDefinition:
     span: SourceSpan
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ClassDef:
     id: ElementId
     kind: ElementKind
@@ -117,7 +116,7 @@ class ClassDef:
     is_abstract: bool
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResolvedElement:
     decl: BeanDecl
     kind: ElementKind

@@ -15,19 +15,20 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import ModelError, NotFoundError
+from .ids import record
 
 
 class ManifestError(ModelError):
     """Manifest file missing, unreadable, or structurally invalid."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NativeFieldSig:
     name: str
     type: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NativeClassSig:
     name: str
     parent: str | None

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 
 from . import diagnostics as dx
 from .compiler import CompileState
 from .diagnostics import Diagnostic
 from .errors import CollisionError, NotFoundError, StateError
-from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, is_valid_local
+from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, is_valid_local, record
 from .kernel import ResolvedModel
 from .source import SourceUnit
 
@@ -24,14 +23,14 @@ _TAG_NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
 _SPLIT_LEAF_RE = re.compile(r"<(?:name|type)\b[^>]*>[^<]*<[!?]")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Patch:
     path: str
     span: SourceSpan
     replacement: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PatchSet:
     patches: tuple[Patch, ...]
 

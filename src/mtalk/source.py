@@ -40,7 +40,7 @@ from typing import NoReturn
 from . import diagnostics as dx
 from .diagnostics import Diagnostic
 from .errors import NotFoundError
-from .ids import BUILTIN_SCALARS, FLAG, XML_SPACE, ElementId, SourceSpan, is_valid_local
+from .ids import BUILTIN_SCALARS, FLAG, XML_SPACE, ElementId, SourceSpan, is_valid_local, record
 
 BEAN_ATTRS = ("id", "class", "parent", "abstract", "declarative")
 PROPERTIES_TAG = "properties"
@@ -51,7 +51,7 @@ MODEL_FILE_SUFFIX = ".model.xml"
 # Parsed structure
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ScalarValue:
     """Literal text content of a value element, exact (no trimming)."""
 
@@ -59,7 +59,7 @@ class ScalarValue:
     span: SourceSpan
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RefValue:
     """Reference to another bean by id (``ref`` attribute)."""
 
@@ -68,7 +68,7 @@ class RefValue:
     span: SourceSpan
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InlineBean:
     """Anonymous nested bean: a value element with a ``class`` attribute."""
 
@@ -81,7 +81,7 @@ class InlineBean:
 ValueExpr = ScalarValue | RefValue | InlineBean
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RawPropertyDef:
     """One ``<property>`` row of a ``<properties>`` block, unresolved."""
 
@@ -92,7 +92,7 @@ class RawPropertyDef:
     span: SourceSpan
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BeanDecl:
     id: ElementId
     written_id: str
@@ -110,7 +110,7 @@ class BeanDecl:
         return dict(self.assignments)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RefSite:
     """One renameable occurrence of a name in the source text.
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
 
-from .ids import ElementId
+from .ids import ElementId, record
 from .kernel import ResolvedModel
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BenchmarkSpec:
     class_count: int
     metaclass_count: int

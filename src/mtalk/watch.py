@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 from .compiler import CompileState, compile_workspace, incremental_compile, workspace_changes
 from .diagnostics import Diagnostic
+from .ids import record
 from .native import NativeManifest
 from .source import unit_signatures
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WatchResult:
     recompiled: frozenset
     elapsed_ms: float

@@ -178,6 +178,41 @@ def test_incremental_cache_picks_up_edits(golden_root, capsys):
     assert "GoneMeta" in out
 
 
+def test_only_a_compile_that_changed_something_rewrites_the_state(golden_root, capsys):
+    from mtalk import vm
+    from mtalk.compiler import load_state
+
+    state_dir = golden_root / ".mtalk" / "state"
+    state_file = state_dir / "state.bin"
+
+    def compile_and_stat():
+        assert run(capsys, "compile", "--root", str(golden_root))[0] == EXIT_OK
+        st = state_file.stat()
+        return state_file.read_bytes(), st.st_mtime_ns
+
+    compile_and_stat()
+    os.utime(state_file, ns=(10**18, 10**18))  # a rewrite cannot keep this mtime
+    before = state_file.read_bytes()
+    assert compile_and_stat() == (before, 10**18)
+
+    core = golden_root / "core.model.xml"
+    core.write_text(core.read_text(encoding="utf-8").replace("<timeout>2</timeout>", "<timeout>4</timeout>"),
+                    encoding="utf-8")
+    _, mtime = compile_and_stat()
+    assert mtime != 10**18
+    loaded = load_state(state_dir)
+    assert vm.get_instance(vm.load(loaded.model()), "PontisLogoRetriever").values["timeout"] == 4
+
+    os.utime(state_file, ns=(10**18, 10**18))
+    manifest = json.loads((golden_root / "manifest.json").read_text(encoding="utf-8"))
+    manifest["classes"].append({"name": "Ghost", "parent": None, "fields": []})
+    (golden_root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    code, out, _ = run(capsys, "compile", "--root", str(golden_root))
+    assert code == EXIT_OK and "Ghost" in out
+    assert state_file.stat().st_mtime_ns != 10**18
+    assert load_state(state_dir).manifest.get("Ghost") is not None
+
+
 # ---------------------------------------------------------------------------
 # get
 

@@ -1,13 +1,19 @@
 """Incremental recompilation: dirty seeds, reverse closure, equivalence, state cache."""
 
+import dataclasses
+import gc
+import importlib
 import json
 import pickle
+import pkgutil
 import re
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtalk
 from mtalk import compiler, rename
 from mtalk.compiler import (
     _STATE_MAGIC,
@@ -314,6 +320,109 @@ def test_load_state_rejects_garbage(tmp_path):
     (d / STATE_FILENAME).write_bytes(_STATE_MAGIC + pickle.dumps({"not": "a state"}))
     assert load_state(d) is None
     assert load_state(tmp_path / "missing") is None
+
+
+@pytest.fixture
+def collector_on():
+    """GC enabled for the test, and the caller's setting restored after it."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def test_state_io_restores_the_collector(tmp_path, collector_on):
+    d = tmp_path / "cache"
+    save_state(golden_state(), d)
+    assert gc.isenabled()
+    assert load_state(d) is not None
+    assert gc.isenabled()
+    (d / STATE_FILENAME).write_bytes(_STATE_MAGIC + b"garbage")  # pickle.load raises
+    assert load_state(d) is None
+    assert gc.isenabled()
+    (tmp_path / "file").write_text("")
+    with pytest.raises(OSError):
+        save_state(golden_state(), tmp_path / "file" / "cache")
+    assert gc.isenabled()
+    unpicklable = dataclasses.replace(golden_state(), manifest=lambda: None)
+    with pytest.raises((pickle.PicklingError, AttributeError)):  # a local lambda does not pickle
+        save_state(unpicklable, d)
+    assert gc.isenabled()
+
+
+def test_state_io_leaves_a_disabled_collector_disabled(tmp_path, collector_on):
+    d = tmp_path / "cache"
+    gc.disable()
+    save_state(golden_state(), d)
+    assert not gc.isenabled()
+    assert load_state(d) is not None
+    assert not gc.isenabled()
+    (d / STATE_FILENAME).write_bytes(_STATE_MAGIC + b"garbage")
+    assert load_state(d) is None
+    assert not gc.isenabled()
+
+
+def record_classes():
+    """Every frozen slotted dataclass defined in the mtalk package."""
+    found = []
+    for info in pkgutil.iter_modules(mtalk.__path__):
+        module = importlib.import_module(f"mtalk.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+                    and cls.__dataclass_params__.frozen and "__slots__" in vars(cls)):
+                found.append(cls)
+    return found
+
+
+def test_every_record_pickles_as_its_field_tuple():
+    # a record pickled through the dataclass's __getstate__ calls fields() per object
+    classes = record_classes()
+    assert {c.__name__ for c in classes} >= {"SourceSpan", "BeanDecl", "ResolvedElement", "Diagnostic", "ScalarValue"}
+    for cls in classes:
+        assert "__reduce__" in vars(cls), cls
+        obj = object.__new__(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        for i, name in enumerate(names):
+            object.__setattr__(obj, name, f"value {i}")
+        assert obj.__reduce__() == (cls, tuple(f"value {i}" for i in range(len(names)))), cls
+
+
+def states_with_diagnostics(tmp_path):
+    broken, parse_diags = parse_unit(
+        '<model><bean id="Orphan" class="NoSuchClass"><x>1</x></bean><bean id="Orphan" class="Object"/>\n',
+        "broken.model.xml")
+    units = [parse_clean(text, path) for path, text in GOLDEN_UNITS.items()]
+    golden, diags = compile_model([*units, broken], parse_manifest(json.dumps(MANIFEST), "manifest.json"), parse_diags)
+    assert {d.code for d in diags} >= {"E000", "E001", "E008"} and any(d.element for d in diags)
+    generate_synthetic(BenchmarkSpec(40, 3, 2.5, 2, 13), str(tmp_path / "ws"))
+    synthetic, _ = compile_workspace(tmp_path / "ws")
+    return golden, synthetic
+
+
+def assert_same_state(loaded, state):
+    assert loaded is not None
+    assert [d.to_dict() for d in loaded.all_diagnostics()] == [d.to_dict() for d in state.all_diagnostics()]
+    assert loaded.resolved.elements == state.resolved.elements
+    assert loaded.units == state.units
+    assert loaded.graph.by_source == state.graph.by_source
+    assert loaded.manifest == state.manifest
+
+
+def test_states_round_trip_equal(tmp_path):
+    for state in states_with_diagnostics(tmp_path):
+        save_state(state, tmp_path / "cache")
+        assert_same_state(load_state(tmp_path / "cache"), state)
+
+
+def test_a_state_pickled_through_getstate_still_loads(tmp_path, monkeypatch):
+    golden, _ = states_with_diagnostics(tmp_path)
+    new = save_state(golden, tmp_path / "new").read_bytes()
+    for cls in record_classes():
+        monkeypatch.delattr(cls, "__reduce__")
+    old = save_state(golden, tmp_path / "old").read_bytes()
+    monkeypatch.undo()
+    assert old.startswith(_STATE_MAGIC) and old != new
+    assert_same_state(load_state(tmp_path / "old"), golden)
 
 
 # ---------------------------------------------------------------------------
