@@ -40,6 +40,7 @@ from .kernel import (
     ResolvedModel,
     TypeRef,
     conforms,
+    reference_index,
     resolve,
 )
 from .native import NativeManifest
@@ -553,6 +554,13 @@ class CompileState:
     def has_errors(self) -> bool:
         return has_errors(self.all_diagnostics())
 
+    def build_fold_indexes(self) -> None:
+        """Build the two indexes a fold reads and then patches, which a
+        compile leaves to their first use: the graph's by-target map and the
+        kernel's reference index. Only a caller that will fold needs them."""
+        self.graph.by_target()
+        reference_index(self.resolved)
+
     def content_hash_by_unit(self) -> dict[str, str]:
         return {path: u.content_hash for path, u in self.units.items()}
 
@@ -614,12 +622,16 @@ def workspace_changes(
 
     paths are the unit paths present now (default: discover them); read is
     the subset to read (default: all of them), and a path not read keeps its
-    unit. A read unit whose text is unchanged is not reparsed. A path that is
-    gone or unreadable counts as removed.
+    unit. A read unit whose text is unchanged is not reparsed, and one that
+    parsed clean in prev keeps the beans its edit did not touch. A path that
+    is gone or unreadable counts as removed.
     """
     if paths is None:
         paths = discover_unit_paths(root)
-    units, unreadable, parse_diags = read_units(root, paths if read is None else read, prev.units)
+    if read is None:
+        read = paths
+    clean = {p for p in read if prev.parse_by_path.get(p) == ()}
+    units, unreadable, parse_diags = read_units(root, read, prev.units, clean)
     removed = (prev.units.keys() | prev.parse_by_path.keys()) - set(paths) | set(unreadable)
     return units, sorted(removed), parse_diags
 

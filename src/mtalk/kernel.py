@@ -291,7 +291,7 @@ def _unit_refs(unit: SourceUnit) -> set[ElementId]:
     return refs
 
 
-def _ref_paths(model: ResolvedModel) -> dict[str, tuple[str, ...]]:
+def reference_index(model: ResolvedModel) -> dict[str, tuple[str, ...]]:
     """Unit paths by the local names their references spell, built once."""
     if model._ref_paths is None:
         index: dict[str, list[str]] = {}
@@ -408,7 +408,7 @@ def _fold_scope(prev: ResolvedModel, units, changed) -> tuple[set | None, dict |
         # an added or removed id may capture, or drop, a reference written
         # outside the changed units: exactly, or by namespace fallback
         table = _Table(decls, touched, prev.elements)
-        index = _ref_paths(prev)
+        index = reference_index(prev)
         for eid in moved:
             for path in index.get(eid.local, ()):
                 if path in changed:

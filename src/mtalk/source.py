@@ -20,6 +20,11 @@ reader walk the tag step by step, to report its first fault. Text content is
 read one run up to the next ``<`` at a time, and entities are decoded only in
 runs and attribute values that hold an ``&``.
 
+A changed unit is re-read with its previous unit when that one parsed with
+no diagnostics: every bean the edit did not touch, in bytes, line or
+column, is taken over as the same ``BeanDecl`` inside the one reader loop
+(see ``parse_unit``), so a saved edit re-reads only the beans it touched.
+
 Workspace discovery is one ``os.scandir`` walk, ``unit_signatures``, that
 returns every unit's sorted root-relative path with its ``(mtime_ns, size)``;
 ``discover_unit_paths`` and a watch poll both read it.
@@ -424,7 +429,8 @@ _RESYNC_BEAN_RE = re.compile(r"<bean[\s/>]")
 
 
 class _UnitParser:
-    def __init__(self, text: str, path: str, sites: bool = False, ids: dict | None = None):
+    def __init__(self, text: str, path: str, sites: bool = False, ids: dict | None = None,
+                 prev: SourceUnit | None = None):
         self.sc = _Scanner(text, path)
         self.text = text
         self.path = path
@@ -437,6 +443,9 @@ class _UnitParser:
         self._ids: dict[str, BeanDecl] = {}
         # one ElementId object per distinct id, shared by every unit parsed with the same ids
         self._interned: dict[ElementId, ElementId] = {} if ids is None else ids
+        self._prev = prev  # ref_sites rescans pass none, so they read every bean
+        # top-level offset -> (decl, end offset) of each previous bean taken whole there
+        self._reuse: dict[int, tuple[BeanDecl, int]] = {}
 
     def _id(self, written: str) -> ElementId:
         eid = ElementId.parse(written, self.namespace)
@@ -473,6 +482,9 @@ class _UnitParser:
             return self._finish()
         self.root_tag = tag
         self.namespace = attrs.get("xmlns", "")
+        prev = self._prev
+        if prev is not None and (prev.path, prev.root_tag, prev.namespace) == (self.path, tag, self.namespace):
+            self._reuse = _unchanged_beans(prev, self.text)
         if not self_closing:
             p = self._scan_beans(p, tag)
         if p is not None:
@@ -487,12 +499,18 @@ class _UnitParser:
         Returns the offset past the root's close tag, None if it has none."""
         text = self.text
         n = len(text)
+        reuse = self._reuse
         while True:
             try:
                 p = _skip_misc(text, p)
             except _Malformed as m:
                 self._err(m.offset, m.message)
                 p = self._resync(m.offset + 1, root_tag)
+                continue
+            taken = reuse.get(p)
+            if taken is not None:
+                decl, p = taken
+                self._accept(decl)
                 continue
             if p >= n:
                 if root_tag is not None:
@@ -625,28 +643,33 @@ class _UnitParser:
             assignments=tuple(assignments),
             span=span,
         )
+        if self._accept(decl) and self.sites is not None:
+            self._site(sites, "bean-id", written_id, *node.attr_bounds["id"], bean_id, target=bean_id)
+            self.sites.extend(sites)
 
+    def _accept(self, decl: BeanDecl) -> bool:
+        """Add a read or reused bean to the unit unless its id is a reserved
+        builtin name or already declared earlier in the unit."""
+        written_id, span = decl.written_id, decl.span
         if written_id in BUILTIN_SCALARS:
             self.diags.append(
-                dx.error(dx.DUPLICATE_ID, f"'{written_id}' is a reserved builtin type name", span, bean_id)
+                dx.error(dx.DUPLICATE_ID, f"'{written_id}' is a reserved builtin type name", span, decl.id)
             )
-            return
+            return False
         prior = self._ids.get(written_id)
         if prior is not None:
             self.diags.append(
                 dx.error(
                     dx.DUPLICATE_ID,
-                    f"duplicate element id '{bean_id.render()}' (first declared at {prior.span.render()})",
+                    f"duplicate element id '{decl.id.render()}' (first declared at {prior.span.render()})",
                     span,
-                    bean_id,
+                    decl.id,
                 )
             )
-            return
+            return False
         self._ids[written_id] = decl
         self.beans.append(decl)
-        if self.sites is not None:
-            self._site(sites, "bean-id", written_id, *node.attr_bounds["id"], bean_id, target=bean_id)
-            self.sites.extend(sites)
+        return True
 
     def _flag(self, node: XmlElement, name: str, bean_id: ElementId) -> bool:
         raw = node.attrs.get(name)
@@ -802,10 +825,57 @@ def unit_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def parse_unit(text: str, path: str, ids: dict | None = None) -> tuple[SourceUnit, list[Diagnostic]]:
+def _common_prefix(a: str, b: str) -> int:
+    """Length of a's and b's longest common prefix, by a binary search whose
+    probes compare slices at C speed."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a.startswith(b[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _unchanged_beans(prev: SourceUnit, text: str) -> dict[int, tuple[BeanDecl, int]]:
+    """prev's beans that text holds byte for byte at the same line and
+    column, by their offset in text, each with its end offset there: those
+    wholly before the edited range, and those wholly after it on a later
+    line when the edit adds or removes no line break. prev parsed clean, so
+    its beans are its top-level elements; their offsets come from the spans.
+    """
+    old = prev.text
+    head = _common_prefix(old, text)
+    tail = min(_common_prefix(old[::-1], text[::-1]), len(old) - head, len(text) - head)
+    old_end = len(old) - tail
+    delta = len(text) - len(old)
+    same_lines = old.count("\n", head, old_end) == text.count("\n", head, old_end + delta)
+    starts = _Scanner(old, prev.path)._line_starts
+    found: dict[int, tuple[BeanDecl, int]] = {}
+    for decl in prev.beans:
+        span = decl.span
+        line_start = starts[span.line - 1]
+        end = starts[span.end_line - 1] + span.end_column - 1
+        if end <= head:
+            found[line_start + span.column - 1] = (decl, end)
+        elif same_lines and line_start > old_end:
+            found[line_start + span.column - 1 + delta] = (decl, end + delta)
+    return found
+
+
+def parse_unit(text: str, path: str, ids: dict | None = None,
+               prev: SourceUnit | None = None) -> tuple[SourceUnit, list[Diagnostic]]:
     """Parse one unit's text. Never raises on bad input: maximal recovery.
-    Units parsed with the same ids dict share one ElementId per distinct id."""
-    return _UnitParser(text, path, ids=ids).parse()
+    Units parsed with the same ids dict share one ElementId per distinct id.
+
+    prev is the path's previous unit, given only when it parsed with no
+    diagnostics. Where the reader reaches a bean of it that the edit did not
+    touch, it takes that BeanDecl itself, through the same reserved-name and
+    duplicate-id checks as a bean read afresh; a changed root tag or
+    namespace takes none. The result equals a parse without prev.
+    """
+    return _UnitParser(text, path, ids=ids, prev=prev).parse()
 
 
 def read_document(text: str, path: str) -> tuple[XmlElement | None, list[Diagnostic]]:
@@ -895,13 +965,14 @@ def read_unit_text(root, rel: str) -> tuple[str | None, Diagnostic | None]:
         return None, dx.error(dx.PARSE, f"unreadable unit: {exc}", SourceSpan(rel, 1, 1, 1, 1))
 
 
-def read_units(root, paths, known=None) -> tuple[list[SourceUnit], list[str], list[Diagnostic]]:
+def read_units(root, paths, known=None, clean=()) -> tuple[list[SourceUnit], list[str], list[Diagnostic]]:
     """The workspace reader: read and parse the units at paths.
 
     A path whose text hashes to ``known[path].content_hash`` is skipped
-    unparsed. A file that cannot be read or decoded gives an E000
-    diagnostic and counts as absent. Returns the parsed units, the
-    unreadable paths and the diagnostics.
+    unparsed. A path in clean, whose known unit parsed with no diagnostics,
+    is parsed with that unit as prev (see parse_unit). A file that cannot
+    be read or decoded gives an E000 diagnostic and counts as absent.
+    Returns the parsed units, the unreadable paths and the diagnostics.
     """
     known = known or {}
     ids: dict[ElementId, ElementId] = {}  # interned for this call only
@@ -917,7 +988,7 @@ def read_units(root, paths, known=None) -> tuple[list[SourceUnit], list[str], li
         prior = known.get(rel)
         if prior is not None and prior.content_hash == unit_hash(text):
             continue
-        unit, udiags = parse_unit(text, rel, ids)
+        unit, udiags = parse_unit(text, rel, ids, prior if rel in clean else None)
         units.append(unit)
         diags.extend(udiags)
     return units, unreadable, diags

@@ -10,7 +10,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtalk
@@ -24,6 +24,7 @@ from mtalk.compiler import (
     incremental_compile,
     load_state,
     save_state,
+    workspace_changes,
 )
 from mtalk.errors import CollisionError, NotFoundError
 from mtalk.graph import DependencyGraph
@@ -32,7 +33,7 @@ from mtalk.native import load_manifest, parse_manifest
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
-from golden import GOLDEN_UNITS, MANIFEST, compile_golden
+from golden import CORE_XML, GOLDEN_UNITS, MANIFEST, compile_golden, write_golden
 
 
 def eid(render):
@@ -623,6 +624,83 @@ def test_value_fold_keeps_untouched_resolved_elements_and_class_defs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# A re-read unit keeps the beans its edit did not touch
+
+
+def _fold_core_edit(root, new_text):
+    """Compile the golden workspace, save core.model.xml as new_text and fold
+    it as a watch poll does. Returns the state before, the state after and
+    the re-read unit."""
+    write_golden(root, manifest=False)
+    state, _ = compile_workspace(root)
+    (root / "core.model.xml").write_text(new_text, encoding="utf-8")
+    units, removed, parse_diags = workspace_changes(state, root, read=["core.model.xml"])
+    new, _, _ = incremental_compile(state, units, removed_paths=removed, parse_diags=parse_diags)
+    (unit,) = units
+    assert unit == parse_unit(new_text, "core.model.xml")[0]
+    return state, new, unit
+
+
+def _kept(state, new, unit) -> list[str]:
+    """The ids of unit's beans taken over from state as the same objects,
+    resolved entries included."""
+    before = {b.id: b for b in state.units[unit.path].beans}
+    kept = [b.written_id for b in unit.beans if before.get(b.id) is b]
+    for b in unit.beans:
+        if before.get(b.id) is b:
+            assert new.resolved.elements[b.id] is state.resolved.elements[b.id], b.written_id
+    return kept
+
+
+def _core_ids():
+    return [b.written_id for b in parse_clean(CORE_XML, "core.model.xml").beans]
+
+
+def test_same_length_value_edit_rereads_only_its_bean(tmp_path):
+    state, new, unit = _fold_core_edit(tmp_path, CORE_XML.replace("<timeToLive>60<", "<timeToLive>61<"))
+    assert _kept(state, new, unit) == [i for i in _core_ids() if i != "HTTP_Client"]
+
+
+def test_comment_on_the_root_line_keeps_every_bean(tmp_path):
+    state, new, unit = _fold_core_edit(tmp_path, CORE_XML.replace("<model>", "<model><!-- note -->", 1))
+    assert _kept(state, new, unit) == _core_ids()
+
+
+def test_leading_newline_rereads_the_beans_after_it(tmp_path):
+    state, new, unit = _fold_core_edit(tmp_path, "\n" + CORE_XML)
+    assert _kept(state, new, unit) == []
+    old_lines = [b.span.line for b in state.units["core.model.xml"].beans]
+    assert [b.span.line for b in unit.beans] == [line + 1 for line in old_lines]
+
+
+def test_namespace_change_rereads_every_bean(tmp_path):
+    state, new, unit = _fold_core_edit(tmp_path, CORE_XML.replace("<model>", '<model xmlns="core">', 1))
+    assert _kept(state, new, unit) == []
+    assert {b.id.namespace for b in unit.beans} == {"core"}
+
+
+def test_reused_beans_leave_ref_sites_as_a_fresh_read(tmp_path):
+    text = CORE_XML.replace("<timeToLive>60<", "<timeToLive>61<")
+    _, _, unit = _fold_core_edit(tmp_path, text)
+    sites = unit.ref_sites
+    assert len(sites) > 20
+    assert sites == parse_unit(text, "core.model.xml")[0].ref_sites
+
+
+def test_a_unit_that_parsed_with_diagnostics_is_read_afresh(tmp_path):
+    # the flagged bean follows the edit: taken over, its E000 would be lost
+    flagged = CORE_XML.replace('<bean id="PontisLogoRetriever"', '<bean id="PontisLogoRetriever" colour="red"')
+    write_golden(tmp_path, manifest=False)
+    (tmp_path / "core.model.xml").write_text(flagged, encoding="utf-8")
+    state, diags = compile_workspace(tmp_path)
+    assert [d.message for d in diags] == ["unknown attribute 'colour' on bean"]
+    (tmp_path / "core.model.xml").write_text(flagged.replace("<timeToLive>60<", "<timeToLive>61<"), encoding="utf-8")
+    (unit,), _, parse_diags = workspace_changes(state, tmp_path)
+    assert [d.message for d in parse_diags] == ["unknown attribute 'colour' on bean"]
+    assert _kept(state, state, unit) == []
+
+
+# ---------------------------------------------------------------------------
 # Property: any edit sequence matches a from-scratch compile
 
 _CYCLE_ACYCLIC = """\
@@ -659,6 +737,14 @@ _VARIANTS = {
         GOLDEN_UNITS["core.model.xml"].replace(
             '<bean id="MetaCache" class="Class" parent="Class">', '<bean id="MetaCache" class="Class">'
         ),
+        # edits inside the unit: a value, a comment between beans, an id that
+        # a later bean of the unit already has, and a namespace
+        GOLDEN_UNITS["core.model.xml"].replace("<timeToLive>60<", "<timeToLive>61<"),
+        GOLDEN_UNITS["core.model.xml"].replace(
+            '</bean>\n\n  <bean id="RobustHTTP_Client"', '</bean><!-- note -->\n\n  <bean id="RobustHTTP_Client"'
+        ),
+        GOLDEN_UNITS["core.model.xml"].replace('<bean id="RobustHTTP_Client"', '<bean id="FastHTTP_Client"'),
+        GOLDEN_UNITS["core.model.xml"].replace("<model>", '<model xmlns="core">', 1),
     ],
     "caches.model.xml": [
         GOLDEN_UNITS["caches.model.xml"],
@@ -747,6 +833,9 @@ def _renamed_everywhere(state, texts) -> dict[str, str]:
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=6))
+# consecutive edits inside core.model.xml, so reused beans are reused again
+@example([("core.model.xml", i) for i in (3, 4, 5, 4, 6, 0)])
+@example([("core.model.xml", i) for i in (4, 3, 1, 3, 0)])
 def test_incremental_equals_full_for_edit_sequences(steps):
     current = dict(GOLDEN_UNITS)
     manifest = None
@@ -766,7 +855,8 @@ def test_incremental_equals_full_for_edit_sequences(steps):
         current.update(edited)
         units, pdiags = [], []
         for p, t in edited.items():
-            u, pd = parse_unit(t, p)
+            # as workspace_changes reads: with the previous unit if it parsed clean
+            u, pd = parse_unit(t, p, prev=state.units.get(p) if state.parse_by_path.get(p) == () else None)
             units.append(u)
             pdiags.extend(pd)
         state, _, inc_diags = incremental_compile(
@@ -834,6 +924,8 @@ def test_edit_variants_reach_their_cases():
     assert [d.code for d in captured] == ["E002"]
     flipped, _ = diags_with(**{"core.model.xml": _VARIANTS["core.model.xml"][2]})
     assert flipped.resolved.kind_of(eid("HTTP_Client")) != state.resolved.kind_of(eid("HTTP_Client"))
+    _, dup = parse_unit(_VARIANTS["core.model.xml"][5], "core.model.xml")
+    assert [(d.code, d.element.render()) for d in dup] == [("E008", "FastHTTP_Client")]
     _, held = diags_with(**{"ptype.model.xml": _PTYPE_HOLDER, "pthing.model.xml": _PTYPE_THING})
     _, dangling = diags_with(**{"ptype.model.xml": _PTYPE_HOLDER})
     assert [d.message for d in held + dangling] == [

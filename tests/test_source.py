@@ -1,6 +1,9 @@
 """Unit-text parsing: spans, recovery, reference sites, workspace discovery."""
 
+import random
+import re
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,9 @@ from mtalk.source import (
     span_of,
 )
 
-from golden import CORE_XML, compile_golden, write_golden
+from mtalk.synthetic import BenchmarkSpec, generate_synthetic
+
+from golden import CORE_XML, GOLDEN_UNITS, compile_golden, write_golden
 
 
 def parse(text, path="u.model.xml"):
@@ -765,3 +770,124 @@ def test_parse_never_raises_on_markup_soup(soup):
     text = "<model>" + soup
     unit, _ = parse_unit(text, "soup.model.xml")
     assert unit.content_hash
+
+
+# ---------------------------------------------------------------------------
+# Re-reading a unit with its previous clean unit
+
+_TOKENS = ["<", ">", "/", '"', " ", "\n", "\r\n", "a", "x", "1", "&amp;", "<!-- c -->", "\n  ",
+           "</bean>", '<bean id="', '<bean id="Z" class="Object"/>', 'xmlns="q" ']
+
+
+def _bean_ends(text):
+    """Offsets just past each top-level bean (beans do not nest)."""
+    return [m.end() for m in re.finditer(r"</bean>|<bean\b[^>]*/>", text)]
+
+
+def _root_edit(text, rng):
+    close = text.index(">", text.index("<model"))
+    options = [(close, close, " "), (close, close, "\n"), (close, close, ' a="1"'), (close, close, ' xmlns="e"')]
+    ns = re.search(r'xmlns="([^"]*)"', text[:close])
+    if ns:
+        options.append((ns.start(1), ns.end(1), rng.choice(["", "m", "n2"])))
+        options.append((ns.start(), ns.end(), ""))
+    return rng.choice(options)
+
+
+def _gap_edit(text, rng):
+    at = rng.choice(_bean_ends(text))
+    return rng.choice([(at, at, " "), (at, at, "\n"), (at, at, "\t \n  "), (at, at + 1, "")])
+
+
+def _comment_edit(text, rng):
+    at = rng.choice(_bean_ends(text) + [text.index(">", text.index("<model")) + 1])
+    options = [(at, at, "<!-- note -->"), (at, at, "\n<!-- two\nlines -->")]
+    c = text.find("<!--")
+    if c != -1:
+        options += [(c + 4, c + 4, rng.choice(["x", "\n", "-"])), (c, c + 4, "")]
+    return rng.choice(options)
+
+
+def _split_edit(text, rng):
+    """Close a bean after one of its children and open another."""
+    at = rng.choice([m.end() for m in re.finditer(r"</(?!bean>|model>)[^>]*>", text)] or [len(text)])
+    return at, at, rng.choice(['</bean><bean id="Split" class="Object">',
+                               '</bean>\n  <bean id="Split" class="CacheManager">'])
+
+
+def _merge_edit(text, rng):
+    """Drop one bean's close tag and the next bean's open tag."""
+    joints = [m.span() for m in re.finditer(r"</bean>\s*<bean\b[^>]*[^/]>", text)] or [(0, 0)]
+    return (*rng.choice(joints), "")
+
+
+def _id_edit(text, rng):
+    """Give a bean the id of another bean of the unit."""
+    ids = list(re.finditer(r'<bean id="([^"]*)"', text))
+    target, other = rng.choice(ids), rng.choice(ids)
+    return target.start(1), target.end(1), other.group(1)
+
+
+def _line_edit(text, rng):
+    at = rng.randrange(len(text) + 1)
+    breaks = [m.start() for m in re.finditer("\n", text)]
+    options = [(at, at, "\n"), (at, at, "\r\n")]
+    if breaks:
+        nl = rng.choice(breaks)
+        options.append((nl, nl + 1, ""))
+    return rng.choice(options)
+
+
+def _byte_edit(text, rng):
+    a = rng.randrange(len(text) + 1)
+    b = min(len(text), a + rng.choice([0, 1, 2, 5, 30]))
+    return a, b, "".join(rng.choice(_TOKENS) for _ in range(rng.choice([0, 1, 2, 3])))
+
+
+_REREAD_EDITS = {"root": _root_edit, "gap": _gap_edit, "comment": _comment_edit, "split": _split_edit,
+                 "merge": _merge_edit, "id": _id_edit, "lines": _line_edit, "bytes": _byte_edit}
+
+
+def _clean_bases(root):
+    """Unit texts that parse clean: the golden units and a small synthetic
+    workspace's, each also with a namespace, in CRLF and with comments."""
+    generate_synthetic(BenchmarkSpec(40, 3, 2.5, 2, 13), str(root))
+    texts = dict(GOLDEN_UNITS)
+    texts.update((p.name, p.read_text(encoding="utf-8")) for p in root.glob("*.model.xml"))
+    bases = []
+    for path, text in texts.items():
+        for variant in (
+            text,
+            text.replace("<model>", '<model xmlns="n">', 1),
+            text.replace("\n", "\r\n"),
+            text.replace("</bean>\n", "</bean><!-- end -->\n"),
+        ):
+            assert parse_unit(variant, path)[1] == []
+            bases.append((path, variant))
+    return bases
+
+
+def test_reading_with_the_previous_unit_equals_a_full_read(tmp_path):
+    rng = random.Random(1919)
+    bases = _clean_bases(tmp_path)
+    kinds = [*_REREAD_EDITS, "two"]
+    reused = Counter()
+    for _ in range(600):
+        path, old = rng.choice(bases)
+        kind = rng.choice(kinds)
+        if kind == "two":
+            # two edits apart, the later one applied first
+            first, second = sorted(rng.choice(list(_REREAD_EDITS.values()))(old, rng) for _ in range(2))
+            edits = [second, first] if first[1] < second[0] else [second]
+        else:
+            edits = [_REREAD_EDITS[kind](old, rng)]
+        new = old
+        for a, b, insert in edits:
+            new = new[:a] + insert + new[b:]
+        prev, _ = parse_unit(old, path)
+        got = parse_unit(new, path, prev=prev)
+        assert got == parse_unit(new, path), (kind, path, new)
+        before = {id(b) for b in prev.beans}
+        reused[kind] += sum(id(b) in before for b in got[0].beans)
+    # every kind of edit leaves some beans to reuse
+    assert set(reused) == set(kinds) and min(reused.values()) > 0, reused

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from mtalk import source, watch
+from mtalk import graph, kernel, source, watch
 from mtalk.compiler import compile_workspace
 from mtalk.watch import WatchSession, run_watch
 
@@ -44,6 +44,31 @@ def test_idle_poll_reads_and_parses_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(source, "read_unit_text", fail)
     assert session.poll() is None
     assert session.poll() is None
+
+
+def test_first_poll_builds_neither_fold_index(tmp_path, monkeypatch):
+    session = session_for(tmp_path)
+    built = []
+    by_target, reference_index = graph.DependencyGraph.by_target, kernel.reference_index
+
+    def spy_by_target(self):
+        if self._by_target is None:
+            built.append("by-target map")
+        return by_target(self)
+
+    def spy_reference_index(model):
+        if model._ref_paths is None:
+            built.append("reference index")
+        return reference_index(model)
+
+    monkeypatch.setattr(graph.DependencyGraph, "by_target", spy_by_target)
+    monkeypatch.setattr(kernel, "reference_index", spy_reference_index)
+    # an added id reads the reference index, and its fold's reverse closure the by-target map
+    (tmp_path / "extra.model.xml").write_text('<model><bean id="Extra" class="StandardCache"/></model>')
+    result = session.poll()
+    assert result is not None and result.diagnostics == ()
+    assert "Extra" in {e.render() for e in result.recompiled}
+    assert built == []
 
 
 def test_touch_without_content_change_recompiles_nothing(tmp_path):
