@@ -26,8 +26,6 @@ from .errors import NotFoundError, WrongKindError
 from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, record
 from .source import (
     BeanDecl,
-    InlineBean,
-    RefValue,
     SourceUnit,
     ValueExpr,
     duplicate_id_diags,
@@ -271,24 +269,7 @@ def _first_declarations(units) -> tuple[dict[ElementId, BeanDecl], bool]:
 def _unit_refs(unit: SourceUnit) -> set[ElementId]:
     """Every reference a unit writes: class, parent, property type, value
     reference and inline bean class."""
-    refs: set[ElementId] = set()
-
-    def value(expr: ValueExpr) -> None:
-        if isinstance(expr, RefValue):
-            refs.add(expr.target)
-        elif isinstance(expr, InlineBean):
-            refs.add(expr.class_ref)
-            for _, inner in expr.assignments:
-                value(inner)
-
-    for decl in unit.beans:
-        refs.add(decl.class_ref)
-        if decl.parent_ref is not None:
-            refs.add(decl.parent_ref)
-        refs.update(d.type_ref for d in decl.property_defs)
-        for _, expr in decl.assignments:
-            value(expr)
-    return refs
+    return {target for decl in unit.beans for _, target, _, _ in decl.references()}
 
 
 def reference_index(model: ResolvedModel) -> dict[str, tuple[str, ...]]:

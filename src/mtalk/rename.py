@@ -1,7 +1,12 @@
 """Rename refactoring: cross-file patch sets for element and property names.
 
-Renames never touch the native manifest; when the renamed name also appears
-there, a warning diagnostic tells the user to update it by hand.
+A rename finds its sites in the declarations the compile state holds: it
+visits only the units that the kernel's reference index lists for the name,
+and those that declare it, and reads text only at a declaration that names
+the renamed thing, where it reads that bean's element again for the exact
+attribute, tag name and text spans. Renames never touch the native manifest;
+when the renamed name also appears there, a warning diagnostic tells the
+user to update it by hand.
 """
 
 from __future__ import annotations
@@ -14,13 +19,12 @@ from .compiler import CompileState
 from .diagnostics import Diagnostic
 from .errors import CollisionError, NotFoundError, StateError
 from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, is_valid_local, record
-from .kernel import ResolvedModel
-from .source import SourceUnit
+from .kernel import ResolvedModel, reference_index
+from .source import SourceUnit, XmlElement, element_at
 
 # property assignments are element tags, so renamed properties must scan as one
 _TAG_NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
-# a comment, CDATA section or PI inside <name>/<type> text, which can split a name
-_SPLIT_LEAF_RE = re.compile(r"<(?:name|type)\b[^>]*>[^<]*<[!?]")
+_BREAK_RE = re.compile(r"\r\n?|\n")
 
 
 @record
@@ -61,6 +65,21 @@ def _offset(starts: list[int], line: int, column: int) -> int:
     return starts[line - 1] + column - 1
 
 
+def _respelled(replacement: str, replaced: str) -> str:
+    """replacement with its k-th line break spelled as the k-th one of the
+    raw text it replaces (the last one's spelling past its count). Patches
+    are built from newline-translated text, so they hold LF."""
+    if "\n" not in replacement or "\r" not in replaced:
+        return replacement
+    spellings = _BREAK_RE.findall(replaced)
+    lines = replacement.split("\n")
+    out = [lines[0]]
+    for k, line in enumerate(lines[1:]):
+        out.append(spellings[min(k, len(spellings) - 1)])
+        out.append(line)
+    return "".join(out)
+
+
 def _patched_text(text: str, patches: list[Patch]) -> str:
     starts = _line_starts(text)
     resolved = []
@@ -80,7 +99,7 @@ def _patched_text(text: str, patches: list[Patch]) -> str:
     cursor = 0
     for s, e, r in resolved:
         out.append(text[cursor:s])
-        out.append(r)
+        out.append(_respelled(r, text[s:e]))
         cursor = e
     out.append(text[cursor:])
     return "".join(out)
@@ -91,7 +110,8 @@ def apply_patchset(patchset: PatchSet, root: str) -> list[str]:
 
     All target files are read and patched in memory before any write; each
     file is then replaced atomically. Line endings are read and written as
-    they are, so only the patched ranges change.
+    they are, so only the patched ranges change, and a line break inside a
+    replacement takes the spelling of the range it replaces.
     """
     by_path: dict[str, list[Patch]] = {}
     for p in patchset.patches:
@@ -129,30 +149,38 @@ def _requalified(written: str, new_local: str) -> str:
     return written[: cut + 1] + new_local
 
 
-def _region_patch(unit: SourceUnit, span: SourceSpan, core: str) -> str:
-    """Replace the trimmed middle of a raw text region, keeping its padding."""
-    starts = _line_starts(unit.text)
-    s = _offset(starts, span.line, span.column)
-    e = _offset(starts, span.end_line, span.end_column)
-    region = unit.text[s:e]
+def _text_patch(unit: SourceUnit, node: XmlElement, core: str) -> Patch:
+    """Replace the trimmed middle of node's raw content, keeping its padding."""
+    region = unit.text[node.content_start:node.content_end]
     lead = region[: len(region) - len(region.lstrip())]
     trail = region[len(region.rstrip()):]
-    return lead + core + trail
+    return Patch(unit.path, node.content_span(), lead + core + trail)
+
+
+def _inner(node: XmlElement, span: SourceSpan) -> XmlElement:
+    """The element at span within node, node itself included."""
+    at = (span.line, span.column)
+    while node.span != span:
+        node = next(c for c in reversed(node.children) if (c.span.line, c.span.column) <= at)
+    return node
+
+
+def _leaf(row: XmlElement, tag: str) -> XmlElement:
+    """A property row's first <name> or <type>, the one parsing read."""
+    return next(c for c in row.children if c.tag == tag)
+
+
+def _declaring_paths(model: ResolvedModel, eid: ElementId) -> set[str]:
+    """The units that declare eid: its element's, and each later one that
+    resolution reported as a duplicate (E008) of it."""
+    paths = {model.elements[eid].unit_path}
+    paths.update(d.span.path for d in model.diags.get(eid, ()) if d.code == dx.DUPLICATE_ID)
+    return paths
 
 
 def _check_new_name(new: str) -> None:
     if not is_valid_local(new) or any(c in new for c in "&<>\"'"):
         raise CollisionError(f"'{new}' is not a usable name")
-
-
-def _may_mention(unit: SourceUnit, name: str) -> bool:
-    """False only when no site of the unit can spell name, so its sites,
-    which are rescanned on each access, need not be read. Attribute values
-    and text are entity-decoded, so any '&' may stand for part of a name."""
-    text = unit.text
-    if name in text or "&" in text:
-        return True
-    return ("<!" in text or "<?" in text) and _SPLIT_LEAF_RE.search(text) is not None
 
 
 def rename_element(
@@ -186,47 +214,53 @@ def rename_element(
     if new_id in model.elements:
         raise CollisionError(f"'{new_id.render()}' already exists")
 
-    # creating ns:new would capture bare references that fall back to root new
+    index = reference_index(model)
+    # creating ns:new would capture bare references that fall back to root
+    # new; the index keys locals as written, so padded spellings count too
     if old_id.namespace and ElementId("", new) in model.elements:
+        spelled = {path for local, paths in index.items() if local.strip() == new for path in paths}
         for unit in state.units.values():
-            if unit.namespace != old_id.namespace or not _may_mention(unit, new):
+            if unit.namespace != old_id.namespace or unit.path not in spelled:
                 continue
-            for site in unit.ref_sites:
-                if site.target is None or ":" in site.written:
-                    continue
-                if site.written.strip() == new and site.kind != "bean-id":
+            for decl in unit.beans:
+                if any(":" not in written and written.strip() == new for written, *_ in decl.references()):
                     raise CollisionError(
                         f"renaming would shadow '{new}' referenced in {unit.path}"
                     )
 
+    paths = set(index.get(old_id.local, ())) | _declaring_paths(model, old_id)
     patches: list[Patch] = []
     for unit in state.units.values():
-        if not _may_mention(unit, old_id.local):
+        if unit.path not in paths:
             continue
-        for site in unit.ref_sites:
-            if site.target is None:
+        for decl in unit.beans:
+            sites = [
+                (written.strip(), span, where)
+                for written, target, span, where in decl.references()
+                if target.local == old_id.local and model.lookup(target) == old_id
+            ]
+            if decl.id == old_id:
+                sites.append((decl.written_id, decl.span, "id"))
+            if not sites:
                 continue
-            if site.kind == "bean-id":
-                if site.target != old_id:
-                    continue
-            elif model.lookup(site.target) != old_id:
-                continue
-            written = site.written.strip()
-            # a bare fallback reference from another namespace must not land
-            # on a different element after the rename
-            if (
-                ":" not in written
-                and unit.namespace != old_id.namespace
-                and ElementId(unit.namespace, new) in model.elements
-            ):
-                raise CollisionError(
-                    f"'{unit.namespace}:{new}' would capture the reference in {unit.path}"
-                )
-            replacement = _requalified(written, new)
-            if site.kind == "type-text":
-                patches.append(Patch(unit.path, site.span, _region_patch(unit, site.span, replacement)))
-            else:
-                patches.append(Patch(unit.path, site.span, _encode_attr(replacement)))
+            bean = element_at(unit, decl.span)
+            for written, span, where in sites:
+                # a bare fallback reference from another namespace must not
+                # land on a different element after the rename
+                if (
+                    ":" not in written
+                    and unit.namespace != old_id.namespace
+                    and ElementId(unit.namespace, new) in model.elements
+                ):
+                    raise CollisionError(
+                        f"'{unit.namespace}:{new}' would capture the reference in {unit.path}"
+                    )
+                replacement = _requalified(written, new)
+                node = _inner(bean, span)
+                if where == "type":
+                    patches.append(_text_patch(unit, _leaf(node, "type"), replacement))
+                else:
+                    patches.append(Patch(unit.path, node.attr_span(where), _encode_attr(replacement)))
 
     warnings: list[Diagnostic] = []
     manifest = state.manifest
@@ -283,20 +317,27 @@ def rename_property(
                 f"class '{cls.render()}' already has a property '{new}'"
             )
 
+    # rows are in the units that declare a scope class, assignments in those
+    # whose beans name one as their class
+    index = reference_index(model)
+    paths: set[str] = set()
+    for cls in scope:
+        paths.update(index.get(cls.local, ()))
+        paths |= _declaring_paths(model, cls)
     patches: list[Patch] = []
     for unit in state.units.values():
-        if not _may_mention(unit, old):
+        if unit.path not in paths:
             continue
-        for site in unit.ref_sites:
-            if site.prop != old:
+        for decl in unit.beans:
+            rows = [d.span for d in decl.property_defs if d.name == old] if decl.id in scope else []
+            tagged = [expr.span for owner, tag, expr in decl.values() if tag == old and model.lookup(owner) in scope]
+            if not rows and not tagged:
                 continue
-            if site.kind == "name-text":
-                if site.bean in scope:
-                    patches.append(Patch(unit.path, site.span, _region_patch(unit, site.span, new)))
-            elif site.kind == "prop-tag":
-                owner = model.lookup(site.owner_class) if site.owner_class else None
-                if owner is not None and owner in scope:
-                    patches.append(Patch(unit.path, site.span, new))
+            bean = element_at(unit, decl.span)
+            for span in rows:
+                patches.append(_text_patch(unit, _leaf(_inner(bean, span), "name"), new))
+            for span in tagged:
+                patches.extend(Patch(unit.path, s, new) for s in _inner(bean, span).tag_name_spans())
 
     warnings: list[Diagnostic] = []
     manifest = state.manifest

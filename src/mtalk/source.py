@@ -14,7 +14,8 @@ still loads), and ``read_document`` is strict (the first problem ends the
 read). Elements keep offsets; line and column are computed only when a span
 is asked for. This parser is hand-rolled because recovery and exact
 attribute/text spans (needed for diagnostics and rename patches) are outside
-what stdlib XML parsers expose. An open tag, its attributes included, is
+what stdlib XML parsers expose; rename reads a parsed bean's element again,
+at its span, with ``element_at``. An open tag, its attributes included, is
 read with one regular-expression match; only when that match fails does the
 reader walk the tag step by step, to report its first fault. Text content is
 read one run up to the next ``<`` at a time, and entities are decoded only in
@@ -114,28 +115,32 @@ class BeanDecl:
     def assignment_map(self) -> dict[str, ValueExpr]:
         return dict(self.assignments)
 
+    def values(self):
+        """(class, tag, value) of every assignment of the bean, its inline
+        beans' included; class is the one written for whichever assigns it."""
+        owners = [(self.class_ref, self.assignments)]
+        while owners:
+            owner, assignments = owners.pop()
+            for tag, expr in assignments:
+                yield owner, tag, expr
+                if isinstance(expr, InlineBean):
+                    owners.append((expr.class_ref, expr.assignments))
 
-@record
-class RefSite:
-    """One renameable occurrence of a name in the source text.
-
-    kind is one of:
-      bean-id     written id of a bean declaration
-      class-attr  class attribute of a bean or inline bean
-      parent-attr parent attribute of a bean
-      ref-attr    ref attribute of a value element
-      type-text   text of a <type> inside a property definition
-      name-text   text of a <name> inside a property definition
-      prop-tag    a value element's tag name (open or close tag occurrence)
-    """
-
-    kind: str
-    written: str
-    span: SourceSpan
-    bean: ElementId
-    target: ElementId | None = None
-    prop: str | None = None
-    owner_class: ElementId | None = None
+    def references(self):
+        """(written, target, span, where) of every reference the bean writes:
+        class, parent, property type, value reference and inline bean class.
+        span is the bean's, property row's or value's that writes it, where
+        the attribute that holds it, or 'type' for a property row's <type>."""
+        yield self.written_class, self.class_ref, self.span, "class"
+        if self.parent_ref is not None:
+            yield self.written_parent, self.parent_ref, self.span, "parent"
+        for d in self.property_defs:
+            yield d.type_written, d.type_ref, d.span, "type"
+        for _, _, expr in self.values():
+            if isinstance(expr, RefValue):
+                yield expr.written, expr.target, expr.span, "ref"
+            elif isinstance(expr, InlineBean):
+                yield expr.written_class, expr.class_ref, expr.span, "class"
 
 
 @dataclass(slots=True)
@@ -146,17 +151,6 @@ class SourceUnit:
     content_hash: str
     beans: tuple[BeanDecl, ...]
     root_tag: str | None
-
-    @property
-    def ref_sites(self) -> tuple[RefSite, ...]:
-        """Every renameable occurrence, in source order.
-
-        Only rename reads these, so they are not kept: each access rescans
-        the text with the unit parser.
-        """
-        parser = _UnitParser(self.text, self.path, sites=True)
-        parser.parse()
-        return tuple(parser.sites)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +202,16 @@ class XmlElement:
     def attr_span(self, name: str) -> SourceSpan:
         """Span of the value of attribute name."""
         return self.doc.span(*self.attr_bounds[name])
+
+    def content_span(self) -> SourceSpan:
+        """Span of the raw content between the open and the close tag."""
+        return self.doc.span(self.content_start, self.content_end)
+
+    def tag_name_spans(self) -> list[SourceSpan]:
+        """Spans of the tag name in the open tag and, unless the element
+        closes itself, in the close tag."""
+        return [self.doc.span(o, o + len(self.tag)) for o in (self.name_offset, self.close_name_offset)
+                if o is not None]
 
 
 class _Scanner:
@@ -429,21 +433,18 @@ _RESYNC_BEAN_RE = re.compile(r"<bean[\s/>]")
 
 
 class _UnitParser:
-    def __init__(self, text: str, path: str, sites: bool = False, ids: dict | None = None,
-                 prev: SourceUnit | None = None):
+    def __init__(self, text: str, path: str, ids: dict | None = None, prev: SourceUnit | None = None):
         self.sc = _Scanner(text, path)
         self.text = text
         self.path = path
         self.namespace = ""
         self.diags: list[Diagnostic] = []
         self.beans: list[BeanDecl] = []
-        # None unless a ref_sites rescan asked for them
-        self.sites: list[RefSite] | None = [] if sites else None
         self.root_tag: str | None = None
         self._ids: dict[str, BeanDecl] = {}
         # one ElementId object per distinct id, shared by every unit parsed with the same ids
         self._interned: dict[ElementId, ElementId] = {} if ids is None else ids
-        self._prev = prev  # ref_sites rescans pass none, so they read every bean
+        self._prev = prev
         # top-level offset -> (decl, end offset) of each previous bean taken whole there
         self._reuse: dict[int, tuple[BeanDecl, int]] = {}
 
@@ -458,12 +459,6 @@ class _UnitParser:
 
     def _err_span(self, span: SourceSpan, message: str, element: ElementId | None = None):
         self.diags.append(dx.error(dx.PARSE, message, span, element))
-
-    def _site(self, sites: list[RefSite], kind: str, written: str, start: int, end: int,
-              bean: ElementId, **extra) -> None:
-        """Record one rename site; only a ref_sites rescan collects them."""
-        if self.sites is not None:
-            sites.append(RefSite(kind, written, self.sc.span(start, end), bean, **extra))
 
     # -- driver
 
@@ -591,9 +586,7 @@ class _UnitParser:
             if a not in BEAN_ATTRS:
                 self._err_span(node.attr_span(a), f"unknown attribute '{a}' on bean", bean_id)
 
-        sites: list[RefSite] = []
         class_ref = self._id(written_class)
-        self._site(sites, "class-attr", written_class, *node.attr_bounds["class"], bean_id, target=class_ref)
 
         written_parent = node.attrs.get("parent")
         parent_ref = None
@@ -603,9 +596,6 @@ class _UnitParser:
                 written_parent = None
             else:
                 parent_ref = self._id(written_parent)
-                self._site(
-                    sites, "parent-attr", written_parent, *node.attr_bounds["parent"], bean_id, target=parent_ref
-                )
 
         abstract = self._flag(node, "abstract", bean_id)
         declarative = self._flag(node, "declarative", bean_id)
@@ -620,17 +610,17 @@ class _UnitParser:
                 if defs is not None:
                     self._err_span(child.span, "duplicate properties block", bean_id)
                     continue
-                defs = self._parse_defs(child, bean_id, sites)
+                defs = self._parse_defs(child, bean_id)
             else:
                 if child.tag in assigned:
                     self._err_span(child.span, f"duplicate assignment '{child.tag}'", bean_id)
                     continue
-                expr = self._value_expr(child, bean_id, class_ref, sites)
+                expr = self._value_expr(child, bean_id)
                 if expr is not None:
                     assigned.add(child.tag)
                     assignments.append((child.tag, expr))
 
-        decl = BeanDecl(
+        self._accept(BeanDecl(
             id=bean_id,
             written_id=written_id,
             class_ref=class_ref,
@@ -642,12 +632,9 @@ class _UnitParser:
             property_defs=tuple(defs or ()),
             assignments=tuple(assignments),
             span=span,
-        )
-        if self._accept(decl) and self.sites is not None:
-            self._site(sites, "bean-id", written_id, *node.attr_bounds["id"], bean_id, target=bean_id)
-            self.sites.extend(sites)
+        ))
 
-    def _accept(self, decl: BeanDecl) -> bool:
+    def _accept(self, decl: BeanDecl) -> None:
         """Add a read or reused bean to the unit unless its id is a reserved
         builtin name or already declared earlier in the unit."""
         written_id, span = decl.written_id, decl.span
@@ -655,7 +642,7 @@ class _UnitParser:
             self.diags.append(
                 dx.error(dx.DUPLICATE_ID, f"'{written_id}' is a reserved builtin type name", span, decl.id)
             )
-            return False
+            return
         prior = self._ids.get(written_id)
         if prior is not None:
             self.diags.append(
@@ -666,10 +653,9 @@ class _UnitParser:
                     decl.id,
                 )
             )
-            return False
+            return
         self._ids[written_id] = decl
         self.beans.append(decl)
-        return True
 
     def _flag(self, node: XmlElement, name: str, bean_id: ElementId) -> bool:
         raw = node.attrs.get(name)
@@ -686,13 +672,7 @@ class _UnitParser:
             return None
         return node.text
 
-    @staticmethod
-    def _leaf_bounds(node: XmlElement) -> tuple[int, int]:
-        if node.content_start is None:
-            return node.start, node.end
-        return node.content_start, node.content_end
-
-    def _parse_defs(self, block: XmlElement, bean_id: ElementId, sites: list[RefSite]) -> list[RawPropertyDef]:
+    def _parse_defs(self, block: XmlElement, bean_id: ElementId) -> list[RawPropertyDef]:
         defs: list[RawPropertyDef] = []
         names: set[str] = set()
         if block.text.strip():
@@ -737,23 +717,11 @@ class _UnitParser:
                 description = self._leaf_text(desc_node, bean_id)
             type_ref = self._id(type_written)
             defs.append(RawPropertyDef(name, type_written, type_ref, description, row.span))
-            self._site(sites, "name-text", raw_name, *self._leaf_bounds(name_node), bean_id, prop=name)
-            self._site(
-                sites, "type-text", type_written, *self._leaf_bounds(type_node), bean_id, target=type_ref, prop=name
-            )
         return defs
 
-    def _value_expr(
-        self, node: XmlElement, bean_id: ElementId, owner_class: ElementId, sites: list[RefSite]
-    ) -> ValueExpr | None:
+    def _value_expr(self, node: XmlElement, bean_id: ElementId) -> ValueExpr | None:
         span = node.span
         prop = node.tag
-        pending: list[RefSite] = []
-        if self.sites is not None:
-            for offset in (node.name_offset, node.close_name_offset):
-                if offset is not None:
-                    self._site(pending, "prop-tag", prop, offset, offset + len(prop), bean_id,
-                               prop=prop, owner_class=owner_class)
         ref_written = node.attrs.get("ref")
         class_written = node.attrs.get("class")
         for a in node.attrs:
@@ -769,22 +737,13 @@ class _UnitParser:
                 return None
             if node.children or node.text.strip():
                 self._err_span(span, f"reference value '{prop}' must be empty", bean_id)
-            target = self._id(ref_written)
-            self._site(
-                pending, "ref-attr", ref_written, *node.attr_bounds["ref"], bean_id, target=target, prop=prop
-            )
-            sites.extend(pending)
-            return RefValue(target, ref_written, span)
+            return RefValue(self._id(ref_written), ref_written, span)
 
         if class_written is not None:
             if not class_written.strip():
                 self._err_span(node.attr_span("class"), "empty class reference", bean_id)
                 return None
             inline_class = self._id(class_written)
-            self._site(
-                pending, "class-attr", class_written, *node.attr_bounds["class"], bean_id, target=inline_class
-            )
-            sites.extend(pending)
             if node.text.strip():
                 self._err_span(span, f"stray text content in inline bean '{prop}'", bean_id)
             inner: list[tuple[str, ValueExpr]] = []
@@ -796,7 +755,7 @@ class _UnitParser:
                 if child.tag in seen:
                     self._err_span(child.span, f"duplicate assignment '{child.tag}'", bean_id)
                     continue
-                expr = self._value_expr(child, bean_id, inline_class, sites)
+                expr = self._value_expr(child, bean_id)
                 if expr is not None:
                     seen.add(child.tag)
                     inner.append((child.tag, expr))
@@ -805,7 +764,6 @@ class _UnitParser:
         if node.children:
             self._err_span(span, f"inline bean '{prop}' missing 'class' attribute", bean_id)
             return None
-        sites.extend(pending)
         return ScalarValue(node.text, span)
 
     def _finish(self) -> tuple[SourceUnit, list[Diagnostic]]:
@@ -888,6 +846,14 @@ def read_document(text: str, path: str) -> tuple[XmlElement | None, list[Diagnos
     except _Malformed as m:
         return None, [dx.error(dx.PARSE, m.message, sc.point(m.offset))]
     return root, []
+
+
+def element_at(unit: SourceUnit, span: SourceSpan) -> XmlElement:
+    """The element of unit that starts at span, the span of a bean, property
+    row or value that parsing unit gave, read again by the same reader."""
+    sc = _Scanner(unit.text, unit.path)
+    node, _ = sc.read_element(sc._line_starts[span.line - 1] + span.column - 1)
+    return node
 
 
 def duplicate_id_diags(units) -> list[Diagnostic]:

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import importlib
 import json
+import os
 import pickle
 import pkgutil
 import re
@@ -32,6 +33,7 @@ from mtalk.ids import UNRESOLVED, ElementId
 from mtalk.native import load_manifest, parse_manifest
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
+from mtalk.watch import WatchSession
 
 from golden import CORE_XML, GOLDEN_UNITS, MANIFEST, compile_golden, write_golden
 
@@ -304,13 +306,6 @@ def test_state_roundtrip(tmp_path):
     _, recompiled, diags = incremental_compile(loaded, [unit])
     assert diags == []
     assert eid("FastHTTP_Client") in recompiled
-
-
-def test_compiled_state_holds_no_ref_sites():
-    # rename derives ref sites from the unit text; a state must not carry them
-    state = golden_state()
-    assert state.units["core.model.xml"].ref_sites
-    assert b"RefSite" not in pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def test_load_state_rejects_garbage(tmp_path):
@@ -679,12 +674,41 @@ def test_namespace_change_rereads_every_bean(tmp_path):
     assert {b.id.namespace for b in unit.beans} == {"core"}
 
 
-def test_reused_beans_leave_ref_sites_as_a_fresh_read(tmp_path):
-    text = CORE_XML.replace("<timeToLive>60<", "<timeToLive>61<")
-    _, _, unit = _fold_core_edit(tmp_path, text)
-    sites = unit.ref_sites
-    assert len(sites) > 20
-    assert sites == parse_unit(text, "core.model.xml")[0].ref_sites
+def _rename_plans(state) -> list:
+    """Every element and property rename of state's workspace, planned: the
+    patch set and warnings, or the refusal."""
+    model = state.resolved
+    plans = []
+    renames = [(rename.rename_element, e, e.local + "Renamed") for e in sorted(model.elements)]
+    renames += [(rename.rename_property, c, p.name, p.name + "Renamed")
+                for c, cd in sorted(model.classes.items()) for p in cd.own_properties]
+    for plan, *args in renames:
+        try:
+            plans.append(plan(state, *args))
+        except (CollisionError, NotFoundError) as exc:
+            plans.append(str(exc))
+    return plans
+
+
+def test_rename_on_a_folded_state_equals_rename_on_a_fresh_compile(tmp_path):
+    # rename reads the spans of the declarations a state holds, reused ones
+    # included: after a value edit that keeps the untouched beans, and after
+    # an edit that moves the beans below it down a line
+    write_golden(tmp_path, manifest=False)
+    session = WatchSession(tmp_path)
+    value = CORE_XML.replace("<timeToLive>60<", "<timeToLive>61<")
+    shifted = value.replace('  <bean id="FastHTTP_Client"', '\n  <bean id="FastHTTP_Client"')
+    target = tmp_path / "core.model.xml"
+    for text in (value, shifted):
+        before = session.state.units["core.model.xml"].beans
+        target.write_text(text, encoding="utf-8")
+        st = target.stat()
+        os.utime(target, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        assert session.poll() is not None
+        beans = session.state.units["core.model.xml"].beans
+        kept = [b for b in beans if any(b is a for a in before)]
+        assert kept and len(kept) < len(beans)
+        assert _rename_plans(session.state) == _rename_plans(compile_workspace(tmp_path)[0])
 
 
 def test_a_unit_that_parsed_with_diagnostics_is_read_afresh(tmp_path):

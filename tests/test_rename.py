@@ -73,16 +73,31 @@ def test_rename_element_patch_inventory():
     assert len(patchset) == 8
     assert patchset.paths() == ("core.model.xml", "retrievers.model.xml", "secured.model.xml")
     assert all(p.replacement == "HttpClient" for p in patchset.patches)
+    # the declaration's patch covers exactly the raw id value between the quotes
+    lines = GOLDEN_UNITS["core.model.xml"].split("\n")
+    line = next(i for i, text in enumerate(lines) if 'id="HTTP_Client"' in text)
+    column = lines[line].index('"HTTP_Client"') + 2
+    assert patchset.patches[0].span == SourceSpan(
+        "core.model.xml", line + 1, column, line + 1, column + len("HTTP_Client")
+    )
 
 
 def test_rename_element_roundtrip_compiles_clean():
+    # every element declared in a unit: renamed, the workspace compiles
+    # clean; renamed back, every file is restored byte for byte
     state = golden_state()
-    patchset, _ = rename_element(state, eid("HTTP_Client"), "HttpClient")
-    texts = apply_in_memory(patchset, GOLDEN_UNITS)
-    new_state, diags = recompile(texts)
-    assert diags == []
-    assert eid("HttpClient") in new_state.resolved.classes
-    assert eid("HTTP_Client") not in new_state.resolved.elements
+    declared = sorted(e for e in state.resolved.elements if e not in state.resolved.kernel_ids)
+    assert len(declared) == 15
+    for old in declared:
+        new = eid(old.local + "Renamed")
+        patchset, _ = rename_element(state, old, new.local)
+        texts = apply_in_memory(patchset, GOLDEN_UNITS)
+        new_state, diags = recompile(texts)
+        assert diags == [], old
+        assert new in new_state.resolved.elements and old not in new_state.resolved.elements
+        assert (old in state.resolved.classes) == (new in new_state.resolved.classes)
+        back, _ = rename_element(new_state, new, old.local)
+        assert apply_in_memory(back, texts) == GOLDEN_UNITS, old
 
 
 def test_rename_instance_bean():
@@ -98,20 +113,18 @@ def test_rename_instance_bean():
 
 
 def test_rename_preserves_qualifier_prefix():
-    state, diags = compile_texts(
-        a_model_xml='<model xmlns="a"><bean id="T" class="Class" declarative="true"/></model>',
-        b_model_xml='<model xmlns="b"><bean id="U" class="a:T" declarative="true"/></model>',
-    )
+    # b's bare T names b's own T, which shares the renamed element's local
+    texts = {
+        "a.model.xml": '<model xmlns="a"><bean id="T" class="Class" declarative="true"/></model>',
+        "b.model.xml": '<model xmlns="b"><bean id="U" class="a:T" declarative="true"/>'
+        '<bean id="T" class="Class" declarative="true"/><bean id="W" class="T" declarative="true"/></model>',
+    }
+    state, diags = recompile(texts)
     assert diags == []
     patchset, _ = rename_element(state, eid("a:T"), "V")
-    texts = apply_in_memory(
-        patchset,
-        {
-            "a.model.xml": '<model xmlns="a"><bean id="T" class="Class" declarative="true"/></model>',
-            "b.model.xml": '<model xmlns="b"><bean id="U" class="a:T" declarative="true"/></model>',
-        },
-    )
+    texts = apply_in_memory(patchset, texts)
     assert 'class="a:V"' in texts["b.model.xml"]
+    assert '<bean id="T" class="Class" declarative="true"/><bean id="W" class="T"' in texts["b.model.xml"]
     _, diags2 = recompile(texts)
     assert diags2 == []
 
@@ -196,6 +209,20 @@ def test_rename_fallback_target_guard():
         rename_element(state, eid("Shared"), "Fresh")
 
 
+def test_rename_patches_every_declaration_of_a_duplicate_id():
+    # an id declared in two units (E008) is renamed in both, though only
+    # a third unit names it
+    texts = {
+        "a.model.xml": '<model><bean id="Dup" class="Class" declarative="true"/></model>',
+        "b.model.xml": '<model><bean id="Dup" class="Class" declarative="true"/></model>',
+        "c.model.xml": '<model><bean id="Use" class="Dup"/></model>',
+    }
+    state, diags = recompile(texts)
+    assert [d.code for d in diags] == ["E008"]
+    patchset, _ = rename_element(state, "Dup", "Single")
+    assert apply_in_memory(patchset, texts) == {p: t.replace('"Dup"', '"Single"') for p, t in texts.items()}
+
+
 def test_rename_manifest_entry_warns():
     import json
 
@@ -228,6 +255,13 @@ def test_rename_property_patch_inventory():
     assert set(by_path) == {"core.model.xml", "pictures.model.xml", "retrievers.model.xml"}
     assert len(patchset) == 7
     assert warnings == []  # compiled without a manifest
+    # an assignment is patched at its open tag's name and its close tag's
+    text = GOLDEN_UNITS["pictures.model.xml"]
+    line = text.split("\n")[2]
+    opens, closes = line.index("<URL>") + 2, line.index("</URL>") + 3
+    assert [(p.span.line, p.span.column, p.span.end_column) for p in by_path["pictures.model.xml"]] == [
+        (3, opens, opens + 3), (3, closes, closes + 3)
+    ]
 
 
 def test_rename_property_roundtrip():
@@ -239,6 +273,29 @@ def test_rename_property_roundtrip():
     assert "<targetUrl>www.example.org/logo.png</targetUrl>" in texts["pictures.model.xml"]
     _, diags = recompile(texts)
     assert diags == []
+    # every declared property: renamed, the workspace compiles clean;
+    # renamed back, every file is restored byte for byte
+    declared = [(c, p.name) for c, cd in sorted(state.resolved.classes.items()) for p in cd.own_properties]
+    assert len(declared) == 7
+    for cls, prop in declared:
+        patchset, _ = rename_property(state, cls, prop, prop + "Renamed")
+        texts = apply_in_memory(patchset, GOLDEN_UNITS)
+        new_state, diags = recompile(texts)
+        assert diags == [], (cls, prop)
+        assert prop + "Renamed" in {p.name for p in new_state.resolved.classes[cls].own_properties}
+        back, _ = rename_property(new_state, cls, prop + "Renamed", prop)
+        assert apply_in_memory(back, texts) == GOLDEN_UNITS, (cls, prop)
+
+
+def test_rename_property_reaches_inline_bean_assignments():
+    # an inline bean's value tags belong to its own class, not its owner's
+    state = golden_state()
+    patchset, _ = rename_property(state, eid("StandardCache"), "timeToLive", "ttl")
+    assert patchset.paths() == ("caches.model.xml", "core.model.xml", "retrievers.model.xml", "secured.model.xml")
+    texts = apply_in_memory(patchset, GOLDEN_UNITS)
+    assert "<ttl>60</ttl>" in texts["core.model.xml"]
+    assert "<ttl>10</ttl>" in texts["secured.model.xml"]
+    assert recompile(texts)[1] == []
 
 
 def test_rename_property_scoped_to_declaring_subtree():
@@ -266,6 +323,37 @@ def test_rename_property_scoped_to_declaring_subtree():
     assert "<size>2</size>" in out
     _, diags2 = recompile({"m.model.xml": out})
     assert diags2 == []
+
+
+def test_rename_property_keeps_name_padding():
+    texts = {
+        "m.model.xml": "<model><bean id='C' class='Class' declarative='true'><properties>"
+        "<property><name> pad </name><type>Long</type></property>"
+        "</properties></bean><bean id='I' class='C'><pad>1</pad></bean></model>"
+    }
+    state, diags = recompile(texts)
+    assert diags == []
+    patchset, _ = rename_property(state, "C", "pad", "bulk")
+    out = apply_in_memory(patchset, texts)["m.model.xml"]
+    assert "<name> bulk </name>" in out and "<bulk>1</bulk>" in out
+
+
+def test_rename_skips_a_bean_that_parsing_skipped():
+    # the second A is a duplicate within its unit: it is no declaration, so
+    # neither its id nor its class reference is patched; nor is a second
+    # <type> of a property row, which parsing reports and does not read
+    texts = {"m.model.xml": "<model><bean id='A' class='Class'/><bean id='A' class='B'/>"
+                            "<bean id='B' class='Class'><properties><property>"
+                            "<name>p</name><type>A</type><type>A</type></property></properties></bean></model>"}
+    state, _ = recompile(texts)
+    assert [b.written_id for b in state.units["m.model.xml"].beans] == ["A", "B"]
+    patchset, _ = rename_element(state, "A", "Z")
+    text = texts["m.model.xml"]
+    assert [p.span.column for p in patchset.patches] == [text.index("'A'") + 2, text.index("<type>A") + 7]
+    patchset, _ = rename_element(state, "B", "Y")
+    assert apply_in_memory(patchset, texts)["m.model.xml"] == texts["m.model.xml"].replace(
+        "id='B'", "id='Y'"
+    )
 
 
 def test_rename_property_scope_is_topmost_declarer():
@@ -352,35 +440,45 @@ def test_apply_patchset_on_disk(tmp_path):
 
 def test_apply_patchset_keeps_line_endings(tmp_path):
     # the parser counts CRLF, CR and LF alike as one line break, so the same
-    # patch set applies to every spelling and changes only the patched names
-    lf = tmp_path / "lf"
-    lf.mkdir()
-    write_golden(lf, manifest=False)
-    lf_state, _ = compile_workspace(lf)
-    lf_patchset, _ = rename_element(lf_state, eid("HTTP_Client"), "HttpClient")
-    apply_patchset(lf_patchset, str(lf))
-
-    root = tmp_path / "mixed"
-    root.mkdir()
-    write_golden(root, manifest=False)
+    # patch set applies to every spelling and changes only the patched names;
+    # a <type> text that spans lines keeps its line breaks' spelling too
+    multiline = dict(GOLDEN_UNITS)
+    for name, written in (("core.model.xml", "CacheManager"), ("secured.model.xml", "SecuredCacheManager")):
+        multiline[name] = multiline[name].replace(
+            f"<type>{written}</type>", f"<type>\n          {written}\n        </type>"
+        )
     breaks = {"core.model.xml": ["\r\n"], "retrievers.model.xml": ["\r"], "secured.model.xml": ["\r\n", "\n", "\r"]}
-    spelled = {}
-    for name, seps in breaks.items():
-        lines = GOLDEN_UNITS[name].split("\n")
-        spelled[name] = [seps[i % len(seps)] for i in range(len(lines) - 1)] + [""]
-        raw = "".join(line + sep for line, sep in zip(lines, spelled[name]))
-        (root / name).write_bytes(raw.encode("utf-8"))
-    state, diags = compile_workspace(root)
-    assert diags == []
-    patchset, _ = rename_element(state, eid("HTTP_Client"), "HttpClient")
-    assert patchset == lf_patchset
-    assert apply_patchset(patchset, str(root)) == sorted(breaks)
-    for name, seps in spelled.items():
-        renamed = (lf / name).read_text(encoding="utf-8").split("\n")
-        expected = "".join(line + sep for line, sep in zip(renamed, seps))
-        assert (root / name).read_bytes() == expected.encode("utf-8"), name
-    state2, diags2 = compile_workspace(root)
-    assert diags2 == [] and eid("HttpClient") in state2.resolved.classes
+    for case, (units, old, new) in enumerate((
+        (GOLDEN_UNITS, "HTTP_Client", "HttpClient"),
+        (multiline, "CacheManager", "CacheBase"),
+        (multiline, "SecuredCacheManager", "SecuredBase"),
+    )):
+        lf = tmp_path / f"lf{case}"
+        root = tmp_path / f"mixed{case}"
+        spelled = {}
+        for d in (lf, root):
+            d.mkdir()
+            for name, text in units.items():
+                (d / name).write_text(text, encoding="utf-8")
+        lf_state, _ = compile_workspace(lf)
+        lf_patchset, _ = rename_element(lf_state, eid(old), new)
+        apply_patchset(lf_patchset, str(lf))
+        for name, seps in breaks.items():
+            lines = units[name].split("\n")
+            spelled[name] = [seps[i % len(seps)] for i in range(len(lines) - 1)] + [""]
+            raw = "".join(line + sep for line, sep in zip(lines, spelled[name]))
+            (root / name).write_bytes(raw.encode("utf-8"))
+        state, diags = compile_workspace(root)
+        assert diags == []
+        patchset, _ = rename_element(state, eid(old), new)
+        assert patchset == lf_patchset
+        assert apply_patchset(patchset, str(root)) == list(lf_patchset.paths())
+        for name, seps in spelled.items():
+            renamed = (lf / name).read_text(encoding="utf-8").split("\n")
+            expected = "".join(line + sep for line, sep in zip(renamed, seps))
+            assert (root / name).read_bytes() == expected.encode("utf-8"), (old, name)
+        state2, diags2 = compile_workspace(root)
+        assert diags2 == [] and eid(new) in state2.resolved.classes
 
 
 def test_apply_patchset_missing_file(tmp_path):
@@ -416,7 +514,8 @@ def test_attribute_values_escaped_when_needed():
 
 
 # ---------------------------------------------------------------------------
-# Units are skipped unless their text can spell the name; no site is dropped
+# A name written otherwise than plainly: an entity, a qualifier, CDATA or a
+# comment inside the text
 
 PREFILTER_UNITS = {
     "core.model.xml": """\
@@ -446,18 +545,7 @@ PREFILTER_UNITS = {
 }
 
 
-def _unfiltered(monkeypatch, plan):
-    """The plan from a scan of every unit's ref sites."""
-    import mtalk.rename as rename
-
-    with monkeypatch.context() as m:
-        m.setattr(rename, "_may_mention", lambda unit, name: True)
-        return plan()
-
-
-def test_rename_prefilter_keeps_every_site(monkeypatch):
-    from mtalk.rename import _may_mention
-
+def test_rename_reaches_every_spelling_of_a_name():
     state, diags = recompile(PREFILTER_UNITS)
     assert diags == []
 
@@ -472,22 +560,30 @@ def test_rename_prefilter_keeps_every_site(monkeypatch):
         (prop, ("core.model.xml", "entity.model.xml", "qualified.model.xml")),
     ):
         patchset, warnings = plan()
-        assert (patchset, warnings) == _unfiltered(monkeypatch, plan)
+        assert warnings == []
         assert patchset.paths() == paths
-    assert not _may_mention(state.units["other.model.xml"], "Cache")
     renamed = apply_in_memory(element()[0], PREFILTER_UNITS)
     assert 'class="Pool"' in renamed["entity.model.xml"]
+    assert 'class="ns:Pool"' in renamed["qualified.model.xml"]
     assert "<type>Pool</type>" in renamed["split.model.xml"]
+    assert recompile(renamed)[1] == []
+    renamed = apply_in_memory(prop()[0], PREFILTER_UNITS)
+    assert "<name>capacity</name>" in renamed["core.model.xml"]
+    assert "<capacity>1</capacity>" in renamed["entity.model.xml"]
+    assert "<capacity>2</capacity>" in renamed["qualified.model.xml"]
     assert recompile(renamed)[1] == []
 
 
-def test_rename_prefilter_keeps_the_shadow_guard(monkeypatch):
-    # the bare reference that ns:Shared would capture is written as an entity
-    state, diags = compile_texts(
-        root_model_xml='<model><bean id="Shared" class="Class" declarative="true"/></model>',
-        ns_model_xml='<model xmlns="ns"><bean id="Mine" class="Class" declarative="true"/></model>',
-        user_model_xml='<model xmlns="ns"><bean id="User" class="&#83;hared" declarative="true"/></model>',
-    )
-    assert diags == []
-    with pytest.raises(CollisionError, match="would shadow 'Shared' referenced in user.model.xml"):
-        rename_element(state, eid("ns:Mine"), "Shared")
+def test_rename_shadow_guard_sees_entity_and_padded_references():
+    # the bare reference that ns:Shared would capture is written as an
+    # entity, or padded, which the reference index keys as written
+    for written in ("&#83;hared", " Shared "):
+        state, diags = compile_texts(
+            root_model_xml='<model><bean id="Shared" class="Class" declarative="true"/></model>',
+            ns_model_xml='<model xmlns="ns"><bean id="Mine" class="Class" declarative="true"/></model>',
+            user_model_xml=f'<model xmlns="ns"><bean id="User" class="{written}" declarative="true"/></model>',
+        )
+        # a padded class names no element (E001), yet still shadows once stripped
+        assert [d.code for d in diags] == ([] if written.startswith("&") else ["E001"])
+        with pytest.raises(CollisionError, match="would shadow 'Shared' referenced in user.model.xml"):
+            rename_element(state, eid("ns:Mine"), "Shared")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mtalk.compiler import compile_workspace
 from mtalk.diagnostics import PARSE, DUPLICATE_ID
 from mtalk.errors import NotFoundError
-from mtalk.ids import ElementId
+from mtalk.ids import ElementId, SourceSpan
 from mtalk.schema import generate_schema, validate_with_schema
 from mtalk.source import (
     InlineBean,
@@ -20,6 +20,7 @@ from mtalk.source import (
     ScalarValue,
     discover_unit_paths,
     duplicate_id_diags,
+    element_at,
     parse_unit,
     parse_workspace,
     read_document,
@@ -196,7 +197,6 @@ def test_parse_is_deterministic():
     a, da = parse(text, "core.model.xml")
     b, db = parse(text, "core.model.xml")
     assert a.beans == b.beans
-    assert a.ref_sites == b.ref_sites
     assert da == db
 
 
@@ -224,11 +224,45 @@ def test_span_of_finds_bean():
 def test_attr_value_span_points_inside_quotes():
     text = '<model><bean id="Alpha" class="C"/></model>'
     unit, _ = parse(text)
-    site = next(s for s in unit.ref_sites if s.kind == "bean-id")
+    span = element_at(unit, unit.beans[0].span).attr_span("id")
     # span covers exactly the raw value between the quotes
     start = text.index("Alpha")
-    assert (site.span.line, site.span.column) == (1, start + 1)
-    assert site.span.end_column == start + 1 + len("Alpha")
+    assert (span.line, span.column) == (1, start + 1)
+    assert span.end_column == start + 1 + len("Alpha")
+
+
+def test_bean_references_and_values_reach_inline_beans():
+    unit, diags = parse(
+        "<model xmlns='n'><bean id='B' class='C' parent='P'><properties>"
+        "<property><name>x</name><type> T </type></property></properties>"
+        "<cache class='m:D'><next ref='R'/></cache><size>1</size></bean></model>"
+    )
+    assert diags == []
+    (bean,) = unit.beans
+    assert sorted((written, target.render(), where) for written, target, _, where in bean.references()) == [
+        ("C", "n:C", "class"), ("P", "n:P", "parent"), ("R", "n:R", "ref"), ("T", "n:T", "type"),
+        ("m:D", "m:D", "class"),
+    ]
+    assert [(owner.render(), tag) for owner, tag, _ in bean.values()] == [
+        ("n:C", "cache"), ("n:C", "size"), ("m:D", "next")
+    ]
+
+
+def test_element_at_rereads_the_element_a_span_names():
+    text = "<model xmlns='n'>\n<bean id='B' class='C'>\n  <cache class='D'><size> 1 </size></cache>\n</bean></model>"
+    unit, diags = parse(text)
+    assert diags == []
+    cache = unit.beans[0].assignments[0][1]
+    node = element_at(unit, cache.span)
+    assert (node.tag, node.span) == ("cache", cache.span)
+    line = text.split("\n")[2]
+
+    def at(start, length):
+        return SourceSpan("u.model.xml", 3, start + 1, 3, start + 1 + length)
+
+    assert node.attr_span("class") == at(line.index("D"), 1)
+    assert node.tag_name_spans() == [at(line.index("cache"), 5), at(line.index("/cache") + 1, 5)]
+    assert node.children[0].content_span() == at(line.index(" 1 "), 3)
 
 
 def test_multiline_value_span():
@@ -568,37 +602,47 @@ def test_deep_nesting_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Reference sites
+# Reference sites: what the parser gives rename to find each written name
+
+
+def _text_at(text, span):
+    lines = text.split("\n")
+    assert span.line == span.end_line
+    return lines[span.line - 1][span.column - 1:span.end_column - 1]
 
 
 def test_ref_site_kinds_for_representative_unit():
     unit, diags = parse(CORE_XML, "core.model.xml")
     assert diags == []
-    kinds = {s.kind for s in unit.ref_sites}
-    assert kinds == {
-        "bean-id",
-        "class-attr",
-        "parent-attr",
-        "ref-attr",
-        "type-text",
-        "name-text",
-        "prop-tag",
-    } - {"ref-attr"} | ({"ref-attr"} if any(s.kind == "ref-attr" for s in unit.ref_sites) else set())
-    # every bean contributes exactly one bean-id site
-    bean_ids = [s for s in unit.ref_sites if s.kind == "bean-id"]
-    assert len(bean_ids) == len(unit.beans)
+    wheres = {where for b in unit.beans for _, _, _, where in b.references()}
+    assert {"class", "parent", "type"} <= wheres <= {"class", "parent", "type", "ref"}
+    for bean in unit.beans:
+        node = element_at(unit, bean.span)
+        # every bean's id, class and parent attribute is read back as written
+        assert _text_at(CORE_XML, node.attr_span("id")) == bean.written_id
+        assert _text_at(CORE_XML, node.attr_span("class")) == bean.written_class
+        if bean.written_parent is not None:
+            assert _text_at(CORE_XML, node.attr_span("parent")) == bean.written_parent
+        for d in bean.property_defs:
+            row = element_at(unit, d.span)
+            cells = {c.tag: c for c in row.children}
+            assert _text_at(CORE_XML, cells["name"].content_span()) == d.name
+            assert _text_at(CORE_XML, cells["type"].content_span()) == d.type_written
+        for _, tag, expr in bean.values():
+            names = element_at(unit, expr.span).tag_name_spans()
+            assert names and all(_text_at(CORE_XML, s) == tag for s in names)
 
 
 def test_prop_tag_sites_cover_open_and_close():
     text = "<model xmlns='n'><bean id='B' class='C'><timeout>60</timeout></bean></model>"
     unit, _ = parse(text)
-    tags = [s for s in unit.ref_sites if s.kind == "prop-tag"]
+    ((owner, tag, expr),) = unit.beans[0].values()
+    assert (owner, tag) == (ElementId("n", "C"), "timeout")
+    tags = element_at(unit, expr.span).tag_name_spans()
     assert len(tags) == 2
-    assert all(s.prop == "timeout" for s in tags)
-    assert all(s.owner_class == ElementId("n", "C") for s in tags)
     opens = text.index("<timeout>") + 1
     closes = text.index("</timeout>") + 2
-    assert {t.span.column for t in tags} == {opens + 1, closes + 1}
+    assert {t.column for t in tags} == {opens + 1, closes + 1}
 
 
 def test_inline_bean_prop_tag_owner_is_inline_class():
@@ -606,26 +650,28 @@ def test_inline_bean_prop_tag_owner_is_inline_class():
         "<model xmlns='n'><bean id='B' class='C'>"
         "<cache class='D'><size>1</size></cache></bean></model>"
     )
-    sites = [s for s in unit.ref_sites if s.kind == "prop-tag" and s.prop == "size"]
-    assert sites and all(s.owner_class == ElementId("n", "D") for s in sites)
+    owners = [owner for owner, tag, _ in unit.beans[0].values() if tag == "size"]
+    assert owners == [ElementId("n", "D")]
 
 
 def test_name_text_site_carries_raw_written_form():
-    unit, _ = parse(
+    text = (
         "<model><bean id='C' class='Class'><properties>"
         "<property><name> pad </name><type>Long</type></property>"
         "</properties></bean></model>"
     )
-    site = next(s for s in unit.ref_sites if s.kind == "name-text")
-    assert site.written == " pad "
-    assert site.prop == "pad"
+    unit, _ = parse(text)
+    (d,) = unit.beans[0].property_defs
+    assert d.name == "pad"
+    (name,) = [c for c in element_at(unit, d.span).children if c.tag == "name"]
+    assert _text_at(text, name.content_span()) == " pad "
 
 
 def test_sites_omitted_for_skipped_beans():
     unit, _ = parse(
         "<model><bean id='A' class='C'/><bean id='A' class='D'/></model>"
     )
-    assert len([s for s in unit.ref_sites if s.kind == "bean-id"]) == 1
+    assert [(b.written_id, b.written_class) for b in unit.beans] == [("A", "C")]
 
 
 # ---------------------------------------------------------------------------
