@@ -2,16 +2,21 @@
 
 A full compile resolves every element, validates each against the model, and
 derives the dependency graph. An incremental compile (a fold) re-resolves
-only the ids declared in the units it changes (see kernel.resolve). It
-re-validates the elements whose declarations changed plus everything
-reachable from them over the reverse dependency graph (previous and new
-graphs combined); untouched elements keep their previous diagnostics. It
-patches the previous graph at the re-resolved ids, reruns the injection-cycle
-check only on the forward closure of the changed injection edges, and
-rechecks the manifest only for the re-resolved classes unless the manifest
-changed. When resolution widens to every id, the fold rebuilds the graph and
-reruns every check, as a full compile does. The result is observably
-identical to a full compile.
+only the ids declared in the units it changes (see kernel.resolve). Its
+dirty set, the ids whose meaning may differ, holds the elements whose
+declarations changed (the seeds) plus everything reachable from them over
+the reverse dependency graph (previous and new graphs combined); the VM
+drops what it cached for them on reload. Its recheck set, the ids whose
+diagnostics may differ, is re-validated; untouched elements keep their
+previous diagnostics. The two differ only where a class seed changed
+nothing but property types: what only such seeds reach is rechecked when
+it assigns or declares one of those properties. The fold patches the
+previous graph at the re-resolved ids, reruns the injection-cycle check
+only on the forward closure of the changed injection edges, and rechecks
+the manifest only for the re-resolved classes unless the manifest changed.
+When resolution widens to every id, the fold rebuilds the graph and reruns
+every check, as a full compile does. The result is observably identical to
+a full compile.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .graph import (
 )
 from .ids import SCALARS, XML_SPACE, ElementId, SourceSpan
 from .kernel import (
+    ClassDef,
     ElementKind,
     ResolvedModel,
     TypeRef,
@@ -654,6 +660,56 @@ def changed_element_ids(prev: ResolvedModel, new: ResolvedModel) -> set[ElementI
     return seeds
 
 
+def _property_changes(prev: ResolvedModel, new: ResolvedModel, seeds) -> tuple[set[ElementId], set[str]]:
+    """The seeds whose change is confined to their own property table, and
+    the names of the properties whose type differs among them (added and
+    removed ones included).
+
+    Such a seed is a class in both models whose kind, metaclass, parent,
+    abstractness, declarativeness and class-level values are unchanged, so
+    its lineage, its conformance and every other class's property table but
+    for those names stay as they were. Spans and descriptions are left out:
+    they appear only in the class's own diagnostics.
+    """
+    narrow: set[ElementId] = set()
+    names: set[str] = set()
+    for eid in seeds:
+        a = prev.classes.get(eid)
+        b = new.classes.get(eid)
+        if a is None or b is None or _shape(a) != _shape(b):
+            continue
+        narrow.add(eid)
+        types_a, types_b = _types_by_name(a), _types_by_name(b)
+        names.update(n for n in types_a.keys() | types_b.keys() if types_a.get(n) != types_b.get(n))
+    return narrow, names
+
+
+def _shape(cd: ClassDef) -> tuple:
+    return (cd.kind, cd.metaclass, cd.parent, cd.explicit_parent, cd.class_assignments,
+            cd.is_declarative, cd.is_abstract)
+
+
+def _types_by_name(cd: ClassDef) -> dict[str, list[TypeRef]]:
+    # own properties are declared by the class itself, so the type tells them apart
+    types: dict[str, list[TypeRef]] = {}
+    for p in cd.own_properties:
+        types.setdefault(p.name, []).append(p.type)
+    return types
+
+
+def _writes(decl: BeanDecl, names) -> bool:
+    """Whether decl declares or assigns one of names: a property row, or an
+    assignment tag of the bean or of an inline bean in it."""
+    # plain loops: any() over generators doubles the walk of a class fold
+    for d in decl.property_defs:
+        if d.name in names:
+            return True
+    for _, tag, _ in decl.values():
+        if tag in names:
+            return True
+    return False
+
+
 def _injection_edges(edges) -> set[Edge]:
     return {e for e in edges if e.kind in _INJECTION_KINDS}
 
@@ -695,7 +751,8 @@ def incremental_compile(
 ) -> tuple[CompileState, set[ElementId], list[Diagnostic]]:
     """Recompile after edits. changed_units are parsed units (new or updated),
     removed_paths are unit paths that no longer exist. Returns the new state,
-    the set of re-validated element ids, and the full diagnostic report."""
+    the set of re-validated element ids (the recheck set) and the full
+    diagnostic report."""
     units = dict(prev.units)
     parse_by_path = dict(prev.parse_by_path)
     for path in removed_paths:
@@ -713,9 +770,18 @@ def incremental_compile(
     resolved, _ = resolve(units.values(), prev=old)
     seeds = changed_element_ids(old, resolved)
     touched = resolved.touched
+    # dirty: ids whose meaning may differ (the VM's reload drops them);
+    # recheck: ids whose diagnostics may differ. What only property-table
+    # seeds reach is rechecked where it writes a changed name, since
+    # validation reads another class's properties by the names an element
+    # assigns or declares and nothing else of them. A widened resolve keeps
+    # the full fan-out.
+    narrow, names = _property_changes(old, resolved, seeds) if touched is not None else (set(), set())
+    wide = seeds - narrow
     dirty = set(seeds)
     # the previous graph's reverse index is built first, so a patch keeps it
-    dirty |= prev.graph.closure(seeds, reverse=True)
+    dirty |= prev.graph.closure(wide, reverse=True)
+    reached = prev.graph.closure(narrow, reverse=True)
     if touched is None:
         graph = build_dependency_graph(resolved)
         graph_diags = tuple(_injection_cycle_diags(resolved, graph))
@@ -730,11 +796,15 @@ def incremental_compile(
         graph = prev.graph.patched(out, gone, new)
         graph_diags = _refolded_cycle_diags(prev.graph_diags, resolved, prev.graph, graph, out, seeds)
     if graph is not prev.graph:
-        dirty |= graph.closure(seeds, reverse=True)
+        dirty |= graph.closure(wide, reverse=True)
+        reached |= graph.closure(narrow, reverse=True)
+    elements = resolved.elements
+    recheck = dirty | {e for e in reached - dirty if e in elements and _writes(elements[e].decl, names)}
+    dirty |= reached
 
     validate_by_element = dict(prev.validate_by_element)
-    recompiled = dirty & resolved.elements.keys()
-    for eid in dirty:
+    recompiled = recheck & elements.keys()
+    for eid in recheck:
         diags = validate_element(resolved, eid) if eid in recompiled else None
         if diags:
             validate_by_element[eid] = tuple(diags)

@@ -20,7 +20,7 @@ from .diagnostics import Diagnostic
 from .errors import CollisionError, NotFoundError, StateError
 from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, is_valid_local, record
 from .kernel import ResolvedModel, reference_index
-from .source import SourceUnit, XmlElement, element_at
+from .source import SourceUnit, XmlElement, element_reader
 
 # property assignments are element tags, so renamed properties must scan as one
 _TAG_NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
@@ -233,6 +233,7 @@ def rename_element(
     for unit in state.units.values():
         if unit.path not in paths:
             continue
+        element_at = element_reader(unit)
         for decl in unit.beans:
             sites = [
                 (written.strip(), span, where)
@@ -243,7 +244,7 @@ def rename_element(
                 sites.append((decl.written_id, decl.span, "id"))
             if not sites:
                 continue
-            bean = element_at(unit, decl.span)
+            bean = element_at(decl.span)
             for written, span, where in sites:
                 # a bare fallback reference from another namespace must not
                 # land on a different element after the rename
@@ -328,12 +329,13 @@ def rename_property(
     for unit in state.units.values():
         if unit.path not in paths:
             continue
+        element_at = element_reader(unit)
         for decl in unit.beans:
             rows = [d.span for d in decl.property_defs if d.name == old] if decl.id in scope else []
             tagged = [expr.span for owner, tag, expr in decl.values() if tag == old and model.lookup(owner) in scope]
             if not rows and not tagged:
                 continue
-            bean = element_at(unit, decl.span)
+            bean = element_at(decl.span)
             for span in rows:
                 patches.append(_text_patch(unit, _leaf(_inner(bean, span), "name"), new))
             for span in tagged:

@@ -14,12 +14,12 @@ still loads), and ``read_document`` is strict (the first problem ends the
 read). Elements keep offsets; line and column are computed only when a span
 is asked for. This parser is hand-rolled because recovery and exact
 attribute/text spans (needed for diagnostics and rename patches) are outside
-what stdlib XML parsers expose; rename reads a parsed bean's element again,
-at its span, with ``element_at``. An open tag, its attributes included, is
-read with one regular-expression match; only when that match fails does the
-reader walk the tag step by step, to report its first fault. Text content is
-read one run up to the next ``<`` at a time, and entities are decoded only in
-runs and attribute values that hold an ``&``.
+what stdlib XML parsers expose; rename reads parsed beans' elements again,
+at their spans, with ``element_reader``. An open tag, its attributes
+included, is read with one regular-expression match; only when that match
+fails does the reader walk the tag step by step, to report its first fault.
+Text content is read one run up to the next ``<`` at a time, and entities
+are decoded only in runs and attribute values that hold an ``&``.
 
 A changed unit is re-read with its previous unit when that one parsed with
 no diagnostics: every bean the edit did not touch, in bytes, line or
@@ -848,12 +848,22 @@ def read_document(text: str, path: str) -> tuple[XmlElement | None, list[Diagnos
     return root, []
 
 
-def element_at(unit: SourceUnit, span: SourceSpan) -> XmlElement:
-    """The element of unit that starts at span, the span of a bean, property
-    row or value that parsing unit gave, read again by the same reader."""
+def element_reader(unit: SourceUnit):
+    """A function that takes the span of a bean, property row or value that
+    parsing unit gave and returns the element of unit starting there, read
+    again by the same reader. Its reads share one scanner, so the unit's
+    line starts are found once."""
     sc = _Scanner(unit.text, unit.path)
-    node, _ = sc.read_element(sc._line_starts[span.line - 1] + span.column - 1)
-    return node
+
+    def read(span: SourceSpan) -> XmlElement:
+        return sc.read_element(sc._line_starts[span.line - 1] + span.column - 1)[0]
+
+    return read
+
+
+def element_at(unit: SourceUnit, span: SourceSpan) -> XmlElement:
+    """The element of unit that starts at span, read as element_reader does."""
+    return element_reader(unit)(span)
 
 
 def duplicate_id_diags(units) -> list[Diagnostic]:

@@ -101,27 +101,46 @@ def test_value_edit_recompiles_dependents_only():
     ]
 
 
-def test_class_edit_recompiles_whole_subtree():
+# every element that depends on HTTP_Client
+_HTTP_SUBTREE = {eid(r) for r in (
+    "HTTP_Client",
+    "NewsRetriever",
+    "PictureRetriever",
+    "StockQuoteRetriever",
+    "CNN_NewsRetriever",
+    "PontisLogoRetriever",
+    "LogoPictureRetriever",
+    "RobustHTTP_Client",
+    "FastHTTP_Client",
+    "BankBalanceRetriever",
+)}
+
+
+def test_property_edit_rechecks_the_beans_that_write_it():
     state = golden_state()
     edited = GOLDEN_UNITS["core.model.xml"].replace(
         "<name>timeout</name>", "<name>timeoutSeconds</name>"
     )
     unit = parse_clean(edited, "core.model.xml")
+    new, recompiled, _ = incremental_compile(state, [unit])
+    # only HTTP_Client's property table changed, so only the beans that
+    # assign timeout or timeoutSeconds can report something else
+    assert renders(recompiled) == ["FastHTTP_Client", "HTTP_Client", "RobustHTTP_Client"]
+    # every dependent may still read other values
+    assert _HTTP_SUBTREE <= new.dirty
+    assert eid("CacheManager") not in new.dirty
+    assert eid("MetaCache") not in new.dirty
+
+
+def test_class_edit_recompiles_whole_subtree():
+    state = golden_state()
+    edited = GOLDEN_UNITS["core.model.xml"].replace(
+        '<bean id="HTTP_Client" class="MetaCache">', '<bean id="HTTP_Client" class="MetaCache" parent="CacheManager">'
+    )
+    unit = parse_clean(edited, "core.model.xml")
     _, recompiled, _ = incremental_compile(state, [unit])
-    # every element that depends on HTTP_Client must be revalidated
-    for expect in (
-        "HTTP_Client",
-        "NewsRetriever",
-        "PictureRetriever",
-        "StockQuoteRetriever",
-        "CNN_NewsRetriever",
-        "PontisLogoRetriever",
-        "LogoPictureRetriever",
-        "RobustHTTP_Client",
-        "FastHTTP_Client",
-        "BankBalanceRetriever",
-    ):
-        assert eid(expect) in recompiled, expect
+    # a parent change alters the lineage, so every dependent is rechecked
+    assert _HTTP_SUBTREE <= recompiled
     assert eid("CacheManager") not in recompiled
     assert eid("MetaCache") not in recompiled
 
@@ -749,6 +768,20 @@ _PTYPE_HOLDER = (
     "<properties><property><name>x</name><type>Thing</type></property></properties></bean></model>"
 )
 _PTYPE_THING = '<model xmlns="pt"><bean id="Thing" class="Object"/></model>'
+_URL_ROW = """\
+      <property>
+        <name>URL</name>
+        <type>String</type>
+        <description>The target URL</description>
+      </property>
+"""
+
+
+def _retyped(text: str, prop: str, old: str, new: str) -> str:
+    """text with the declared type of its first property named prop replaced."""
+    at = text.index(f"<name>{prop}</name>")
+    return text[:at] + text[at:].replace(f"<type>{old}</type>", f"<type>{new}</type>", 1)
+
 
 # per unit path, the texts an edit may write; None removes the unit
 _VARIANTS = {
@@ -769,6 +802,19 @@ _VARIANTS = {
         ),
         GOLDEN_UNITS["core.model.xml"].replace('<bean id="RobustHTTP_Client"', '<bean id="FastHTTP_Client"'),
         GOLDEN_UNITS["core.model.xml"].replace("<model>", '<model xmlns="core">', 1),
+        # class edits that change only HTTP_Client's or MetaCache's property
+        # table: a retype of a property that the FastHTTP_Client template
+        # assigns and PontisLogoRetriever inherits, a removed property (added
+        # again by the next edit), and a narrowed type that makes
+        # MetaSecuredCache's override a covariance error
+        _retyped(GOLDEN_UNITS["core.model.xml"], "timeout", "Long", "Boolean"),
+        GOLDEN_UNITS["core.model.xml"].replace(_URL_ROW, ""),
+        _retyped(GOLDEN_UNITS["core.model.xml"], "cache", "CacheManager", "StandardCache"),
+        # a metaclass change and a parent change
+        GOLDEN_UNITS["core.model.xml"].replace('id="HTTP_Client" class="MetaCache"', 'id="HTTP_Client" class="Class"'),
+        GOLDEN_UNITS["core.model.xml"].replace(
+            'id="HTTP_Client" class="MetaCache">', 'id="HTTP_Client" class="MetaCache" parent="CacheManager">'
+        ),
     ],
     "caches.model.xml": [
         GOLDEN_UNITS["caches.model.xml"],
@@ -783,6 +829,27 @@ _VARIANTS = {
         GOLDEN_UNITS["caches.model.xml"].replace(
             '<bean id="StandardCache" class="Class" parent="CacheManager"/>',
             '<bean id="StandardCache" class="CacheManager"/>',
+        ),
+        # a retype of a property that only inline beans assign
+        _retyped(GOLDEN_UNITS["caches.model.xml"], "timeToLive", "Long", "Boolean"),
+        # a parent change that keeps an explicit parent
+        GOLDEN_UNITS["caches.model.xml"].replace(
+            'id="SecuredCacheManager" class="Class" parent="CacheManager"',
+            'id="SecuredCacheManager" class="Class" parent="HTTP_Client"',
+        ),
+        # an added property that overrides an inherited one and retypes
+        # BankBalanceRetriever's inline value
+        GOLDEN_UNITS["caches.model.xml"].replace(
+            '<bean id="SecuredCacheManager" class="Class" parent="CacheManager"/>',
+            '<bean id="SecuredCacheManager" class="Class" parent="CacheManager"><properties><property>'
+            "<name>maxElementsInMemory</name><type>Boolean</type></property></properties></bean>",
+        ),
+    ],
+    "retrievers.model.xml": [
+        GOLDEN_UNITS["retrievers.model.xml"],
+        # a class's metaclass changes under its instance CNN_NewsRetriever
+        GOLDEN_UNITS["retrievers.model.xml"].replace(
+            'id="NewsRetriever" class="MetaCache"', 'id="NewsRetriever" class="MetaSecuredCache"'
         ),
     ],
     "secured.model.xml": [
@@ -860,6 +927,9 @@ def _renamed_everywhere(state, texts) -> dict[str, str]:
 # consecutive edits inside core.model.xml, so reused beans are reused again
 @example([("core.model.xml", i) for i in (3, 4, 5, 4, 6, 0)])
 @example([("core.model.xml", i) for i in (4, 3, 1, 3, 0)])
+# property-table edits and back, each between shape edits
+@example([("core.model.xml", i) for i in (7, 9, 0, 8, 0, 10, 7, 11, 0)] + [("retrievers.model.xml", 1)])
+@example([("caches.model.xml", i) for i in (4, 5, 4, 6, 0)])
 def test_incremental_equals_full_for_edit_sequences(steps):
     current = dict(GOLDEN_UNITS)
     manifest = None
@@ -956,6 +1026,11 @@ def test_edit_variants_reach_their_cases():
         "property type 'Thing' does not name a class", "unresolved property type 'Thing'"]
     assert sorted(_renamed_everywhere(golden_state(), GOLDEN_UNITS)) == [
         "caches.model.xml", "core.model.xml", "retrievers.model.xml"]
+    _, narrowed = diags_with(**{"core.model.xml": _VARIANTS["core.model.xml"][9]})
+    assert [(d.code, d.element.render()) for d in narrowed] == [("E006", "MetaSecuredCache")]
+    _, inline = diags_with(**{"caches.model.xml": _VARIANTS["caches.model.xml"][4]})
+    assert {d.element.render() for d in inline} == {
+        "HTTP_Client", "PictureRetriever", "NewsRetriever", "StockQuoteRetriever", "BankBalanceRetriever"}
     golden = [parse_clean(t, p) for p, t in GOLDEN_UNITS.items()]
     assert compile_model(golden, _MANIFESTS[1])[1] == []
     assert sorted(d.code for d in compile_model(golden, _MANIFESTS[2])[1]) == ["E007", "W001", "W001"]

@@ -567,6 +567,31 @@ def test_reload_after_a_fold_rebuilds_the_referencing_bean():
     assert a.values["d"] is get_instance(vm, "m:Val")
 
 
+def test_reload_after_a_retype_rebuilds_a_bean_that_inherits_the_value():
+    text = (
+        '<model xmlns="m">'
+        '<bean id="A" class="Class"><properties>'
+        "<property><name>p</name><type>Long</type></property>"
+        "</properties></bean>\n"
+        '<bean id="B" class="Class" parent="A"/>\n'
+        '<bean id="T" class="B"><p>5</p></bean>\n'
+        '<bean id="J" class="B" parent="T"/>\n'
+        "</model>"
+    )
+    base, diags = compile_texts(m_model_xml=text)
+    assert diags == []
+    vm = load(base)
+    assert get_instance(vm, "m:J").values["p"] == 5
+    unit, _ = parse_unit(text.replace("<type>Long</type>", "<type>String</type>"), "m.model.xml")
+    edited, recompiled, report = incremental_compile(base, [unit])
+    assert report == []
+    # J assigns nothing, so the fold does not recheck it, but the value it
+    # takes over from T now reads as a String
+    assert ElementId.parse("m:J") not in recompiled
+    reload(vm, edited)
+    assert get_instance(vm, "m:J").values["p"] == get_instance(load(edited), "m:J").values["p"] == "5"
+
+
 def test_reload_two_folds_apart_carries_nothing():
     base, _ = carry_states()
     first = fold(base, _CARRY_TEXT.replace("<n>5</n>", "<n>6</n>"))
