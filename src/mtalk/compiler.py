@@ -46,7 +46,6 @@ from .kernel import (
     ResolvedModel,
     TypeRef,
     conforms,
-    reference_index,
     resolve,
 )
 from .native import NativeManifest
@@ -560,13 +559,6 @@ class CompileState:
     def has_errors(self) -> bool:
         return has_errors(self.all_diagnostics())
 
-    def build_fold_indexes(self) -> None:
-        """Build the two indexes a fold reads and then patches, which a
-        compile leaves to their first use: the graph's by-target map and the
-        kernel's reference index. Only a caller that will fold needs them."""
-        self.graph.by_target()
-        reference_index(self.resolved)
-
     def content_hash_by_unit(self) -> dict[str, str]:
         return {path: u.content_hash for path, u in self.units.items()}
 
@@ -767,7 +759,7 @@ def incremental_compile(
         parse_by_path[d.span.path] = parse_by_path[d.span.path] + (d,)
 
     old = prev.resolved
-    resolved, _ = resolve(units.values(), prev=old)
+    resolved, _ = resolve(units.values(), prev=old, in_edges=prev.graph.by_target)
     seeds = changed_element_ids(old, resolved)
     touched = resolved.touched
     # dirty: ids whose meaning may differ (the VM's reload drops them);

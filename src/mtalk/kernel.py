@@ -23,7 +23,7 @@ from functools import lru_cache
 from . import diagnostics as dx
 from .diagnostics import Diagnostic
 from .errors import NotFoundError, WrongKindError
-from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, record
+from .ids import BUILTIN_SCALARS, UNRESOLVED, ElementId, SourceSpan, record
 from .source import (
     BeanDecl,
     SourceUnit,
@@ -126,8 +126,8 @@ class ResolvedModel:
 
     diags holds resolution's diagnostics by element. touched names the ids
     that the resolve which made this model derived, None when it derived
-    every id (see resolve). touched, the memos and the reference index are
-    caches, which a pickled model does not hold.
+    every id (see resolve). touched and the memos are caches, which a
+    pickled model does not hold.
     """
 
     kernel_ids = frozenset((OBJECT_ID, CLASS_ID))
@@ -144,7 +144,6 @@ class ResolvedModel:
         self.classes = classes
         self.diags = {} if diags is None else diags
         self.touched: set[ElementId] | None = None
-        self._ref_paths: dict[str, tuple[str, ...]] | None = None
         self._lineage: dict[ElementId, tuple[ElementId, ...]] = {}
         self._ancestors: dict[ElementId, frozenset[ElementId]] = {}
         self._effective: dict[ElementId, tuple[PropertyDefinition, ...]] = {}
@@ -266,41 +265,6 @@ def _first_declarations(units) -> tuple[dict[ElementId, BeanDecl], bool]:
     return decls, shared
 
 
-def _unit_refs(unit: SourceUnit) -> set[ElementId]:
-    """Every reference a unit writes: class, parent, property type, value
-    reference and inline bean class."""
-    return {target for decl in unit.beans for _, target, _, _ in decl.references()}
-
-
-def reference_index(model: ResolvedModel) -> dict[str, tuple[str, ...]]:
-    """Unit paths by the local names their references spell, built once."""
-    if model._ref_paths is None:
-        index: dict[str, list[str]] = {}
-        for path, unit in model.units.items():
-            for local in {ref.local for ref in _unit_refs(unit)}:
-                index.setdefault(local, []).append(path)
-        model._ref_paths = {local: tuple(paths) for local, paths in index.items()}
-    return model._ref_paths
-
-
-def _patched_ref_paths(index, prev_units, units, changed) -> dict[str, tuple[str, ...]]:
-    """The reference index of prev_units carried over to units, which differ
-    at the changed paths."""
-    before = {p: {r.local for r in _unit_refs(prev_units[p])} for p in changed if p in prev_units}
-    after = {p: {r.local for r in _unit_refs(units[p])} for p in changed if p in units}
-    if before == after:
-        return index
-    index = dict(index)
-    for local in set().union(*before.values(), *after.values()):
-        paths = tuple(p for p in index.get(local, ()) if p not in changed)
-        paths += tuple(p for p, spelled in after.items() if local in spelled)
-        if paths:
-            index[local] = paths
-        else:
-            index.pop(local, None)
-    return index
-
-
 class _Table:
     """The declarations one resolve reads: decls for the ids it derives, and
     prev_elements' for every other id unless touched is None (every id)."""
@@ -365,7 +329,7 @@ class _Table:
         return ElementKind.INSTANCE
 
 
-def _fold_scope(prev: ResolvedModel, units, changed) -> tuple[set | None, dict | None]:
+def _fold_scope(prev: ResolvedModel, in_edges, units, changed) -> tuple[set | None, dict | None]:
     """The ids a fold from prev derives, with their declarations: those
     declared in a changed unit, before or after. (None, None) when an id
     outside them could resolve differently, so the fold derives every id."""
@@ -387,20 +351,31 @@ def _fold_scope(prev: ResolvedModel, units, changed) -> tuple[set | None, dict |
     moved = [eid for eid in touched if (eid in prev.elements) != (eid in decls)]
     if moved:
         # an added or removed id may capture, or drop, a reference written
-        # outside the changed units: exactly, or by namespace fallback
+        # outside the changed units: exactly, or by namespace fallback. In
+        # prev, such a reference resolves to the id, to its root namesake or
+        # to nothing, so its element has an edge into one of the three
+        by_target = in_edges()
+        sources = {
+            e.src
+            for eid in moved
+            for target in (eid, ElementId("", eid.local), UNRESOLVED)
+            for e in by_target.get(target, ())
+        }
         table = _Table(decls, touched, prev.elements)
-        index = reference_index(prev)
-        for eid in moved:
-            for path in index.get(eid.local, ()):
-                if path in changed:
-                    continue
-                for ref in _unit_refs(prev.units[path]):
-                    if ref.local == eid.local and prev.lookup(ref) != table.lookup(ref):
-                        return None, None
+        spelled = {eid.local for eid in moved}
+        for src in sources:
+            entry = prev.elements[src]
+            if entry.unit_path not in changed and any(
+                ref.local in spelled and prev.lookup(ref) != table.lookup(ref)
+                for _, ref, _, _ in entry.decl.references()
+            ):
+                return None, None
     return touched, decls
 
 
-def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, list[Diagnostic]]:
+def resolve(
+    units, prev: ResolvedModel | None = None, in_edges=None
+) -> tuple[ResolvedModel, list[Diagnostic]]:
     """Build the element table, classify elements, derive ClassDefs.
 
     Maximal: every resolvable element is resolved even when others fail.
@@ -415,6 +390,12 @@ def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, li
         or after (namespace fallback included)
       - a touched id that exists before and after and changes kind
       - a touched id declared in two units
+    in_edges, given with prev, returns the by-target map of prev's
+    dependency graph (each target's in-edges). It is called only when an id
+    is added or removed: the references that id could capture or drop are
+    written by elements with an edge into it, into its root namesake or into
+    UNRESOLVED. A declaration that is not an element (a later duplicate)
+    resolves nothing, so what it writes cannot change the fold.
     A derived entry or ClassDef equal to prev's is prev's object, so a fold
     allocates only for what it changed. model.touched is the touched set,
     None when every id was derived.
@@ -425,13 +406,10 @@ def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, li
     ordered = dict(sorted(by_path.items()))
 
     touched = decls = None
-    ref_paths = None
     prev_elements = prev.elements if prev is not None else {}
     if prev is not None:
         changed = {p for p in ordered.keys() | prev.units.keys() if ordered.get(p) is not prev.units.get(p)}
-        touched, decls = _fold_scope(prev, ordered, changed)
-        if prev._ref_paths is not None:
-            ref_paths = _patched_ref_paths(prev._ref_paths, prev.units, ordered, changed)
+        touched, decls = _fold_scope(prev, in_edges, ordered, changed)
     while True:
         if touched is None:
             decls = _first_declarations(ordered.values())[0]
@@ -463,7 +441,6 @@ def resolve(units, prev: ResolvedModel | None = None) -> tuple[ResolvedModel, li
 
     model = ResolvedModel(ordered, elements, classes, diags)
     model.touched = touched
-    model._ref_paths = ref_paths
     lookup = model.lookup
 
     # class/parent reference diagnostics

@@ -1,12 +1,13 @@
 """Rename refactoring: cross-file patch sets for element and property names.
 
 A rename finds its sites in the declarations the compile state holds: it
-visits only the units that the kernel's reference index lists for the name,
-and those that declare it, and reads text only at a declaration that names
-the renamed thing, where it reads that bean's element again for the exact
-attribute, tag name and text spans. Renames never touch the native manifest;
-when the renamed name also appears there, a warning diagnostic tells the
-user to update it by hand.
+visits only the units of the elements that the dependency graph's by-target
+map lists as naming the renamed thing, those that declare it and those that
+hold a later duplicate declaration, and reads text only at a declaration
+that names the renamed thing, where it reads that bean's element again for
+the exact attribute, tag name and text spans. Renames never touch the native
+manifest; when the renamed name also appears there, a warning diagnostic
+tells the user to update it by hand.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from . import diagnostics as dx
 from .compiler import CompileState
 from .diagnostics import Diagnostic
 from .errors import CollisionError, NotFoundError, StateError
-from .ids import BUILTIN_SCALARS, ElementId, SourceSpan, is_valid_local, record
-from .kernel import ResolvedModel, reference_index
+from .graph import INSTANCE_OF
+from .ids import BUILTIN_SCALARS, UNRESOLVED, ElementId, SourceSpan, is_valid_local, record
+from .kernel import ResolvedModel
 from .source import SourceUnit, XmlElement, element_reader
 
 # property assignments are element tags, so renamed properties must scan as one
@@ -170,11 +172,15 @@ def _leaf(row: XmlElement, tag: str) -> XmlElement:
     return next(c for c in row.children if c.tag == tag)
 
 
-def _declaring_paths(model: ResolvedModel, eid: ElementId) -> set[str]:
-    """The units that declare eid: its element's, and each later one that
-    resolution reported as a duplicate (E008) of it."""
-    paths = {model.elements[eid].unit_path}
-    paths.update(d.span.path for d in model.diags.get(eid, ()) if d.code == dx.DUPLICATE_ID)
+def _naming_paths(state: CompileState, targets, kind: str | None = None) -> set[str]:
+    """The units of the elements with an edge (of kind, when given) into
+    one of targets, and of every later duplicate declaration (E008), which
+    is not an element, so no edge leaves it."""
+    by_target, elements = state.graph.by_target(), state.resolved.elements
+    paths = {
+        elements[e.src].unit_path for t in targets for e in by_target.get(t, ()) if kind in (None, e.kind)
+    }
+    paths.update(d.span.path for ds in state.resolved.diags.values() for d in ds if d.code == dx.DUPLICATE_ID)
     return paths
 
 
@@ -214,11 +220,10 @@ def rename_element(
     if new_id in model.elements:
         raise CollisionError(f"'{new_id.render()}' already exists")
 
-    index = reference_index(model)
     # creating ns:new would capture bare references that fall back to root
-    # new; the index keys locals as written, so padded spellings count too
+    # new; a padded spelling resolves to nothing, and it shadows too
     if old_id.namespace and ElementId("", new) in model.elements:
-        spelled = {path for local, paths in index.items() if local.strip() == new for path in paths}
+        spelled = _naming_paths(state, (ElementId("", new), UNRESOLVED))
         for unit in state.units.values():
             if unit.namespace != old_id.namespace or unit.path not in spelled:
                 continue
@@ -228,7 +233,7 @@ def rename_element(
                         f"renaming would shadow '{new}' referenced in {unit.path}"
                     )
 
-    paths = set(index.get(old_id.local, ())) | _declaring_paths(model, old_id)
+    paths = _naming_paths(state, (old_id,)) | {model.elements[old_id].unit_path}
     patches: list[Patch] = []
     for unit in state.units.values():
         if unit.path not in paths:
@@ -319,12 +324,8 @@ def rename_property(
             )
 
     # rows are in the units that declare a scope class, assignments in those
-    # whose beans name one as their class
-    index = reference_index(model)
-    paths: set[str] = set()
-    for cls in scope:
-        paths.update(index.get(cls.local, ()))
-        paths |= _declaring_paths(model, cls)
+    # whose beans, or inline beans, are instances of one
+    paths = _naming_paths(state, scope, INSTANCE_OF) | {model.elements[cls].unit_path for cls in scope}
     patches: list[Patch] = []
     for unit in state.units.values():
         if unit.path not in paths:

@@ -40,8 +40,8 @@ class WatchSession:
             state, report = compile_workspace(self.root, manifest)
         else:
             report = state.all_diagnostics()
-        # built here, or the session's first edits would pay for them
-        state.build_fold_indexes()
+        # built here, or the session's first edits would pay for it
+        state.graph.by_target()
         self.state = state
         self.report = report
 

@@ -999,6 +999,12 @@ def test_fold_rebinds_an_untouched_class_whose_references_are_captured():
         assert new.resolved.elements[sub] is state.resolved.elements[sub]
         assert (new.resolved.classes[sub].metaclass, new.resolved.classes[sub].parent) == bound
         assert sub in recompiled
+        # removing the capturing unit drops the reference that bound exactly
+        # to the removed id, and it falls back to root again
+        back, recompiled, _ = incremental_compile(new, [], removed_paths=["ns_capture.model.xml"])
+        assert (back.resolved.classes[sub].metaclass, back.resolved.classes[sub].parent) == (
+            eid("MetaCache"), eid("CacheManager"))
+        assert sub in recompiled
 
 
 def test_edit_variants_reach_their_cases():

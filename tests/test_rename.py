@@ -223,6 +223,26 @@ def test_rename_patches_every_declaration_of_a_duplicate_id():
     assert apply_in_memory(patchset, texts) == {p: t.replace('"Dup"', '"Single"') for p, t in texts.items()}
 
 
+def test_rename_patches_a_reference_inside_a_later_duplicate_declaration():
+    # b's Y repeats a's (E008), so it is no element and no graph edge leaves
+    # it, yet its class attribute is written text that names Base
+    texts = {
+        "a.model.xml": '<model>\n'
+        '  <bean id="Base" class="Class" declarative="true"/>\n'
+        '  <bean id="Y" class="Class" declarative="true"/>\n'
+        "</model>\n",
+        "b.model.xml": '<model>\n  <bean id="Y" class="Base"/>\n</model>\n',
+    }
+    state, diags = recompile(texts)
+    assert [(d.code, d.span.path) for d in diags] == [("E008", "b.model.xml")]
+    patchset, _ = rename_element(state, "Base", "Root")
+    assert [(p.path, p.span.line, p.span.column) for p in patchset.patches] == [
+        ("a.model.xml", 2, 13),
+        ("b.model.xml", 2, 23),
+    ]
+    assert apply_in_memory(patchset, texts) == {p: t.replace('"Base"', '"Root"') for p, t in texts.items()}
+
+
 def test_rename_manifest_entry_warns():
     import json
 
@@ -576,7 +596,8 @@ def test_rename_reaches_every_spelling_of_a_name():
 
 def test_rename_shadow_guard_sees_entity_and_padded_references():
     # the bare reference that ns:Shared would capture is written as an
-    # entity, or padded, which the reference index keys as written
+    # entity, which falls back to root Shared, or padded, which resolves to
+    # nothing (an edge into UNRESOLVED)
     for written in ("&#83;hared", " Shared "):
         state, diags = compile_texts(
             root_model_xml='<model><bean id="Shared" class="Class" declarative="true"/></model>',

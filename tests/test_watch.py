@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from mtalk import graph, kernel, source, watch
+from mtalk import graph, source, watch
 from mtalk.compiler import compile_workspace
 from mtalk.watch import WatchSession, run_watch
 
@@ -46,24 +46,18 @@ def test_idle_poll_reads_and_parses_nothing(tmp_path, monkeypatch):
     assert session.poll() is None
 
 
-def test_first_poll_builds_neither_fold_index(tmp_path, monkeypatch):
+def test_first_poll_builds_no_by_target_map(tmp_path, monkeypatch):
     session = session_for(tmp_path)
     built = []
-    by_target, reference_index = graph.DependencyGraph.by_target, kernel.reference_index
+    by_target = graph.DependencyGraph.by_target
 
     def spy_by_target(self):
         if self._by_target is None:
             built.append("by-target map")
         return by_target(self)
 
-    def spy_reference_index(model):
-        if model._ref_paths is None:
-            built.append("reference index")
-        return reference_index(model)
-
     monkeypatch.setattr(graph.DependencyGraph, "by_target", spy_by_target)
-    monkeypatch.setattr(kernel, "reference_index", spy_reference_index)
-    # an added id reads the reference index, and its fold's reverse closure the by-target map
+    # an added id's fold scope and its fold's reverse closure read the by-target map
     (tmp_path / "extra.model.xml").write_text('<model><bean id="Extra" class="StandardCache"/></model>')
     result = session.poll()
     assert result is not None and result.diagnostics == ()
