@@ -4,7 +4,6 @@ dependency-injecting model VM with reflection and atomic reload, native
 binding via a manifest, XSD generation, and workspace tooling."""
 
 from .compiler import (
-    CompiledModel,
     CompileState,
     check_conformance,
     check_override,
@@ -63,7 +62,6 @@ __all__ = [
     "BUILTIN_SCALARS",
     "BenchmarkSpec",
     "CompileState",
-    "CompiledModel",
     "Diagnostic",
     "DependencyGraph",
     "Edge",

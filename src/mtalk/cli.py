@@ -115,7 +115,7 @@ def _cmd_get(args, out) -> int:
     if has_errors(report):
         _print_diags(report, args.json, sys.stderr)
         return EXIT_ERRORS
-    vm = vmmod.load(state.model())
+    vm = vmmod.load(state)
     inst = vmmod.get_instance(vm, args.bean)
     if args.json:
         out.write(json.dumps(vmmod.dump_instance(inst), indent=2) + "\n")
@@ -235,9 +235,13 @@ def _cmd_kernel(args, out) -> int:
 # Argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_workspace(p: argparse.ArgumentParser) -> None:
     p.add_argument("--root", default=".", help="workspace root directory")
     p.add_argument("--manifest", default=None, help="native manifest path (default: <root>/manifest.json)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_workspace(p)
     p.add_argument("--state", default=None, help="compile state directory (default: $MTALK_STATE or <root>/.mtalk/state)")
     p.add_argument("--no-cache", action="store_true", help="ignore persisted compile state")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("watch", help="recompile incrementally as files change")
     p.add_argument("--interval", type=float, default=0.5, help="poll interval in seconds")
     p.add_argument("--polls", type=int, default=None, help="stop after this many polls")
-    _add_common(p)
+    _add_workspace(p)
     p.set_defaults(func=_cmd_watch)
 
     p = sub.add_parser("gen", help="generate a synthetic benchmark workspace")

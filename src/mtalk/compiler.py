@@ -503,26 +503,10 @@ def _orphan_warning(manifest: NativeManifest, name: str, declarative: bool) -> D
 
 
 @dataclass(frozen=True)
-class CompiledModel:
-    """Queryable result of a compile: what the VM and tools consume."""
-
-    resolved: ResolvedModel
-    graph: DependencyGraph
-    diagnostics: tuple[Diagnostic, ...]
-    manifest: NativeManifest | None
-    # the state's lineage, for the VM's reload (see CompileState)
-    token: object = field(default_factory=object, compare=False, repr=False)
-    folded_from: object = field(default=None, compare=False, repr=False)
-    dirty: frozenset = field(default=frozenset(), compare=False, repr=False)
-
-    @property
-    def error_free(self) -> bool:
-        return not has_errors(self.diagnostics)
-
-
-@dataclass
 class CompileState:
-    """Everything needed to answer queries and recompile incrementally.
+    """Everything needed to answer queries and recompile incrementally: what
+    the VM loads and schema generation and rename read. Frozen, so a VM
+    snapshot's model cannot change under it; a fold builds a new state.
 
     token is fresh per compile. A fold's state records the token of the
     state it was folded from (a token, not a reference, so no state keeps
@@ -562,11 +546,11 @@ class CompileState:
     def content_hash_by_unit(self) -> dict[str, str]:
         return {path: u.content_hash for path, u in self.units.items()}
 
-    def model(self) -> CompiledModel:
-        diagnostics = tuple(self.all_diagnostics())
-        return CompiledModel(
-            self.resolved, self.graph, diagnostics, self.manifest, self.token, self.folded_from, self.dirty
-        )
+    def model(self) -> CompileState:
+        """The state itself, the compiled model the VM and schema generation
+        read. Kept for the benchmark, which calls it and traces it as
+        compiler.model."""
+        return self
 
 
 def _group_parse_diags(units, parse_diags) -> dict[str, tuple[Diagnostic, ...]]:
@@ -753,10 +737,7 @@ def incremental_compile(
     changed_units = list(changed_units)
     for u in changed_units:
         units[u.path] = u
-        parse_by_path[u.path] = ()
-    for d in parse_diags:
-        parse_by_path.setdefault(d.span.path, ())
-        parse_by_path[d.span.path] = parse_by_path[d.span.path] + (d,)
+    parse_by_path.update(_group_parse_diags(changed_units, parse_diags))
 
     old = prev.resolved
     resolved, _ = resolve(units.values(), prev=old, in_edges=prev.graph.by_target)

@@ -19,10 +19,10 @@ from . import diagnostics as dx
 from .compiler import CompileState
 from .diagnostics import Diagnostic
 from .errors import CollisionError, NotFoundError, StateError
-from .graph import INSTANCE_OF
+from .graph import INSTANCE_OF, SUBCLASS_OF, breadth_first
 from .ids import BUILTIN_SCALARS, UNRESOLVED, ElementId, SourceSpan, is_valid_local, record
 from .kernel import ResolvedModel
-from .source import SourceUnit, XmlElement, element_reader
+from .source import SourceUnit, XmlElement, element_reader, line_starts
 
 # property assignments are element tags, so renamed properties must scan as one
 _TAG_NAME_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\Z")
@@ -51,14 +51,7 @@ def _line_starts(text: str) -> list[int]:
     """Where each line of text begins. CRLF, CR and LF each end one line,
     as they do in the newline-translated text the parser's spans count."""
     # same-length stand-ins keep every offset: CRLF reads as ' \n', a lone CR as '\n'
-    if "\r" in text:
-        text = text.replace("\r\n", " \n").replace("\r", "\n")
-    starts = [0]
-    idx = text.find("\n")
-    while idx != -1:
-        starts.append(idx + 1)
-        idx = text.find("\n", idx + 1)
-    return starts
+    return line_starts(text.replace("\r\n", " \n").replace("\r", "\n"))
 
 
 def _offset(starts: list[int], line: int, column: int) -> int:
@@ -316,7 +309,9 @@ def rename_property(
     if new == old:
         return PatchSet(()), []
 
-    scope = {c for c in model.classes if top in model.ancestor_set(c)}
+    # top and every class whose parent chain reaches it
+    into = state.graph.by_target()
+    scope = set(breadth_first([top], lambda c: [e for e in into.get(c, ()) if e.kind == SUBCLASS_OF], reverse=True))
     for cls in sorted(scope, key=ElementId.render):
         if any(p.name == new for p in model.effective_properties(cls)):
             raise CollisionError(

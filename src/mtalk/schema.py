@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from . import diagnostics as dx
-from .compiler import CompiledModel, CompileState
+from .compiler import CompileState
 from .diagnostics import Diagnostic
 from .errors import ModelError
 from .ids import BUILTIN_SCALARS, FLAG, SCALARS, XSD_LEXICAL, Scalar
@@ -226,19 +226,11 @@ def _render(sch: _Schema, fingerprint: str) -> str:
     return "\n".join(w)
 
 
-def _state_parts(compiled) -> tuple[ResolvedModel, dict]:
-    if isinstance(compiled, CompileState):
-        return compiled.resolved, compiled.units
-    if isinstance(compiled, CompiledModel):
-        resolved = compiled.resolved
-        units = {p: u for p, u in resolved.units.items() if not p.startswith("<")}
-        return resolved, units
-    raise TypeError("expected CompiledModel or CompileState")
-
-
-def generate_schemas(compiled) -> dict[str, SchemaDoc]:
+def generate_schemas(state: CompileState) -> dict[str, SchemaDoc]:
     """One SchemaDoc per namespace appearing in the workspace (root included)."""
-    model, units = _state_parts(compiled)
+    if not isinstance(state, CompileState):
+        raise TypeError("expected CompileState")
+    model, units = state.resolved, state.units
     fingerprint = _model_fingerprint(units)
     namespaces: dict[str, set] = {"": set()}
     for u in units.values():
@@ -254,9 +246,9 @@ def generate_schemas(compiled) -> dict[str, SchemaDoc]:
     return docs
 
 
-def generate_schema(compiled) -> SchemaDoc:
+def generate_schema(state: CompileState) -> SchemaDoc:
     """The root-namespace schema (the kernel's namespace)."""
-    return generate_schemas(compiled)[""]
+    return generate_schemas(state)[""]
 
 
 def schema_files(docs: dict[str, SchemaDoc], target: str) -> dict[str, str]:

@@ -214,6 +214,16 @@ class XmlElement:
                 if o is not None]
 
 
+def line_starts(text: str) -> list[int]:
+    """The offset at which each line of text begins; LF ends a line."""
+    starts = [0]
+    idx = text.find("\n")
+    while idx != -1:
+        starts.append(idx + 1)
+        idx = text.find("\n", idx + 1)
+    return starts
+
+
 class _Scanner:
     def __init__(self, text: str, path: str):
         self.text = text
@@ -221,13 +231,7 @@ class _Scanner:
 
     @cached_property
     def _line_starts(self) -> list[int]:
-        text = self.text
-        starts = [0]
-        idx = text.find("\n")
-        while idx != -1:
-            starts.append(idx + 1)
-            idx = text.find("\n", idx + 1)
-        return starts
+        return line_starts(self.text)
 
     def pos(self, offset: int) -> tuple[int, int]:
         line = bisect_right(self._line_starts, offset)
@@ -809,7 +813,7 @@ def _unchanged_beans(prev: SourceUnit, text: str) -> dict[int, tuple[BeanDecl, i
     old_end = len(old) - tail
     delta = len(text) - len(old)
     same_lines = old.count("\n", head, old_end) == text.count("\n", head, old_end + delta)
-    starts = _Scanner(old, prev.path)._line_starts
+    starts = line_starts(old)
     found: dict[int, tuple[BeanDecl, int]] = {}
     for decl in prev.beans:
         span = decl.span

@@ -1,6 +1,6 @@
 """Model VM: the runtime that turns compiled models into live object graphs.
 
-Loading takes an error-free compiled model. Instances are built on demand,
+Loading takes an error-free CompileState. Instances are built on demand,
 one per bean id (inline beans are anonymous and fresh), with property values
 injected in declared property order. A reference to a class injects the class
 reified as an instance of its metaclass (its MetaView). Native bindings are
@@ -17,7 +17,7 @@ import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .compiler import CompiledModel, CompileState
+from .compiler import CompileState
 from .diagnostics import Severity, has_errors
 from .errors import ModelError, NotFoundError, WrongKindError
 from .ids import SCALARS, ElementId
@@ -68,11 +68,11 @@ class MetaView(RuntimeInstance):
 
 
 class _Snapshot:
-    """One immutable world: compiled model, registry, instance caches."""
+    """One immutable world: compile state, registry, instance caches."""
 
     __slots__ = ("compiled", "model", "registry", "binds", "manifest", "instances", "metaviews", "lock")
 
-    def __init__(self, compiled: CompiledModel, registry: NativeRegistry | None):
+    def __init__(self, compiled: CompileState, registry: NativeRegistry | None):
         self.compiled = compiled
         self.model: ResolvedModel = compiled.resolved
         self.registry = registry
@@ -92,7 +92,8 @@ class VmHandle:
         self._snap = snapshot
 
     @property
-    def compiled(self) -> CompiledModel:
+    def compiled(self) -> CompileState:
+        """The compile state the current snapshot was loaded from."""
         return self._snap.compiled
 
     @property
@@ -100,21 +101,19 @@ class VmHandle:
         return self._snap.model
 
 
-def _loadable(model, refusal: str) -> CompiledModel:
-    """The compiled model of a CompiledModel or CompileState, refused with
-    LoadRefusedError when it has compile errors."""
-    if isinstance(model, CompileState):
-        model = model.model()
-    elif not isinstance(model, CompiledModel):
-        raise TypeError("expected CompiledModel or CompileState")
-    if has_errors(model.diagnostics):
-        n = sum(1 for d in model.diagnostics if d.severity is Severity.ERROR)
+def _loadable(state, refusal: str) -> CompileState:
+    """state, refused with LoadRefusedError when it has compile errors."""
+    if not isinstance(state, CompileState):
+        raise TypeError("expected CompileState")
+    diagnostics = state.all_diagnostics()
+    if has_errors(diagnostics):
+        n = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
         raise LoadRefusedError(f"model has {n} compile error(s); {refusal}")
-    return model
+    return state
 
 
 def load(compiled, registry: NativeRegistry | None = None) -> VmHandle:
-    """Load an error-free compiled model."""
+    """Load the CompileState of an error-free compile."""
     return VmHandle(_Snapshot(_loadable(compiled, "refusing to load"), registry))
 
 

@@ -550,6 +550,15 @@ def test_watch_missing_root(tmp_path, capsys):
     assert "not a directory" in err
 
 
+def test_watch_rejects_cache_flags(golden_root, capsys):
+    # watch keeps its state in memory: the cache and output flags of the
+    # compiling subcommands are not its own
+    with pytest.raises(SystemExit) as exc:
+        main(["watch", "--root", str(golden_root), "--no-cache", "--polls", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gen and kernel
 

@@ -1,9 +1,12 @@
 """Full-compile validation: every diagnostic code, determinism, rendering."""
 
+import dataclasses
 import json
 
 import pytest
 
+import mtalk
+from mtalk import vm
 from mtalk.compiler import (
     CompileState,
     check_conformance,
@@ -55,7 +58,6 @@ def test_golden_compiles_clean_without_manifest():
     state, diags = compile_golden()
     assert diags == []
     assert not state.has_errors
-    assert state.model().error_free
 
 
 def test_golden_compiles_clean_with_manifest():
@@ -834,8 +836,15 @@ def test_compile_model_accepts_parse_diags(tmp_path):
 
 
 def test_state_model_snapshot():
+    # the state is the compiled model: the VM holds it as loaded, and no
+    # field of it can be reassigned under a loaded snapshot
     state, _ = compile_golden()
-    compiled = state.model()
-    assert compiled.resolved is state.resolved
-    assert compiled.graph is state.graph
-    assert compiled.error_free
+    assert state.model() is state
+    assert vm.load(state).compiled is state
+    assert not state.has_errors
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.graph = None
+
+
+def test_every_public_name_is_exported():
+    assert [name for name in mtalk.__all__ if not hasattr(mtalk, name)] == []

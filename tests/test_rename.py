@@ -387,6 +387,30 @@ def test_rename_property_scope_is_topmost_declarer():
     assert diags == []
 
 
+def test_rename_property_scope_follows_parent_chains_only():
+    # A and X form a parent cycle, so both are in A's scope with B; E names
+    # the instance I as its parent, so E and its instance J are not, although
+    # I is an instance of B
+    texts = {"m.model.xml": (
+        "<model>"
+        "<bean id='A' class='Class' parent='X' declarative='true'><properties>"
+        "<property><name>p</name><type>Long</type></property></properties></bean>"
+        "<bean id='X' class='Class' parent='A' declarative='true'/>"
+        "<bean id='B' class='Class' parent='A' declarative='true'/>"
+        "<bean id='I' class='B'><p>1</p></bean>"
+        "<bean id='E' class='Class' parent='I' declarative='true'><properties>"
+        "<property><name>p</name><type>Long</type></property></properties></bean>"
+        "<bean id='J' class='E'><p>2</p></bean>"
+        "</model>"
+    )}
+    state, diags = recompile(texts)
+    assert sorted(d.code for d in diags) == ["E004", "E004", "E010"]
+    patchset, _ = rename_property(state, "B", "p", "q")
+    out = apply_in_memory(patchset, texts)["m.model.xml"]
+    assert out.count("<name>q</name>") == 1 and out.count("<name>p</name>") == 1
+    assert "<q>1</q>" in out and "<p>2</p>" in out
+
+
 def test_rename_property_unknown():
     state = golden_state()
     with pytest.raises(NotFoundError):

@@ -71,12 +71,15 @@ def test_load_accepts_warnings():
     assert isinstance(vm, VmHandle)
 
 
-def test_load_accepts_compiled_model_or_state():
+def test_load_accepts_only_a_compile_state():
     state, _ = compile_golden()
-    assert isinstance(load(state), VmHandle)
-    assert isinstance(load(state.model()), VmHandle)
+    handle = load(state)
+    assert isinstance(handle, VmHandle)
     with pytest.raises(TypeError):
         load("nonsense")
+    with pytest.raises(TypeError):
+        reload(handle, state.resolved)
+    assert handle.compiled is state
 
 
 # ---------------------------------------------------------------------------
