@@ -762,11 +762,10 @@ def incremental_compile(
         # only the touched ids' out-edges can differ, and only the seeds'
         # while the id set stays the same
         gone = {e for e in touched if e not in resolved.elements}
-        new = {e for e in touched if e not in old.elements}
-        rederived = touched if gone or new else seeds
+        rederived = touched if gone or any(e not in old.elements for e in touched) else seeds
         out = element_edges(resolved, [e for e in rederived if e not in gone])
         out.update(dict.fromkeys(gone, ()))
-        graph = prev.graph.patched(out, gone, new)
+        graph = prev.graph.patched(out)
         graph_diags = _refolded_cycle_diags(prev.graph_diags, resolved, prev.graph, graph, out, seeds)
     if graph is not prev.graph:
         dirty |= graph.closure(wide, reverse=True)
@@ -812,7 +811,7 @@ def incremental_compile(
 # ---------------------------------------------------------------------------
 # State persistence
 
-_STATE_MAGIC = b"MTALKST6\n"
+_STATE_MAGIC = b"MTALKST7\n"
 STATE_FILENAME = "state.bin"
 
 

@@ -4,10 +4,10 @@ Edges capture every way one element's meaning can depend on another's.
 An element's out-edges follow from its own declaration, the element-id set
 and the kinds of the elements it names, so the graph keeps one edge store,
 each source's tuple of out-edges, and a fold replaces only the tuples of the
-ids it re-derived. The flat edge set and a node's sorted edges are derived
-when asked for; a by-target map is built on the first reverse walk and
-patched from then on. One breadth-first walk serves closures and the CLI's
-dependency listing.
+ids it re-derived. The store is the whole graph: the node set, the flat
+edge set and a node's sorted edges are derived when asked for; a by-target
+map is built on the first reverse walk and patched from then on. One
+breadth-first walk serves closures and the CLI's dependency listing.
 """
 
 from __future__ import annotations
@@ -64,26 +64,30 @@ def breadth_first(seeds, edges_of, reverse: bool = False) -> dict[ElementId, Edg
 
 
 class DependencyGraph:
-    """Immutable: the node set and each source's tuple of out-edges (no edge
-    twice), plus a by-target map built on first need."""
+    """Immutable: each source's tuple of out-edges (no edge twice), plus a
+    by-target map built on first need. The nodes are derived from them."""
 
-    def __init__(self, nodes, edges):
+    def __init__(self, edges):
         by_source: dict[ElementId, list[Edge]] = {}
         for e in dict.fromkeys(edges):
             by_source.setdefault(e.src, []).append(e)
-        self.nodes = frozenset(nodes)
         self.by_source: dict[ElementId, tuple[Edge, ...]] = {src: tuple(es) for src, es in by_source.items()}
         self._by_target: dict[ElementId, tuple[Edge, ...]] | None = None
 
     @classmethod
-    def _of(cls, nodes: frozenset, by_source) -> DependencyGraph:
+    def _of(cls, by_source) -> DependencyGraph:
         graph = cls.__new__(cls)
-        graph.nodes, graph.by_source, graph._by_target = nodes, by_source, None
+        graph.by_source, graph._by_target = by_source, None
         return graph
 
     def __reduce__(self):
-        # the by-target map is a cache: a pickled graph holds its nodes and store only
-        return DependencyGraph._of, (self.nodes, self.by_source)
+        # the by-target map is a cache: a pickled graph holds its store only
+        return DependencyGraph._of, (self.by_source,)
+
+    @property
+    def nodes(self) -> frozenset[ElementId]:
+        """The sources, the edge targets and the UNRESOLVED sentinel."""
+        return frozenset((*self.by_source, *(e.dst for edges in self.by_source.values() for e in edges), UNRESOLVED))
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -105,28 +109,18 @@ class DependencyGraph:
         return tuple(sorted(self.by_target().get(element_id, ()), key=lambda e: (e.src.render(), e.kind)))
 
     def closure(self, seeds, reverse: bool = False) -> set[ElementId]:
-        """Elements reachable from seeds (seeds included; seeds that are not
-        nodes are ignored). reverse=True walks edges backwards: everything
-        that depends on the seeds."""
-        nodes = self.nodes
-        found = [s for s in seeds if s in nodes]
-        if not found:
+        """The seeds and everything reachable from them. reverse=True walks
+        edges backwards: everything that depends on the seeds."""
+        seeds = list(seeds)
+        if not seeds:
             return set()  # builds no by-target map
         index = self.by_target() if reverse else self.by_source
-        return set(breadth_first(found, index.get, reverse))
+        return set(breadth_first(seeds, index.get, reverse))
 
-    def dependencies_of(self, element_id: ElementId) -> set[ElementId]:
-        return self.closure([element_id], reverse=False)
-
-    def dependents_of(self, element_id: ElementId) -> set[ElementId]:
-        return self.closure([element_id], reverse=True)
-
-    def patched(self, out, gone=(), new=()) -> DependencyGraph:
+    def patched(self, out) -> DependencyGraph:
         """This graph with out[src] as the out-edges of each source in `out`
-        (none for a source mapped to ()), without the `gone` nodes and with
-        the `new` ones; the graph itself when nothing changes. Manifest nodes
-        come and go with their native-binding edges. A by-target map built so
-        far is patched, not dropped."""
+        (none for a source mapped to ()); the graph itself when nothing
+        changes. A by-target map built so far is patched, not dropped."""
         by_source = self.by_source
         changed, removed, added = {}, [], []
         for src, edges in out.items():
@@ -135,16 +129,14 @@ class DependencyGraph:
                 changed[src] = edges
                 removed += set(old).difference(edges)
                 added += set(edges).difference(old)
-        if not changed and not gone and not new:
+        if not changed:
             return self
-        gone = {*gone, *(e.dst for e in removed if e.kind == NATIVE_BINDING)}
-        new = {*new, *(e.dst for e in added if e.kind == NATIVE_BINDING)}
         by_source = by_source.copy()  # copy() stays a block copy after deletions; {**d} and dict(d) do not
         by_source.update(changed)
         for src, edges in changed.items():
             if not edges:
                 del by_source[src]
-        graph = DependencyGraph._of(self.nodes.difference(gone).union(new) if gone or new else self.nodes, by_source)
+        graph = DependencyGraph._of(by_source)
         if self._by_target is not None:
             drop = set(removed)
             more: dict[ElementId, list[Edge]] = {}
@@ -217,9 +209,6 @@ def element_edges(model: ResolvedModel, element_ids) -> dict[ElementId, tuple[Ed
 
 
 def build_dependency_graph(model: ResolvedModel) -> DependencyGraph:
-    """The out-edges of every element. The nodes are the elements, the
-    UNRESOLVED sentinel and one manifest node per native-binding edge."""
-    by_source = element_edges(model, model.elements)
-    nodes = {*model.elements, UNRESOLVED}
-    nodes.update(e.dst for edges in by_source.values() for e in edges if e.kind == NATIVE_BINDING)
-    return DependencyGraph._of(frozenset(nodes), by_source)
+    """The out-edges of every element. Its nodes are then the elements, the
+    UNRESOLVED sentinel and one manifest node per non-declarative class."""
+    return DependencyGraph._of(element_edges(model, model.elements))

@@ -74,10 +74,6 @@ class TypeRef:
         return self.builtin is not None
 
     @property
-    def is_class(self) -> bool:
-        return self.class_id is not None
-
-    @property
     def is_unresolved(self) -> bool:
         return self.builtin is None and self.class_id is None
 

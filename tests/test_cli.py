@@ -139,16 +139,16 @@ def test_corrupt_state_file_falls_back_to_full_compile(golden_root, capsys):
 
 
 def test_state_of_the_previous_layout_compiles_cold(golden_root, capsys, monkeypatch):
-    # under MTALKST5 a state's dependency graph pickled its flat edge set,
-    # not its edges by source
+    # under MTALKST6 a state's dependency graph pickled its node set beside
+    # its edges by source
     from mtalk import cli
     from mtalk.compiler import _STATE_MAGIC, load_state
 
     run(capsys, "compile", "--root", str(golden_root))
     state_dir = golden_root / ".mtalk" / "state"
     state_file = state_dir / "state.bin"
-    assert _STATE_MAGIC == b"MTALKST6\n"
-    state_file.write_bytes(b"MTALKST5\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
+    assert _STATE_MAGIC == b"MTALKST7\n"
+    state_file.write_bytes(b"MTALKST6\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
     assert load_state(state_dir) is None
     cold = []
     monkeypatch.setattr(cli, "compile_workspace", lambda *a: cold.append(1) or compile_workspace(*a))

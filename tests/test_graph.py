@@ -1,5 +1,7 @@
 """Dependency graph derivation and closure queries."""
 
+import pickle
+
 from mtalk.graph import (
     INSTANCE_OF,
     MANIFEST_NS,
@@ -8,6 +10,7 @@ from mtalk.graph import (
     PROPERTY_TYPE,
     SUBCLASS_OF,
     VALUE_REF,
+    DependencyGraph,
     Edge,
     build_dependency_graph,
     manifest_node,
@@ -106,6 +109,17 @@ def test_unresolved_reference_points_at_sentinel():
     assert UNRESOLVED in state.graph.nodes
 
 
+def test_pickled_graph_carries_its_edge_store_alone():
+    g = golden_graph()
+    g.by_target()
+    rebuild, args = g.__reduce__()
+    assert rebuild == DependencyGraph._of and args == (g.by_source,)
+    back = pickle.loads(pickle.dumps(g))
+    assert back.by_source == g.by_source
+    assert (back.nodes, back.edges) == (g.nodes, g.edges)
+    assert back._by_target is None
+
+
 def test_incoming_is_outgoing_transposed():
     g = golden_graph()
     for e in g.edges:
@@ -126,7 +140,7 @@ def test_adjacency_tuples_sorted_deterministically():
 
 def test_forward_closure_collects_dependencies():
     g = golden_graph()
-    deps = g.dependencies_of(eid("PontisLogoRetriever"))
+    deps = g.closure([eid("PontisLogoRetriever")])
     for expect in ("PontisLogoRetriever", "HTTP_Client", "FastHTTP_Client", "MetaCache", "StandardCache"):
         assert eid(expect) in deps, expect
     assert OBJECT_ID in deps
@@ -134,7 +148,7 @@ def test_forward_closure_collects_dependencies():
 
 def test_reverse_closure_collects_dependents():
     g = golden_graph()
-    back = g.dependents_of(eid("HTTP_Client"))
+    back = g.closure([eid("HTTP_Client")], reverse=True)
     for expect in (
         "PontisLogoRetriever",
         "CNN_NewsRetriever",
@@ -159,7 +173,8 @@ def test_closure_includes_seeds():
 def test_closure_empty_seeds():
     g = golden_graph()
     assert g.closure([]) == set()
-    assert g.closure([ElementId("zz", "NotHere")]) == set()
+    # a seed that is no node reaches only itself
+    assert g.closure([ElementId("zz", "NotHere")]) == {ElementId("zz", "NotHere")}
 
 
 def test_closure_matches_naive_bfs():

@@ -28,7 +28,7 @@ from mtalk.compiler import (
     workspace_changes,
 )
 from mtalk.errors import CollisionError, NotFoundError
-from mtalk.graph import DependencyGraph
+from mtalk.graph import MANIFEST_NS, DependencyGraph, manifest_node
 from mtalk.ids import UNRESOLVED, ElementId
 from mtalk.native import load_manifest, parse_manifest
 from mtalk.source import parse_unit
@@ -580,7 +580,7 @@ def test_patched_neighbour_indexes_equal_freshly_built_ones(tmp_path):
     patched_folds = []
     for kind, edit, removed in steps:
         # build the by-target map, so the fold patches it
-        state.graph.dependents_of(UNRESOLVED)
+        state.graph.by_target()
         edited = edit(state)
         new, _, diags = incremental_compile(
             state, [parse_clean(t, p) for p, t in edited.items()], removed_paths=list(removed), manifest=manifest
@@ -589,7 +589,7 @@ def test_patched_neighbour_indexes_equal_freshly_built_ones(tmp_path):
         assert new.graph._by_target is not None, kind
         if new.graph is not state.graph:
             patched_folds.append(kind)
-        fresh = DependencyGraph(new.graph.nodes, new.graph.edges)
+        fresh = DependencyGraph(new.graph.edges)
         stores = {"by_source": (new.graph.by_source, fresh.by_source),
                   "by_target": (new.graph._by_target, fresh.by_target())}
         for name, (patched, built) in stores.items():
@@ -599,6 +599,31 @@ def test_patched_neighbour_indexes_equal_freshly_built_ones(tmp_path):
             del texts[p]
         state = new
     assert patched_folds == ["unit add", "unit remove", "rename", "rename back"]
+
+
+def test_graph_nodes_are_the_elements_the_sentinel_and_the_manifest_nodes(tmp_path):
+    # the node set is derived from the edge store; this is what it must equal
+    def declared(st):
+        model = st.resolved
+        natives = (manifest_node(c) for c, cd in model.classes.items() if not cd.is_declarative)
+        return {*model.elements, UNRESOLVED, *natives}
+
+    golden, diags = compile_golden(parse_manifest(json.dumps(MANIFEST), "manifest.json"))
+    assert diags == []
+    assert any(n.namespace == MANIFEST_NS for n in golden.graph.nodes)
+    assert golden.graph.nodes == declared(golden)
+    state, manifest, texts, steps = _clean_fold_steps(tmp_path / "ws")
+    assert state.graph.nodes == declared(state)
+    for kind, edit, removed in steps:
+        edited = edit(state)
+        state, _, diags = incremental_compile(
+            state, [parse_clean(t, p) for p, t in edited.items()], removed_paths=list(removed), manifest=manifest
+        )
+        assert diags == [], kind
+        assert state.graph.nodes == declared(state), kind
+        texts.update(edited)
+        for p in removed:
+            del texts[p]
 
 
 def test_removing_an_instance_named_as_a_property_type_revalidates_its_class():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mtalk import graph as graphmod
 from mtalk.compiler import compile_workspace
 from mtalk.graph import INSTANCE_OF, NATIVE_BINDING, VALUE_REF, DependencyGraph, Edge, manifest_node
-from mtalk.ids import ElementId
+from mtalk.ids import UNRESOLVED, ElementId
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
 
@@ -20,11 +20,8 @@ def node(i: int) -> ElementId:
 
 
 def make_graph(n: int, pairs, extra=()) -> DependencyGraph:
-    """Nodes 0..n-1 with a value-ref edge per pair, plus the extra edges and
-    the manifest nodes their native-binding edges name."""
-    edges = [Edge(node(a), node(b), VALUE_REF) for a, b in pairs] + list(extra)
-    manifests = [e.dst for e in extra if e.kind == NATIVE_BINDING]
-    return DependencyGraph([node(i) for i in range(n)] + manifests, edges)
+    """A value-ref edge per pair of nodes 0..n-1, plus the extra edges."""
+    return DependencyGraph([Edge(node(a), node(b), VALUE_REF) for a, b in pairs] + list(extra))
 
 
 def reach(n, pairs, seeds, reverse=False) -> set[int]:
@@ -66,10 +63,12 @@ def test_empty_seed_set_reaches_nothing():
     assert reach(3, [(0, 1)], []) == set()
 
 
-def test_seeds_outside_the_graph_are_ignored():
+def test_a_seed_outside_the_graph_reaches_only_itself():
     g = make_graph(2, [(0, 1)])
-    assert g.closure([ElementId("g", "elsewhere")]) == set()
-    assert g.closure([ElementId("g", "elsewhere"), node(0)]) == {node(0), node(1)}
+    elsewhere = ElementId("g", "elsewhere")
+    assert g.closure([elsewhere]) == {elsewhere}
+    assert g.closure([elsewhere], reverse=True) == {elsewhere}
+    assert g.closure([elsewhere, node(0)]) == {elsewhere, node(0), node(1)}
 
 
 def test_cycle_is_fully_visited_once():
@@ -91,9 +90,10 @@ def test_closure_accepts_any_seed_iterable():
 
 
 def test_zero_node_graph():
-    g = DependencyGraph([], [])
+    g = DependencyGraph([])
+    assert g.nodes == {UNRESOLVED}
     assert g.closure([]) == set()
-    assert g.closure([node(0)], reverse=True) == set()
+    assert g.closure([node(0)], reverse=True) == {node(0)}
 
 
 @st.composite
@@ -148,8 +148,8 @@ def stores_equal(a: dict, b: dict) -> bool:
 
 @st.composite
 def patches(draw):
-    """A graph, the edges and nodes a patch takes out and puts in, and
-    whether the by-target map is built before the patch."""
+    """A graph, the edges a patch takes out and puts in, the sources it
+    drops, and whether the by-target map is built before the patch."""
     n = draw(st.integers(min_value=1, max_value=12))
     index = st.integers(min_value=0, max_value=n + 3)  # n..n+3 are new nodes
     plain = st.builds(lambda a, b, k: Edge(node(a), node(b), k), index, index, st.sampled_from((VALUE_REF, INSTANCE_OF)))
@@ -171,10 +171,7 @@ def test_patched_equals_a_freshly_built_graph(case, seeds):
     graph, removed, added, gone, built = case
     gone = {v for v in gone if not any(e.src == v for e in added)}
     after = {e for e in graph.edges - removed | added if e.src not in gone}
-    plain = {v for v in graph.nodes if v.namespace == "g"}
-    new = {e.src for e in added} - plain
-    nodes = plain - gone | new | {e.dst for e in after if e.kind == NATIVE_BINDING}
-    fresh = DependencyGraph(nodes, after)
+    fresh = DependencyGraph(after)
     # the ids a fold re-derives: every source whose edges it touched, each
     # mapped to all its out-edges after the patch
     sources = {e.src for e in removed | added} | gone
@@ -182,7 +179,7 @@ def test_patched_equals_a_freshly_built_graph(case, seeds):
     if built:
         graph.by_target()
     before = (graph.nodes, dict(graph.by_source), graph._by_target and dict(graph._by_target))
-    patched = graph.patched(out, gone, new)
+    patched = graph.patched(out)
     # the graph the patch started from is left as it was
     assert (graph.nodes, graph.by_source, graph._by_target and dict(graph._by_target)) == before
     assert patched.nodes == fresh.nodes
