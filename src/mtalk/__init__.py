@@ -23,22 +23,18 @@ from .kernel import (
     ResolvedModel,
     TypeRef,
     bootstrap_kernel,
-    classify,
     conforms,
-    effective_properties,
-    lineage,
     resolve,
 )
 from .native import (
     NativeClassSig,
     NativeManifest,
     NativeRegistry,
-    bind,
     load_manifest,
     parse_manifest,
 )
 from .rename import Patch, PatchSet, apply_patchset, rename_element, rename_property
-from .schema import SchemaDoc, generate_schema, generate_schemas, validate_with_schema
+from .schema import SchemaDoc, generate_schemas, validate_with_schema
 from .source import SourceUnit, parse_unit, parse_workspace
 from .synthetic import BenchmarkSpec, generate_synthetic, measure_mean_dit
 from .vm import (
@@ -86,25 +82,20 @@ __all__ = [
     "WatchResult",
     "WatchSession",
     "apply_patchset",
-    "bind",
     "bootstrap_kernel",
     "build_dependency_graph",
     "check_conformance",
     "check_override",
-    "classify",
     "compile_model",
     "compile_workspace",
     "conforms",
     "dump_instance",
-    "effective_properties",
-    "generate_schema",
     "generate_schemas",
     "generate_synthetic",
     "get_class",
     "get_instance",
     "incremental_compile",
     "is_instance_of",
-    "lineage",
     "load",
     "load_manifest",
     "load_state",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import diagnostics as dx
-from .diagnostics import Diagnostic, has_errors, sort_diagnostics
+from .diagnostics import Diagnostic, sort_diagnostics
 from .errors import NotFoundError
 from .graph import (
     PARENT_BEAN,
@@ -55,9 +55,9 @@ from .source import (
     RefValue,
     ScalarValue,
     SourceUnit,
-    discover_unit_paths,
     parse_workspace,
     read_units,
+    unit_signatures,
 )
 
 def scalar_conforms(text: str, builtin: str) -> bool:
@@ -77,7 +77,7 @@ def _clip(text: str, limit: int = 40) -> str:
 # Per-element validation
 
 
-def _class_type(model: ResolvedModel, class_id: ElementId) -> TypeRef:
+def _class_type(class_id: ElementId) -> TypeRef:
     return TypeRef(None, class_id, class_id.render())
 
 
@@ -145,7 +145,7 @@ def _check_ref(model, owner, name, expr: RefValue, t: TypeRef, diags):
                 )
             )
         cls = model.lookup(entry.decl.class_ref)
-        if cls is not None and cls in model.classes and not conforms(model, _class_type(model, cls), t):
+        if cls is not None and cls in model.classes and not conforms(model, _class_type(cls), t):
             diags.append(
                 dx.error(
                     dx.TYPE_MISMATCH,
@@ -157,7 +157,7 @@ def _check_ref(model, owner, name, expr: RefValue, t: TypeRef, diags):
     else:
         # a ref to a class injects the class reified as an instance of its metaclass
         mc = model.classes[target].metaclass
-        if mc is not None and mc in model.classes and not conforms(model, _class_type(model, mc), t):
+        if mc is not None and mc in model.classes and not conforms(model, _class_type(mc), t):
             diags.append(
                 dx.error(
                     dx.TYPE_MISMATCH,
@@ -197,7 +197,7 @@ def _check_inline(model, owner, expr: InlineBean, t: TypeRef | None, diags):
                     owner,
                 )
             )
-        if t is not None and not conforms(model, _class_type(model, cls), t):
+        if t is not None and not conforms(model, _class_type(cls), t):
             diags.append(
                 dx.error(
                     dx.TYPE_MISMATCH,
@@ -539,13 +539,6 @@ class CompileState:
         merged.extend(self.conformance_diags)
         return sort_diagnostics(merged)
 
-    @property
-    def has_errors(self) -> bool:
-        return has_errors(self.all_diagnostics())
-
-    def content_hash_by_unit(self) -> dict[str, str]:
-        return {path: u.content_hash for path, u in self.units.items()}
-
     def model(self) -> CompileState:
         """The state itself, the compiled model the VM and schema generation
         read. Kept for the benchmark, which calls it and traces it as
@@ -609,7 +602,7 @@ def workspace_changes(
     is gone or unreadable counts as removed.
     """
     if paths is None:
-        paths = discover_unit_paths(root)
+        paths = list(unit_signatures(root))
     if read is None:
         read = paths
     clean = {p for p in read if prev.parse_by_path.get(p) == ()}

@@ -28,10 +28,6 @@ PROPERTY_TYPE = "property-type"
 VALUE_REF = "value-ref"
 NATIVE_BINDING = "native-binding"
 
-EDGE_KINDS = frozenset(
-    (INSTANCE_OF, SUBCLASS_OF, PARENT_BEAN, PROPERTY_TYPE, VALUE_REF, NATIVE_BINDING)
-)
-
 # pseudo-namespace for manifest entry nodes; NUL can never appear in parsed names
 MANIFEST_NS = "\x00manifest"
 

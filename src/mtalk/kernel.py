@@ -171,12 +171,6 @@ class ResolvedModel:
 
     # -- queries
 
-    def kind_of(self, element_id: ElementId) -> ElementKind:
-        entry = self.elements.get(element_id)
-        if entry is None:
-            raise NotFoundError(f"unknown element '{element_id.render()}'")
-        return entry.kind
-
     def require_class(self, class_id: ElementId) -> ClassDef:
         cd = self.classes.get(class_id)
         if cd is None:
@@ -514,20 +508,7 @@ def bootstrap_kernel() -> ResolvedModel:
 
 
 # ---------------------------------------------------------------------------
-# Public query wrappers (operate on a ResolvedModel)
-
-
-def classify(model: ResolvedModel, element_id: ElementId) -> ElementKind:
-    return model.kind_of(element_id)
-
-
-def lineage(model: ResolvedModel, class_id: ElementId) -> tuple[ElementId, ...]:
-    return model.lineage(class_id)
-
-
-def effective_properties(model: ResolvedModel, class_id: ElementId) -> tuple[PropertyDefinition, ...]:
-    model.require_class(class_id)
-    return model.effective_properties(class_id)
+# Type conformance
 
 
 def conforms(model: ResolvedModel, t: TypeRef, u: TypeRef) -> bool:

@@ -50,9 +50,6 @@ class NativeManifest:
     def get(self, name: str) -> NativeClassSig | None:
         return self._map.get(name)  # type: ignore[attr-defined]
 
-    def names(self) -> frozenset[str]:
-        return frozenset(self._map)  # type: ignore[attr-defined]
-
 
 def _require(cond: bool, message: str):
     if not cond:
@@ -126,7 +123,3 @@ class NativeRegistry:
 
     def factory_for(self, name: str) -> Factory | None:
         return self.bindings.get(name)
-
-
-def bind(registry: NativeRegistry, name: str, factory: Factory) -> None:
-    registry.bind(name, factory)

@@ -246,11 +246,6 @@ def generate_schemas(state: CompileState) -> dict[str, SchemaDoc]:
     return docs
 
 
-def generate_schema(state: CompileState) -> SchemaDoc:
-    """The root-namespace schema (the kernel's namespace)."""
-    return generate_schemas(state)[""]
-
-
 def schema_files(docs: dict[str, SchemaDoc], target: str) -> dict[str, str]:
     """File name -> text of the schema files for the namespaces of docs, plus
     at target an aggregate that includes the root namespace's file and

@@ -28,7 +28,7 @@ column, is taken over as the same ``BeanDecl`` inside the one reader loop
 
 Workspace discovery is one ``os.scandir`` walk, ``unit_signatures``, that
 returns every unit's sorted root-relative path with its ``(mtime_ns, size)``;
-``discover_unit_paths`` and a watch poll both read it.
+``parse_workspace``, ``workspace_changes`` and a watch poll all read it.
 """
 
 from __future__ import annotations
@@ -111,9 +111,6 @@ class BeanDecl:
     property_defs: tuple[RawPropertyDef, ...]
     assignments: tuple[tuple[str, ValueExpr], ...]
     span: SourceSpan
-
-    def assignment_map(self) -> dict[str, ValueExpr]:
-        return dict(self.assignments)
 
     def values(self):
         """(class, tag, value) of every assignment of the bean, its inline
@@ -865,11 +862,6 @@ def element_reader(unit: SourceUnit):
     return read
 
 
-def element_at(unit: SourceUnit, span: SourceSpan) -> XmlElement:
-    """The element of unit that starts at span, read as element_reader does."""
-    return element_reader(unit)(span)
-
-
 def duplicate_id_diags(units) -> list[Diagnostic]:
     """Cross-unit E008s: a later unit's bean that reuses an earlier unit's id.
     Resolution reports them, so they follow every fold."""
@@ -931,11 +923,6 @@ def unit_signatures(root) -> dict[str, tuple[int, int]]:
     return dict(found)
 
 
-def discover_unit_paths(root) -> list[str]:
-    """The sorted unit paths of unit_signatures(root)."""
-    return list(unit_signatures(root))
-
-
 def read_unit_text(root, rel: str) -> tuple[str | None, Diagnostic | None]:
     """Read one unit as UTF-8 text. A file that cannot be read or decoded
     gives (None, E000 diagnostic), and the unit counts as absent."""
@@ -981,12 +968,5 @@ def parse_workspace(root) -> tuple[list[SourceUnit], list[Diagnostic]]:
     files produce a diagnostic and are skipped. Cross-unit duplicate ids
     are left to resolution.
     """
-    units, _unreadable, diags = read_units(root, discover_unit_paths(root))
+    units, _unreadable, diags = read_units(root, list(unit_signatures(root)))
     return units, diags
-
-
-def span_of(unit: SourceUnit, element_id: ElementId) -> SourceSpan:
-    for bean in unit.beans:
-        if bean.id == element_id:
-            return bean.span
-    raise NotFoundError(f"no element '{element_id.render()}' in {unit.path}")

@@ -52,9 +52,6 @@ class RuntimeInstance:
     values: MappingProxyType
     native_object: object = None
 
-    def value(self, name: str):
-        return self.values[name]
-
 
 @dataclass(frozen=True)
 class MetaView(RuntimeInstance):
@@ -95,10 +92,6 @@ class VmHandle:
     def compiled(self) -> CompileState:
         """The compile state the current snapshot was loaded from."""
         return self._snap.compiled
-
-    @property
-    def model(self) -> ResolvedModel:
-        return self._snap.model
 
 
 def _loadable(state, refusal: str) -> CompileState:
@@ -165,16 +158,18 @@ def reload(vm: VmHandle, compiled, registry: NativeRegistry | None = None) -> No
 # Identity helpers
 
 
-def _resolve_id(snap: _Snapshot, ref) -> ElementId:
+def _resolve_id(model: ResolvedModel, ref, noun: str = "bean") -> ElementId:
+    """The id ref names, an ElementId or its string spelling, found as a
+    reference is: exact namespace, then the root-namespace fallback."""
     if isinstance(ref, ElementId):
-        eid = snap.model.lookup(ref)
+        eid = model.lookup(ref)
     elif isinstance(ref, str):
-        eid = snap.model.lookup(ElementId.parse(ref))
+        eid = model.lookup(ElementId.parse(ref))
     else:
-        raise TypeError("bean reference must be an ElementId or string")
+        raise TypeError(f"{noun} reference must be an ElementId or string")
     if eid is None:
         shown = ref.render() if isinstance(ref, ElementId) else ref
-        raise NotFoundError(f"unknown bean '{shown}'")
+        raise NotFoundError(f"unknown {noun} '{shown}'")
     return eid
 
 
@@ -192,15 +187,8 @@ def effective_values(vm_or_model, bean_id) -> dict[str, ValueExpr]:
         model = vm_or_model._snap.model
     else:
         model = vm_or_model
-    if isinstance(bean_id, str):
-        found = model.lookup(ElementId.parse(bean_id))
-        if found is None:
-            raise NotFoundError(f"unknown bean '{bean_id}'")
-        bean_id = found
-    entry = model.elements.get(bean_id)
-    if entry is None:
-        raise NotFoundError(f"unknown bean '{bean_id.render()}'")
-    if entry.kind is ElementKind.INSTANCE:
+    bean_id = _resolve_id(model, bean_id)
+    if model.elements[bean_id].kind is ElementKind.INSTANCE:
         sources = [model.elements[b].decl.assignments for b in model.template_chain(bean_id)]
     else:
         sources = [model.classes[c].class_assignments for c in model.lineage(bean_id)]
@@ -323,7 +311,7 @@ def _meta_view(snap: _Snapshot, class_id: ElementId, stack: tuple) -> MetaView:
 def get_instance(vm: VmHandle, bean_id) -> RuntimeInstance:
     """The singleton runtime instance for a named instance bean."""
     snap = vm._snap  # one read: the whole request sees one snapshot
-    eid = _resolve_id(snap, bean_id)
+    eid = _resolve_id(snap.model, bean_id)
     return _instance(snap, eid, ())
 
 
@@ -333,7 +321,7 @@ def get_class(vm: VmHandle, ref) -> MetaView:
     if isinstance(ref, RuntimeInstance):
         class_id = ref.class_id
     else:
-        eid = _resolve_id(snap, ref)
+        eid = _resolve_id(snap.model, ref)
         class_id = eid if eid in snap.model.classes else _class_of(snap, eid)
     return _meta_view(snap, class_id, ())
 
@@ -346,11 +334,7 @@ def resolve_native(vm_or_snap, class_id) -> str | None:
     else:
         snap = vm_or_snap
     model = snap.model
-    if isinstance(class_id, str):
-        found = model.lookup(ElementId.parse(class_id))
-        if found is None:
-            raise NotFoundError(f"unknown class '{class_id}'")
-        class_id = found
+    class_id = _resolve_id(model, class_id, "class")
     model.require_class(class_id)
     manifest = snap.manifest
     if manifest is None:
@@ -380,7 +364,7 @@ def reflect_properties(vm: VmHandle, ref) -> tuple[PropertyDefinition, ...]:
     if isinstance(ref, RuntimeInstance):
         class_id = ref.class_id
     else:
-        class_id = _resolve_id(snap, ref)
+        class_id = _resolve_id(snap.model, ref)
     snap.model.require_class(class_id)
     return snap.model.effective_properties(class_id)
 

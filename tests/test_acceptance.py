@@ -19,7 +19,7 @@ from mtalk.ids import ElementId
 from mtalk.kernel import CLASS_ID, ElementKind
 from mtalk.native import load_manifest, parse_manifest
 from mtalk.rename import apply_patchset, rename_element, rename_property
-from mtalk.schema import generate_schema, validate_with_schema
+from mtalk.schema import generate_schemas, validate_with_schema
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic, measure_mean_dit
 
@@ -361,7 +361,7 @@ def test_c08_stale_property_usages_all_flagged():
 
 def test_c09_schema_accepts_fixtures_rejects_mutants():
     state, _ = compile_golden(GOLDEN_MANIFEST)
-    schema = generate_schema(state)
+    schema = generate_schemas(state)[""]
     accepted = sum(
         1
         for path, text in GOLDEN_UNITS.items()

@@ -31,6 +31,7 @@ from mtalk.diagnostics import (
     UNRESOLVED_PARENT,
     UNRESOLVED_TYPE,
     Severity,
+    has_errors,
 )
 from mtalk.ids import ElementId
 from mtalk.native import parse_manifest
@@ -57,7 +58,7 @@ def manifest_of(obj, path="manifest.json"):
 def test_golden_compiles_clean_without_manifest():
     state, diags = compile_golden()
     assert diags == []
-    assert not state.has_errors
+    assert not has_errors(state.all_diagnostics())
 
 
 def test_golden_compiles_clean_with_manifest():
@@ -630,7 +631,7 @@ def test_manifest_orphan_warning():
     assert codes(diags) == [MANIFEST_ORPHAN]
     assert "manifest entry 'Phantom' has no model class" in diags[0].message
     assert diags[0].severity is Severity.WARNING
-    assert not state.has_errors  # warnings are not errors
+    assert not has_errors(state.all_diagnostics())  # warnings are not errors
 
 
 def test_manifest_naming_declarative_class_warns():
@@ -841,7 +842,7 @@ def test_state_model_snapshot():
     state, _ = compile_golden()
     assert state.model() is state
     assert vm.load(state).compiled is state
-    assert not state.has_errors
+    assert not has_errors(state.all_diagnostics())
     with pytest.raises(dataclasses.FrozenInstanceError):
         state.graph = None
 

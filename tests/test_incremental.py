@@ -315,7 +315,9 @@ def test_state_roundtrip(tmp_path):
     assert target.name == STATE_FILENAME
     loaded = load_state(tmp_path / "cache")
     assert loaded is not None
-    assert loaded.content_hash_by_unit() == state.content_hash_by_unit()
+    assert {p: u.content_hash for p, u in loaded.units.items()} == {
+        p: u.content_hash for p, u in state.units.items()
+    }
     assert [d.render() for d in loaded.all_diagnostics()] == []
     # the reloaded state keeps working incrementally
     edited = GOLDEN_UNITS["core.model.xml"].replace(
@@ -1048,7 +1050,8 @@ def test_edit_variants_reach_their_cases():
                                 "ns_capture.model.xml": _VARIANTS["ns_capture.model.xml"][1]})
     assert [d.code for d in captured] == ["E002"]
     flipped, _ = diags_with(**{"core.model.xml": _VARIANTS["core.model.xml"][2]})
-    assert flipped.resolved.kind_of(eid("HTTP_Client")) != state.resolved.kind_of(eid("HTTP_Client"))
+    flip = eid("HTTP_Client")
+    assert flipped.resolved.elements[flip].kind != state.resolved.elements[flip].kind
     _, dup = parse_unit(_VARIANTS["core.model.xml"][5], "core.model.xml")
     assert [(d.code, d.element.render()) for d in dup] == [("E008", "FastHTTP_Client")]
     _, held = diags_with(**{"ptype.model.xml": _PTYPE_HOLDER, "pthing.model.xml": _PTYPE_THING})

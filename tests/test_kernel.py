@@ -11,11 +11,8 @@ from mtalk.kernel import (
     ElementKind,
     TypeRef,
     bootstrap_kernel,
-    classify,
     conforms,
-    effective_properties,
     kernel_unit,
-    lineage,
     resolve,
 )
 from mtalk.source import parse_unit
@@ -55,8 +52,8 @@ def test_kernel_parses_clean():
 
 def test_bootstrap_kernel_classification():
     model = bootstrap_kernel()
-    assert classify(model, OBJECT_ID) is ElementKind.MODEL_CLASS
-    assert classify(model, CLASS_ID) is ElementKind.METACLASS
+    assert model.elements[OBJECT_ID].kind is ElementKind.MODEL_CLASS
+    assert model.elements[CLASS_ID].kind is ElementKind.METACLASS
 
 
 def test_class_is_instance_of_itself():
@@ -68,7 +65,7 @@ def test_object_has_no_parent_class_has_object():
     model = bootstrap_kernel()
     assert model.classes[OBJECT_ID].parent is None
     assert model.classes[CLASS_ID].parent == OBJECT_ID
-    assert lineage(model, CLASS_ID) == (CLASS_ID, OBJECT_ID)
+    assert model.lineage(CLASS_ID) == (CLASS_ID, OBJECT_ID)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +94,7 @@ def test_golden_kinds():
         "LogoPictureRetriever": ElementKind.INSTANCE,
     }
     for render, kind in expect.items():
-        assert classify(model, eid(render)) is kind, render
+        assert model.elements[eid(render)].kind is kind, render
 
 
 def test_metaclass_via_parent_chain():
@@ -110,9 +107,9 @@ def test_metaclass_via_parent_chain():
         "</model>"
     )
     assert diags == []
-    assert classify(model, eid("m:A")) is ElementKind.METACLASS
-    assert classify(model, eid("m:B")) is ElementKind.METACLASS
-    assert classify(model, eid("m:C")) is ElementKind.MODEL_CLASS
+    assert model.elements[eid("m:A")].kind is ElementKind.METACLASS
+    assert model.elements[eid("m:B")].kind is ElementKind.METACLASS
+    assert model.elements[eid("m:C")].kind is ElementKind.MODEL_CLASS
 
 
 def test_instance_of_class_without_parent_edge_is_model_class():
@@ -121,7 +118,7 @@ def test_instance_of_class_without_parent_edge_is_model_class():
         m='<model xmlns="m"><bean id="Plain" class="Class"/></model>'
     )
     assert diags == []
-    assert classify(model, eid("m:Plain")) is ElementKind.MODEL_CLASS
+    assert model.elements[eid("m:Plain")].kind is ElementKind.MODEL_CLASS
 
 
 def test_instance_classification_requires_metaclass_target():
@@ -132,16 +129,10 @@ def test_instance_classification_requires_metaclass_target():
         '<bean id="II" class="I"/>'
         "</model>"
     )
-    assert classify(model, eid("m:I")) is ElementKind.INSTANCE
+    assert model.elements[eid("m:I")].kind is ElementKind.INSTANCE
     # class reference naming an instance: still an instance, with a diagnostic
-    assert classify(model, eid("m:II")) is ElementKind.INSTANCE
+    assert model.elements[eid("m:II")].kind is ElementKind.INSTANCE
     assert any(d.code == UNRESOLVED_CLASS and d.element == eid("m:II") for d in diags)
-
-
-def test_unknown_element_raises():
-    model = bootstrap_kernel()
-    with pytest.raises(NotFoundError):
-        classify(model, eid("nope"))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +158,7 @@ def test_unresolved_class_reference_diag():
     model, diags = resolve_texts(
         m='<model xmlns="m"><bean id="X" class="Nowhere"/></model>'
     )
-    assert classify(model, eid("m:X")) is ElementKind.INSTANCE
+    assert model.elements[eid("m:X")].kind is ElementKind.INSTANCE
     hits = [d for d in diags if d.code == UNRESOLVED_CLASS]
     assert len(hits) == 1 and "Nowhere" in hits[0].message
 
@@ -204,12 +195,12 @@ def test_implicit_parent_is_object():
 
 def test_golden_lineages():
     model = golden_model()
-    assert lineage(model, eid("NewsRetriever")) == (
+    assert model.lineage(eid("NewsRetriever")) == (
         eid("NewsRetriever"),
         eid("HTTP_Client"),
         OBJECT_ID,
     )
-    assert lineage(model, eid("MetaSecuredCache")) == (
+    assert model.lineage(eid("MetaSecuredCache")) == (
         eid("MetaSecuredCache"),
         eid("MetaCache"),
         CLASS_ID,
@@ -225,21 +216,21 @@ def test_lineage_truncates_on_cycle():
         '<bean id="C" class="Class" parent="A"/>'
         "</model>"
     )
-    assert lineage(model, eid("m:A")) == (eid("m:A"), eid("m:B"))
+    assert model.lineage(eid("m:A")) == (eid("m:A"), eid("m:B"))
     assert model.in_parent_cycle(eid("m:A"))
     assert model.in_parent_cycle(eid("m:B"))
     assert not model.in_parent_cycle(CLASS_ID)
     # C leads into the cycle but is not on it
-    assert lineage(model, eid("m:C")) == (eid("m:C"), eid("m:A"), eid("m:B"))
+    assert model.lineage(eid("m:C")) == (eid("m:C"), eid("m:A"), eid("m:B"))
     assert not model.in_parent_cycle(eid("m:C"))
 
 
 def test_lineage_requires_class():
     model = golden_model()
     with pytest.raises(WrongKindError):
-        lineage(model, eid("PontisLogoRetriever"))
+        model.lineage(eid("PontisLogoRetriever"))
     with pytest.raises(NotFoundError):
-        lineage(model, eid("Missing"))
+        model.lineage(eid("Missing"))
 
 
 def test_ancestor_set_includes_self():
@@ -255,7 +246,7 @@ def test_ancestor_set_includes_self():
 
 def test_effective_properties_merge_down_chain():
     model = golden_model()
-    props = effective_properties(model, eid("NewsRetriever"))
+    props = model.effective_properties(eid("NewsRetriever"))
     assert [p.name for p in props] == ["numberOfRetries", "timeout", "URL"]
     assert all(p.declared_by == eid("HTTP_Client") for p in props)
 
@@ -275,7 +266,7 @@ def test_override_keeps_ancestor_position():
         "</properties></bean>"
         "</model>"
     )
-    props = effective_properties(model, eid("m:B"))
+    props = model.effective_properties(eid("m:B"))
     assert [p.name for p in props] == ["x", "y", "z"]
     x = props[0]
     assert x.declared_by == eid("m:B") and x.description == "narrowed"
@@ -283,7 +274,7 @@ def test_override_keeps_ancestor_position():
 
 def test_metaclass_properties_flow_to_submetaclasses():
     model = golden_model()
-    props = effective_properties(model, eid("MetaSecuredCache"))
+    props = model.effective_properties(eid("MetaSecuredCache"))
     by_name = {p.name: p for p in props}
     assert by_name["cache"].declared_by == eid("MetaSecuredCache")
     assert by_name["cache"].type.class_id == eid("SecuredCacheManager")
@@ -381,5 +372,5 @@ def test_resolution_is_maximal_despite_errors():
         "</model>"
     )
     assert diags != []
-    assert classify(model, eid("m:Good")) is ElementKind.MODEL_CLASS
+    assert model.elements[eid("m:Good")].kind is ElementKind.MODEL_CLASS
     assert eid("m:Good") in model.classes

@@ -15,7 +15,7 @@ from mtalk import schema as schema_mod
 from mtalk.compiler import compile_workspace, scalar_conforms
 from mtalk.diagnostics import SCHEMA_VIOLATION
 from mtalk.ids import BUILTIN_SCALARS
-from mtalk.schema import SchemaDoc, SchemaError, generate_schema, generate_schemas, validate_with_schema
+from mtalk.schema import SchemaDoc, SchemaError, generate_schemas, validate_with_schema
 from mtalk.source import parse_unit
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
 
@@ -25,7 +25,7 @@ from golden import GOLDEN_UNITS, compile_golden, compile_texts
 def golden_schema():
     state, diags = compile_golden()
     assert diags == []
-    return generate_schema(state)
+    return generate_schemas(state)[""]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_fingerprint_tracks_model_content():
     state, _ = compile_texts(
         m='<model xmlns="m"><bean id="C" class="Class" declarative="true"/></model>'
     )
-    b = generate_schema(state)
+    b = generate_schemas(state)[""]
     assert a.generated_from != b.generated_from
 
 
@@ -144,7 +144,7 @@ def test_unqualified_local_classes_enumerated_in_namespace_schema():
 
 def test_golden_units_validate():
     state, _ = compile_golden()
-    schema = generate_schema(state)
+    schema = generate_schemas(state)[""]
     for path, text in GOLDEN_UNITS.items():
         assert validate_with_schema(schema, text, path) == [], path
 
@@ -294,7 +294,7 @@ def test_boolean_lexical_space():
         "</bean></model>"
     )
     assert diags == []
-    schema = generate_schema(state)
+    schema = generate_schemas(state)[""]
     assert validate_with_schema(schema, '<model><bean id="I" class="C"><flag>true</flag></bean></model>') == []
     check_one(schema, '<model><bean id="I" class="C"><flag>1</flag></bean></model>', "value '1' is not allowed")
     check_one(schema, '<model><bean id="I" class="C"><flag>yes</flag></bean></model>', "not a valid xs:boolean")
@@ -402,7 +402,7 @@ def test_regenerated_schema_is_the_one_in_force():
     state, _ = compile_texts(**{
         p.replace(".", "_"): (retyped if p == "core.model.xml" else t) for p, t in GOLDEN_UNITS.items()
     })
-    after = generate_schema(state)
+    after = generate_schemas(state)[""]
     assert validate_with_schema(after, text) == []
     check_one(before, text, "not a valid xs:long")
 
@@ -445,7 +445,7 @@ def test_broken_class_types_are_open():
     # a class on a parent cycle, or with a property of unresolved type
     state, diags = compile_texts(m_model_xml=_BROKEN_CLASSES)
     assert {d.code for d in diags} == {"E004", "E012"}
-    doc = generate_schema(state)
+    doc = generate_schemas(state)[""]
     # the property of unresolved type takes any content
     assert doc.ir.complex["beanType"].all_elems["lost"] == ("xs:anyType", False)
     # the unresolved type name is the one violation the schema sees
@@ -466,7 +466,7 @@ def test_property_typed_differently_by_two_classes_is_any_type():
         "</model>"
     )
     assert diags == []
-    schema = generate_schema(state)
+    schema = generate_schemas(state)[""]
     assert '<xs:element name="v" type="xs:anyType" minOccurs="0"/>' in schema.text
     # xs:anyType admits any content, text and child elements alike
     for value in ("12", "twelve", '<bean id="X" class="C1"/>'):
@@ -480,7 +480,7 @@ def test_double_lexical_space():
         "</bean></model>"
     )
     assert diags == []
-    schema = generate_schema(state)
+    schema = generate_schemas(state)[""]
     assert '<xs:element name="ratio" type="doubleType" minOccurs="0"/>' in schema.text
     for value in ("2.5", " -1e3 ", "7"):
         unit = f'<model><bean id="I" class="C"><ratio>{value}</ratio></bean></model>'
@@ -518,7 +518,7 @@ _PIECES = (
 def _scalar_schema():
     state, diags = compile_texts(m_model_xml=_SCALAR_CLASS + "</model>")
     assert diags == []
-    return generate_schema(state)
+    return generate_schemas(state)[""]
 
 
 @settings(max_examples=400, deadline=None)

@@ -13,19 +13,18 @@ from mtalk.compiler import compile_workspace
 from mtalk.diagnostics import PARSE, DUPLICATE_ID
 from mtalk.errors import NotFoundError
 from mtalk.ids import ElementId, SourceSpan
-from mtalk.schema import generate_schema, validate_with_schema
+from mtalk.schema import generate_schemas, validate_with_schema
 from mtalk.source import (
     InlineBean,
     RefValue,
     ScalarValue,
-    discover_unit_paths,
     duplicate_id_diags,
-    element_at,
+    element_reader,
     parse_unit,
     parse_workspace,
     read_document,
     read_unit_text,
-    span_of,
+    unit_signatures,
 )
 
 from mtalk.synthetic import BenchmarkSpec, generate_synthetic
@@ -130,7 +129,7 @@ def test_scalar_ref_and_inline_values():
 </model>"""
     )
     assert diags == []
-    values = unit.beans[0].assignment_map()
+    values = dict(unit.beans[0].assignments)
     assert isinstance(values["timeout"], ScalarValue)
     assert values["timeout"].text == "60"
     assert isinstance(values["peer"], RefValue)
@@ -143,7 +142,7 @@ def test_scalar_ref_and_inline_values():
 
 def test_scalar_text_kept_verbatim():
     unit, _ = parse("<model><bean id='B' class='C'><v>  padded  </v></bean></model>")
-    assert unit.beans[0].assignment_map()["v"].text == "  padded  "
+    assert dict(unit.beans[0].assignments)["v"].text == "  padded  "
 
 
 def test_entity_decoding_in_attrs_and_text():
@@ -153,7 +152,7 @@ def test_entity_decoding_in_attrs_and_text():
         "</bean></model>"
     )
     assert diags == []
-    assert unit.beans[0].assignment_map()["v"].text == 'a & b <c> AB "q"'
+    assert dict(unit.beans[0].assignments)["v"].text == 'a & b <c> AB "q"'
 
 
 def test_comments_pi_and_cdata():
@@ -169,7 +168,7 @@ def test_comments_pi_and_cdata():
 </model>"""
     )
     assert diags == []
-    assert unit.beans[0].assignment_map()["v"].text == "<raw&stuff>"
+    assert dict(unit.beans[0].assignments)["v"].text == "<raw&stuff>"
 
 
 def test_doctype_prolog_skipped():
@@ -213,18 +212,10 @@ def test_bean_span_is_one_based_and_covers_element():
     assert (span.end_line, span.end_column) == (2, 3 + len('<bean id="A" class="C"/>'))
 
 
-def test_span_of_finds_bean():
-    unit, _ = parse('<model xmlns="n">\n<bean id="A" class="C"/>\n</model>')
-    span = span_of(unit, ElementId("n", "A"))
-    assert span.line == 2
-    with pytest.raises(NotFoundError):
-        span_of(unit, ElementId("n", "missing"))
-
-
 def test_attr_value_span_points_inside_quotes():
     text = '<model><bean id="Alpha" class="C"/></model>'
     unit, _ = parse(text)
-    span = element_at(unit, unit.beans[0].span).attr_span("id")
+    span = element_reader(unit)(unit.beans[0].span).attr_span("id")
     # span covers exactly the raw value between the quotes
     start = text.index("Alpha")
     assert (span.line, span.column) == (1, start + 1)
@@ -253,7 +244,7 @@ def test_element_at_rereads_the_element_a_span_names():
     unit, diags = parse(text)
     assert diags == []
     cache = unit.beans[0].assignments[0][1]
-    node = element_at(unit, cache.span)
+    node = element_reader(unit)(cache.span)
     assert (node.tag, node.span) == ("cache", cache.span)
     line = text.split("\n")[2]
 
@@ -268,7 +259,7 @@ def test_element_at_rereads_the_element_a_span_names():
 def test_multiline_value_span():
     text = "<model><bean id='B' class='C'><v>1\n2</v></bean></model>"
     unit, _ = parse(text)
-    val = unit.beans[0].assignment_map()["v"]
+    val = dict(unit.beans[0].assignments)["v"]
     assert val.span.line == 1 and val.span.end_line == 2
     assert val.text == "1\n2"
 
@@ -345,7 +336,7 @@ def test_duplicate_assignment_keeps_first():
     unit, diags = parse(
         "<model><bean id='B' class='C'><v>1</v><v>2</v></bean></model>"
     )
-    values = unit.beans[0].assignment_map()
+    values = dict(unit.beans[0].assignments)
     assert values["v"].text == "1"
     assert any("duplicate assignment 'v'" in d.message for d in diags)
 
@@ -386,7 +377,7 @@ def test_value_with_both_ref_and_class_keeps_ref():
     unit, diags = parse(
         "<model><bean id='B' class='C'><v ref='X' class='Y'/></bean></model>"
     )
-    val = unit.beans[0].assignment_map()["v"]
+    val = dict(unit.beans[0].assignments)["v"]
     assert isinstance(val, RefValue)
     assert any("both 'ref' and 'class'" in d.message for d in diags)
 
@@ -395,7 +386,7 @@ def test_ref_value_must_be_empty():
     unit, diags = parse(
         "<model><bean id='B' class='C'><v ref='X'>junk</v></bean></model>"
     )
-    assert isinstance(unit.beans[0].assignment_map()["v"], RefValue)
+    assert isinstance(dict(unit.beans[0].assignments)["v"], RefValue)
     assert any("must be empty" in d.message for d in diags)
 
 
@@ -405,7 +396,7 @@ def test_inline_bean_cannot_declare_properties():
         "<v class='D'><properties><property><name>x</name><type>Long</type></property></properties></v>"
         "</bean></model>"
     )
-    inline = unit.beans[0].assignment_map()["v"]
+    inline = dict(unit.beans[0].assignments)["v"]
     assert isinstance(inline, InlineBean) and inline.assignments == ()
     assert any("inline beans cannot declare properties" in d.message for d in diags)
 
@@ -414,7 +405,7 @@ def test_nested_element_without_class_is_error():
     unit, diags = parse(
         "<model><bean id='B' class='C'><v><w>1</w></v></bean></model>"
     )
-    assert "v" not in unit.beans[0].assignment_map()
+    assert "v" not in dict(unit.beans[0].assignments)
     assert any("missing 'class' attribute" in d.message for d in diags)
 
 
@@ -559,7 +550,7 @@ _CONTENT_FAULTS = {
 def golden_schema_doc():
     state, diags = compile_golden()
     assert diags == []
-    return generate_schema(state)
+    return generate_schemas(state)[""]
 
 
 @pytest.mark.parametrize("reader", ["parse_unit", "read_document", "validate_with_schema"])
@@ -616,20 +607,21 @@ def test_ref_site_kinds_for_representative_unit():
     assert diags == []
     wheres = {where for b in unit.beans for _, _, _, where in b.references()}
     assert {"class", "parent", "type"} <= wheres <= {"class", "parent", "type", "ref"}
+    read = element_reader(unit)
     for bean in unit.beans:
-        node = element_at(unit, bean.span)
+        node = read(bean.span)
         # every bean's id, class and parent attribute is read back as written
         assert _text_at(CORE_XML, node.attr_span("id")) == bean.written_id
         assert _text_at(CORE_XML, node.attr_span("class")) == bean.written_class
         if bean.written_parent is not None:
             assert _text_at(CORE_XML, node.attr_span("parent")) == bean.written_parent
         for d in bean.property_defs:
-            row = element_at(unit, d.span)
+            row = read(d.span)
             cells = {c.tag: c for c in row.children}
             assert _text_at(CORE_XML, cells["name"].content_span()) == d.name
             assert _text_at(CORE_XML, cells["type"].content_span()) == d.type_written
         for _, tag, expr in bean.values():
-            names = element_at(unit, expr.span).tag_name_spans()
+            names = read(expr.span).tag_name_spans()
             assert names and all(_text_at(CORE_XML, s) == tag for s in names)
 
 
@@ -638,7 +630,7 @@ def test_prop_tag_sites_cover_open_and_close():
     unit, _ = parse(text)
     ((owner, tag, expr),) = unit.beans[0].values()
     assert (owner, tag) == (ElementId("n", "C"), "timeout")
-    tags = element_at(unit, expr.span).tag_name_spans()
+    tags = element_reader(unit)(expr.span).tag_name_spans()
     assert len(tags) == 2
     opens = text.index("<timeout>") + 1
     closes = text.index("</timeout>") + 2
@@ -663,7 +655,7 @@ def test_name_text_site_carries_raw_written_form():
     unit, _ = parse(text)
     (d,) = unit.beans[0].property_defs
     assert d.name == "pad"
-    (name,) = [c for c in element_at(unit, d.span).children if c.tag == "name"]
+    (name,) = [c for c in element_reader(unit)(d.span).children if c.tag == "name"]
     assert _text_at(text, name.content_span()) == " pad "
 
 
@@ -734,7 +726,7 @@ def test_discover_unit_paths_sorted_and_filtered(tmp_path):
     for rel in ("a-b/z.model.xml", "a/z.model.xml", "a.model.xml", "ab/a.model.xml"):
         (tmp_path / rel).parent.mkdir(exist_ok=True)
         (tmp_path / rel).write_text("<model/>")
-    assert discover_unit_paths(tmp_path) == [
+    assert list(unit_signatures(tmp_path)) == [
         "a-b/z.model.xml",
         "a.model.xml",
         "a/z.model.xml",
@@ -744,15 +736,15 @@ def test_discover_unit_paths_sorted_and_filtered(tmp_path):
         "sub/a.model.xml",
         "x.model.xml/y.model.xml",
     ]
-    assert discover_unit_paths(str(tmp_path / "sub")) == ["a.model.xml"]
+    assert list(unit_signatures(str(tmp_path / "sub"))) == ["a.model.xml"]
 
 
 def test_discover_missing_root_raises(tmp_path):
     with pytest.raises(NotFoundError):
-        discover_unit_paths(tmp_path / "nope")
+        unit_signatures(tmp_path / "nope")
     (tmp_path / "file.model.xml").write_text("<model/>")
     with pytest.raises(NotFoundError):
-        discover_unit_paths(tmp_path / "file.model.xml")
+        unit_signatures(tmp_path / "file.model.xml")
 
 
 def test_parse_workspace_golden_clean(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from mtalk.compiler import compile_model, incremental_compile
 from mtalk.errors import NotFoundError, WrongKindError
 from mtalk.ids import ElementId
-from mtalk.native import NativeRegistry, bind, parse_manifest
+from mtalk.native import NativeRegistry, parse_manifest
 from mtalk.source import parse_unit
 from mtalk.vm import (
     AbstractInstantiationError,
@@ -325,6 +325,33 @@ def test_resolve_native_unknown_class():
         resolve_native(vm, "CNN_NewsRetriever")
 
 
+def test_both_id_spellings_resolve_alike():
+    # 'ns:C' and ElementId("ns", "C") both fall back to the root namespace's C
+    mani = parse_manifest(
+        json.dumps({"classes": [{"name": "C", "fields": [{"name": "x", "type": "Long"}]}]}), "manifest.json"
+    )
+    state, diags = compile_texts(
+        manifest=mani,
+        root_model_xml='<model><bean id="C" class="Class"><properties>'
+        "<property><name>x</name><type>Long</type></property></properties></bean>"
+        '<bean id="I" class="C"><x>1</x></bean></model>',
+        ns_model_xml='<model xmlns="ns"><bean id="D" class="Class" declarative="true"/></model>',
+    )
+    assert diags == [], [d.render() for d in diags]
+    vm = load(state)
+    for c, i in (("ns:C", "ns:I"), (ElementId("ns", "C"), ElementId("ns", "I"))):
+        assert resolve_native(vm, c) == "C"
+        assert effective_values(vm, i) == effective_values(vm, "I")
+        assert get_instance(vm, i) is get_instance(vm, "I")
+        assert get_class(vm, c) is get_class(vm, "C")
+        assert reflect_properties(vm, c) == reflect_properties(vm, "C")
+    for missing in ("ns:Nope", ElementId("ns", "Nope")):
+        with pytest.raises(NotFoundError, match="unknown class 'ns:Nope'"):
+            resolve_native(vm, missing)
+        with pytest.raises(NotFoundError, match="unknown bean 'ns:Nope'"):
+            effective_values(vm, missing)
+
+
 def test_instances_report_native_binding():
     vm = golden_vm()
     assert get_instance(vm, "CNN_NewsRetriever").native == "HTTP_Client"
@@ -635,7 +662,7 @@ def test_reload_after_a_bind_carries_nothing():
     first = get_instance(vm, "CNN_NewsRetriever")
     reload(vm, edited)
     assert get_instance(vm, "CNN_NewsRetriever") is first
-    bind(reg, "HTTP_Client", lambda values: "second")
+    reg.bind("HTTP_Client", lambda values: "second")
     reload(vm, again)
     assert get_instance(vm, "CNN_NewsRetriever").native_object == "second"
 
