@@ -19,7 +19,7 @@ from .compiler import (
 from .diagnostics import has_errors
 from .errors import ModelError, NotFoundError
 from .graph import MANIFEST_NS, breadth_first
-from .ids import UNRESOLVED, ElementId
+from .ids import UNRESOLVED
 from .kernel import KERNEL_SOURCE
 from .native import NativeManifest, load_manifest
 from .rename import apply_patchset, rename_element, rename_property
@@ -128,10 +128,7 @@ def _cmd_get(args, out) -> int:
 def _cmd_deps(args, out) -> int:
     state, _report = _load_workspace(args)
     model = state.resolved
-    target = model.lookup(ElementId.parse(args.element, ""))
-    if target is None:
-        sys.stderr.write(f"unknown element '{args.element}'\n")
-        return EXIT_ERRORS
+    target = model.resolve_id(args.element, "element")
     graph = state.graph
     reached = breadth_first([target], graph.incoming if args.reverse else graph.outgoing, args.reverse)
     # manifest pseudo-nodes and the unresolved sentinel stay internal

@@ -159,6 +159,20 @@ class ResolvedModel:
                 return fb
         return None
 
+    def resolve_id(self, ref, noun: str) -> ElementId:
+        """The id ref names, an ElementId or its string spelling, found as a
+        reference is (lookup); NotFoundError "unknown {noun}" otherwise."""
+        if isinstance(ref, ElementId):
+            eid = self.lookup(ref)
+        elif isinstance(ref, str):
+            eid = self.lookup(ElementId.parse(ref))
+        else:
+            raise TypeError(f"{noun} reference must be an ElementId or string")
+        if eid is None:
+            shown = ref.render() if isinstance(ref, ElementId) else ref
+            raise NotFoundError(f"unknown {noun} '{shown}'")
+        return eid
+
     def resolve_type(self, ref: ElementId, written: str) -> TypeRef:
         target = self.lookup(ref)
         if target is not None:

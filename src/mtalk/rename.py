@@ -193,15 +193,7 @@ def rename_element(
     other written reference resolves.
     """
     model = state.resolved
-    if isinstance(old, str):
-        found = model.lookup(ElementId.parse(old, ""))
-        if found is None:
-            raise NotFoundError(f"unknown element '{old}'")
-        old_id = found
-    else:
-        old_id = old
-        if old_id not in model.elements:
-            raise NotFoundError(f"unknown element '{old_id.render()}'")
+    old_id = model.resolve_id(old, "element")
     if old_id in model.kernel_ids:
         raise NotFoundError(f"'{old_id.render()}' is not declared in a source unit")
     _check_new_name(new)
@@ -294,11 +286,7 @@ def rename_property(
     property named new.
     """
     model = state.resolved
-    if isinstance(class_id, str):
-        found = model.lookup(ElementId.parse(class_id, ""))
-        if found is None:
-            raise NotFoundError(f"unknown class '{class_id}'")
-        class_id = found
+    class_id = model.resolve_id(class_id, "class")
     model.require_class(class_id)
     top = _topmost_declaring(model, class_id, old)
     if top is None:

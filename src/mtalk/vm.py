@@ -3,12 +3,13 @@
 Loading takes an error-free CompileState. Instances are built on demand,
 one per bean id (inline beans are anonymous and fresh), with property values
 injected in declared property order. A reference to a class injects the class
-reified as an instance of its metaclass (its MetaView). Native bindings are
+reified as an instance of its metaclass (its MetaView). One routine builds
+and caches both, in one map keyed by element id. Native bindings are
 resolved along the class lineage: a declarative class is served by its
 nearest natively bound ancestor. Reload swaps the entire model snapshot in
 one step: a request observes either the old model or the new one, never a
-mixture. After a fold, the new snapshot keeps the instances the fold did
-not touch.
+mixture. After a fold, the new snapshot keeps the objects in that map that
+the fold did not touch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from types import MappingProxyType
 
 from .compiler import CompileState
 from .diagnostics import Severity, has_errors
-from .errors import ModelError, NotFoundError, WrongKindError
+from .errors import ModelError, WrongKindError
 from .ids import SCALARS, ElementId
 from .kernel import ElementKind, PropertyDefinition, ResolvedModel, TypeRef
 from .native import NativeManifest, NativeRegistry
@@ -65,9 +66,11 @@ class MetaView(RuntimeInstance):
 
 
 class _Snapshot:
-    """One immutable world: compile state, registry, instance caches."""
+    """One immutable world: compile state, registry, and the runtime objects
+    built so far, bean instances and class MetaViews, by element id (an id
+    has one kind, so the two never share a key)."""
 
-    __slots__ = ("compiled", "model", "registry", "binds", "manifest", "instances", "metaviews", "lock")
+    __slots__ = ("compiled", "model", "registry", "binds", "manifest", "built", "lock")
 
     def __init__(self, compiled: CompileState, registry: NativeRegistry | None):
         self.compiled = compiled
@@ -77,8 +80,7 @@ class _Snapshot:
         self.manifest: NativeManifest | None = (
             registry.manifest if registry is not None else compiled.manifest
         )
-        self.instances: dict[ElementId, RuntimeInstance] = {}
-        self.metaviews: dict[ElementId, MetaView] = {}
+        self.built: dict[ElementId, RuntimeInstance] = {}
         self.lock = threading.RLock()
 
 
@@ -113,8 +115,8 @@ def load(compiled, registry: NativeRegistry | None = None) -> VmHandle:
 def reload(vm: VmHandle, compiled, registry: NativeRegistry | None = None) -> None:
     """Atomically replace the VM's model. On refusal the old model stays.
 
-    The new snapshot starts with the old one's cached instances and
-    MetaViews, less the fold's dirty ids, when the new model is an
+    The new snapshot starts with the old one's built map (instances and
+    MetaViews alike), less the fold's dirty ids, when the new model is an
     incremental_compile fold of the loaded one, the registry and the
     manifest are the same objects, and no factory was bound since the old
     snapshot was made. Otherwise it starts empty.
@@ -146,31 +148,10 @@ def reload(vm: VmHandle, compiled, registry: NativeRegistry | None = None) -> No
         and snap.manifest is old.manifest
     ):
         with old.lock:
-            snap.instances = dict(old.instances)
-            snap.metaviews = dict(old.metaviews)
+            snap.built = dict(old.built)
         for eid in compiled.dirty:
-            snap.instances.pop(eid, None)
-            snap.metaviews.pop(eid, None)
+            snap.built.pop(eid, None)
     vm._snap = snap
-
-
-# ---------------------------------------------------------------------------
-# Identity helpers
-
-
-def _resolve_id(model: ResolvedModel, ref, noun: str = "bean") -> ElementId:
-    """The id ref names, an ElementId or its string spelling, found as a
-    reference is: exact namespace, then the root-namespace fallback."""
-    if isinstance(ref, ElementId):
-        eid = model.lookup(ref)
-    elif isinstance(ref, str):
-        eid = model.lookup(ElementId.parse(ref))
-    else:
-        raise TypeError(f"{noun} reference must be an ElementId or string")
-    if eid is None:
-        shown = ref.render() if isinstance(ref, ElementId) else ref
-        raise NotFoundError(f"unknown {noun} '{shown}'")
-    return eid
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +168,7 @@ def effective_values(vm_or_model, bean_id) -> dict[str, ValueExpr]:
         model = vm_or_model._snap.model
     else:
         model = vm_or_model
-    bean_id = _resolve_id(model, bean_id)
+    bean_id = model.resolve_id(bean_id, "bean")
     if model.elements[bean_id].kind is ElementKind.INSTANCE:
         sources = [model.elements[b].decl.assignments for b in model.template_chain(bean_id)]
     else:
@@ -212,9 +193,7 @@ def _convert(snap: _Snapshot, expr: ValueExpr, t: TypeRef, stack: tuple):
         target = snap.model.lookup(expr.target)
         if target is None:
             raise InjectionError(f"unresolved reference '{expr.written}'")
-        if snap.model.elements[target].kind is ElementKind.INSTANCE:
-            return _instance(snap, target, stack)
-        return _meta_view(snap, target, stack)
+        return _object(snap, target, stack)
     if isinstance(expr, InlineBean):
         cls = snap.model.lookup(expr.class_ref)
         if cls is None or cls not in snap.model.classes:
@@ -233,10 +212,7 @@ def _build(
 ) -> RuntimeInstance:
     """Inject raw into an instance of class_id: a named bean, an inline bean
     (bean_id None), or with target the MetaView of that class."""
-    if target is not None:
-        key = ("meta", target)
-    else:
-        key = bean_id if bean_id is not None else ("inline", id(raw))
+    key = bean_id if bean_id is not None else ("inline", id(raw))
     if key in stack:
         if target is not None:
             raise InjectionError(f"injection cycle at metaview '{target.render()}'")
@@ -266,42 +242,29 @@ def _class_of(snap: _Snapshot, eid: ElementId) -> ElementId:
     return cls
 
 
-def _instance(snap: _Snapshot, eid: ElementId, stack: tuple) -> RuntimeInstance:
-    cached = snap.instances.get(eid)
+def _object(snap: _Snapshot, eid: ElementId, stack: tuple) -> RuntimeInstance:
+    """The cached runtime object of eid, built on first use: a bean's
+    instance of its class, or a class's MetaView, an instance of its
+    metaclass that targets it."""
+    cached = snap.built.get(eid)
     if cached is not None:
         return cached
     entry = snap.model.elements[eid]
-    if entry.kind is not ElementKind.INSTANCE:
-        raise WrongKindError(f"'{eid.render()}' is a class; request its MetaView instead")
-    if entry.decl.abstract:
-        raise AbstractInstantiationError(f"bean '{eid.render()}' is abstract")
-    cls = _class_of(snap, eid)
+    if entry.kind is ElementKind.INSTANCE:
+        if entry.decl.abstract:
+            raise AbstractInstantiationError(f"bean '{eid.render()}' is abstract")
+        cls, target = _class_of(snap, eid), None
+    else:
+        cls, target = snap.model.classes[eid].metaclass, eid
+        if cls is None or cls not in snap.model.classes:
+            raise InjectionError(f"class '{eid.render()}' has no resolvable metaclass")
     with snap.lock:
-        cached = snap.instances.get(eid)
+        cached = snap.built.get(eid)
         if cached is not None:
             return cached
-        inst = _build(snap, eid, cls, effective_values(snap.model, eid), stack)
-        snap.instances[eid] = inst
-        return inst
-
-
-def _meta_view(snap: _Snapshot, class_id: ElementId, stack: tuple) -> MetaView:
-    cached = snap.metaviews.get(class_id)
-    if cached is not None:
-        return cached
-    cd = snap.model.classes.get(class_id)
-    if cd is None:
-        raise WrongKindError(f"'{class_id.render()}' is not a class")
-    mc = cd.metaclass
-    if mc is None or mc not in snap.model.classes:
-        raise InjectionError(f"class '{class_id.render()}' has no resolvable metaclass")
-    with snap.lock:
-        cached = snap.metaviews.get(class_id)
-        if cached is not None:
-            return cached
-        view = _build(snap, class_id, mc, effective_values(snap.model, class_id), stack, target=class_id)
-        snap.metaviews[class_id] = view
-        return view
+        obj = _build(snap, eid, cls, effective_values(snap.model, eid), stack, target)
+        snap.built[eid] = obj
+        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +274,13 @@ def _meta_view(snap: _Snapshot, class_id: ElementId, stack: tuple) -> MetaView:
 def get_instance(vm: VmHandle, bean_id) -> RuntimeInstance:
     """The singleton runtime instance for a named instance bean."""
     snap = vm._snap  # one read: the whole request sees one snapshot
-    eid = _resolve_id(snap.model, bean_id)
-    return _instance(snap, eid, ())
+    eid = snap.model.resolve_id(bean_id, "bean")
+    obj = snap.built.get(eid)
+    if type(obj) is not RuntimeInstance:  # a miss, or a class's MetaView
+        if obj is not None or snap.model.elements[eid].kind is not ElementKind.INSTANCE:
+            raise WrongKindError(f"'{eid.render()}' is a class; request its MetaView instead")
+        obj = _object(snap, eid, ())
+    return obj
 
 
 def get_class(vm: VmHandle, ref) -> MetaView:
@@ -320,10 +288,12 @@ def get_class(vm: VmHandle, ref) -> MetaView:
     snap = vm._snap
     if isinstance(ref, RuntimeInstance):
         class_id = ref.class_id
+        if class_id not in snap.model.classes:  # an instance of an older model
+            raise WrongKindError(f"'{class_id.render()}' is not a class")
     else:
-        eid = _resolve_id(snap.model, ref)
+        eid = snap.model.resolve_id(ref, "class")
         class_id = eid if eid in snap.model.classes else _class_of(snap, eid)
-    return _meta_view(snap, class_id, ())
+    return _object(snap, class_id, ())
 
 
 def resolve_native(vm_or_snap, class_id) -> str | None:
@@ -334,7 +304,7 @@ def resolve_native(vm_or_snap, class_id) -> str | None:
     else:
         snap = vm_or_snap
     model = snap.model
-    class_id = _resolve_id(model, class_id, "class")
+    class_id = model.resolve_id(class_id, "class")
     model.require_class(class_id)
     manifest = snap.manifest
     if manifest is None:
@@ -364,7 +334,7 @@ def reflect_properties(vm: VmHandle, ref) -> tuple[PropertyDefinition, ...]:
     if isinstance(ref, RuntimeInstance):
         class_id = ref.class_id
     else:
-        class_id = _resolve_id(snap.model, ref)
+        class_id = snap.model.resolve_id(ref, "class")
     snap.model.require_class(class_id)
     return snap.model.effective_properties(class_id)
 

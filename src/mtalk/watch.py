@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import time
 
-from .compiler import CompileState, compile_workspace, incremental_compile, workspace_changes
+from .compiler import compile_workspace, incremental_compile, workspace_changes
 from .diagnostics import Diagnostic
 from .ids import record
 from .native import NativeManifest
@@ -30,20 +30,14 @@ class WatchSession:
     content changed. report is the diagnostics of the current state.
     """
 
-    def __init__(self, root, manifest: NativeManifest | None = None,
-                 state: CompileState | None = None):
+    def __init__(self, root, manifest: NativeManifest | None = None):
         self.root = os.fspath(root)
         self.manifest = manifest
         # signatures first: a save during the compile then shows in the first poll
         self._sigs = unit_signatures(self.root)
-        if state is None:
-            state, report = compile_workspace(self.root, manifest)
-        else:
-            report = state.all_diagnostics()
+        self.state, self.report = compile_workspace(self.root, manifest)
         # built here, or the session's first edits would pay for it
-        state.graph.by_target()
-        self.state = state
-        self.report = report
+        self.state.graph.by_target()
 
     def poll(self) -> WatchResult | None:
         """One scan step: recompile and report if any unit file was touched."""

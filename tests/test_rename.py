@@ -152,6 +152,28 @@ def test_rename_unknown_element():
         rename_element(state, eid("Nobody"), "Somebody")
 
 
+def test_rename_resolves_both_id_spellings_alike():
+    # ns declares no C, so ns:C names root C through the namespace fallback
+    state, diags = compile_texts(
+        root_model_xml='<model><bean id="C" class="Class"><properties>'
+        "<property><name>x</name><type>Long</type></property></properties></bean>"
+        '<bean id="I" class="C"><x>1</x></bean></model>',
+        ns_model_xml='<model xmlns="ns"><bean id="J" class="C"><x>2</x></bean></model>',
+    )
+    assert diags == []
+    by_text, _ = rename_element(state, "ns:C", "K")
+    by_id, _ = rename_element(state, ElementId("ns", "C"), "K")
+    assert len(by_text) == 3 and by_id == by_text
+    by_text, _ = rename_property(state, "ns:C", "x", "y")
+    by_id, _ = rename_property(state, ElementId("ns", "C"), "x", "y")
+    assert len(by_text) == 5 and by_id == by_text
+    for missing in ("ns:Nope", ElementId("ns", "Nope")):
+        with pytest.raises(NotFoundError, match="unknown element 'ns:Nope'"):
+            rename_element(state, missing, "K")
+        with pytest.raises(NotFoundError, match="unknown class 'ns:Nope'"):
+            rename_property(state, missing, "x", "y")
+
+
 def test_rename_kernel_ids_refused():
     state = golden_state()
     with pytest.raises(NotFoundError, match="not declared in a source unit"):

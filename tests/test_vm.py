@@ -155,6 +155,9 @@ def test_get_instance_on_class_is_wrong_kind():
     vm = golden_vm()
     with pytest.raises(WrongKindError, match="request its MetaView"):
         get_instance(vm, "HTTP_Client")
+    get_class(vm, "HTTP_Client")  # the class's MetaView is now cached under its id
+    with pytest.raises(WrongKindError, match="request its MetaView"):
+        get_instance(vm, "HTTP_Client")
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +295,17 @@ def test_metaview_cached_per_class():
     assert a is b
 
 
+def test_get_class_of_an_instance_whose_class_is_gone():
+    text = '<model xmlns="m"><bean id="K" class="Class"/><bean id="k" class="K"/></model>'
+    vm = vm_from_texts(m_model_xml=text)
+    stale = get_instance(vm, "m:k")
+    state, diags = compile_texts(m_model_xml='<model xmlns="m"><bean id="k" class="Class"/></model>')
+    assert diags == []
+    reload(vm, state)
+    with pytest.raises(WrongKindError, match="'m:K' is not a class"):
+        get_class(vm, stale)
+
+
 def test_metaview_of_kernel_class():
     vm = golden_vm()
     view = get_class(vm, "Object")
@@ -346,8 +360,9 @@ def test_both_id_spellings_resolve_alike():
         assert get_class(vm, c) is get_class(vm, "C")
         assert reflect_properties(vm, c) == reflect_properties(vm, "C")
     for missing in ("ns:Nope", ElementId("ns", "Nope")):
-        with pytest.raises(NotFoundError, match="unknown class 'ns:Nope'"):
-            resolve_native(vm, missing)
+        for lookup in (resolve_native, get_class, reflect_properties):
+            with pytest.raises(NotFoundError, match="unknown class 'ns:Nope'"):
+                lookup(vm, missing)
         with pytest.raises(NotFoundError, match="unknown bean 'ns:Nope'"):
             effective_values(vm, missing)
 
@@ -534,19 +549,27 @@ def test_reload_keeps_registry_unless_replaced():
     assert inst.native_object == ("built", "www.pontis.com/logo.bmp")
 
 
-# A value fold of Val dirties Val and A, which references it; Other and the
-# classes stay untouched.
+# A value fold of Val dirties Val and A, which references it; Other, H and
+# the classes stay untouched. C is an instance of the metaclass MC, and H
+# injects C's MetaView.
 _CARRY_TEXT = (
     '<model xmlns="m">'
+    '<bean id="MC" class="Class" parent="Class"><properties>'
+    "<property><name>label</name><type>String</type></property>"
+    "</properties></bean>"
     '<bean id="D" class="Class"><properties>'
     "<property><name>n</name><type>Long</type></property>"
     "</properties></bean>"
-    '<bean id="C" class="Class"><properties>'
+    '<bean id="C" class="MC"><properties>'
     "<property><name>d</name><type>D</type></property>"
+    "</properties><label>one</label></bean>"
+    '<bean id="Holder" class="Class"><properties>'
+    "<property><name>mc</name><type>MC</type></property>"
     "</properties></bean>"
     '<bean id="Val" class="D"><n>1</n></bean>'
     '<bean id="Other" class="D"><n>5</n></bean>'
     '<bean id="A" class="C"><d ref="Val"/></bean>'
+    '<bean id="H" class="Holder"><mc ref="C"/></bean>'
     "</model>"
 )
 
@@ -571,7 +594,9 @@ def read_all(vm):
         "Val": get_instance(vm, "m:Val"),
         "Other": get_instance(vm, "m:Other"),
         "A": get_instance(vm, "m:A"),
+        "H": get_instance(vm, "m:H"),
         "C": get_class(vm, "m:C"),
+        "D": get_class(vm, "m:D"),
     }
 
 
@@ -581,8 +606,7 @@ def test_reload_after_a_fold_keeps_untouched_instances():
     before = read_all(vm)
     reload(vm, edited)
     after = read_all(vm)
-    assert after["Other"] is before["Other"]
-    assert after["C"] is before["C"]
+    assert all(after[k] is before[k] for k in ("Other", "H", "C", "D"))
     assert after["Val"] is not before["Val"]
     assert after["Val"].values["n"] == 2
 
@@ -595,6 +619,20 @@ def test_reload_after_a_fold_rebuilds_the_referencing_bean():
     a = get_instance(vm, "m:A")
     assert a.values["d"].values["n"] == 2
     assert a.values["d"] is get_instance(vm, "m:Val")
+
+
+def test_reload_after_a_class_value_fold_rebuilds_the_metaview_and_its_injector():
+    base, _ = carry_states()
+    edited = fold(base, _CARRY_TEXT.replace("<label>one</label>", "<label>two</label>"))
+    vm = load(base)
+    before = read_all(vm)
+    reload(vm, edited)
+    after = read_all(vm)
+    assert after["C"] is not before["C"] and after["C"].values["label"] == "two"
+    assert after["H"] is not before["H"] and after["H"].values["mc"] is after["C"]
+    assert all(after[k] is before[k] for k in ("Val", "Other", "D"))
+    fresh = read_all(load(edited))
+    assert {k: dump_instance(v) for k, v in after.items()} == {k: dump_instance(v) for k, v in fresh.items()}
 
 
 def test_reload_after_a_retype_rebuilds_a_bean_that_inherits_the_value():

@@ -176,15 +176,6 @@ def test_added_unit_joins_the_model(tmp_path):
     assert session.state.resolved.lookup(ElementId("", "MirrorRetriever")) is not None
 
 
-def test_session_accepts_a_precompiled_state(tmp_path):
-    write_golden(tmp_path, manifest=False)
-    state, diags = compile_workspace(str(tmp_path))
-    assert diags == []
-    session = WatchSession(str(tmp_path), state=state)
-    assert session.state is state
-    assert session.poll() is None
-
-
 # ---------------------------------------------------------------------------
 # run_watch loop
 
