@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -10,6 +11,7 @@ import sys
 from . import vm as vmmod
 from .compiler import (
     CompileState,
+    _collector_paused,
     compile_workspace,
     incremental_compile,
     load_state,
@@ -53,24 +55,32 @@ def _find_manifest(root: str, flag: str | None) -> NativeManifest | None:
 def _load_workspace(args) -> tuple[CompileState, list]:
     """Compile the workspace named by args.root, folding it into the
     persisted state when there is one. A fold that found nothing changed
-    leaves the persisted state as it is."""
-    _require_root(args.root)
-    manifest = _find_manifest(args.root, args.manifest)
-    state_dir = _state_dir(args.root, args.state)
-    prev = None if args.no_cache else load_state(state_dir)
-    if prev is None:
-        state, report = compile_workspace(args.root, manifest)
-    else:
-        changed, removed, parse_diags = workspace_changes(prev, args.root)
-        state, _recompiled, report = incremental_compile(
-            prev, changed, removed_paths=removed, parse_diags=parse_diags, manifest=manifest
-        )
-        if not (changed or removed or parse_diags) and manifest == prev.manifest:
-            return state, report
-    try:
-        save_state(state, state_dir)
-    except OSError:
-        pass  # read-only workspaces still compile
+    leaves the persisted state as it is.
+
+    The command holds the state until its process ends, so the build runs
+    with the cyclic collector paused and then everything alive is frozen:
+    the collector would walk the whole state and free none of it."""
+    with _collector_paused():
+        _require_root(args.root)
+        manifest = _find_manifest(args.root, args.manifest)
+        state_dir = _state_dir(args.root, args.state)
+        prev = None if args.no_cache else load_state(state_dir)
+        if prev is None:
+            state, report = compile_workspace(args.root, manifest)
+            fresh = True
+        else:
+            changed, removed, parse_diags = workspace_changes(prev, args.root)
+            state, _recompiled, report = incremental_compile(
+                prev, changed, removed_paths=removed, parse_diags=parse_diags, manifest=manifest
+            )
+            fresh = bool(changed or removed or parse_diags) or manifest != prev.manifest
+        if fresh:
+            try:
+                save_state(state, state_dir)
+            except OSError:
+                pass  # read-only workspaces still compile
+        # frozen before the collector resumes, whose first pass would walk it all
+        gc.freeze()
     return state, report
 
 

@@ -764,7 +764,9 @@ def incremental_compile(
         dirty |= graph.closure(wide, reverse=True)
         reached |= graph.closure(narrow, reverse=True)
     elements = resolved.elements
-    recheck = dirty | {e for e in reached - dirty if e in elements and _writes(elements[e].decl, names)}
+    recheck = set(dirty)
+    if names:
+        recheck.update(e for e in reached - dirty if e in elements and _writes(elements[e].decl, names))
     dirty |= reached
 
     validate_by_element = dict(prev.validate_by_element)
@@ -810,8 +812,9 @@ STATE_FILENAME = "state.bin"
 
 @contextmanager
 def _collector_paused():
-    """The cyclic collector off for one bulk pickle pass, then as it was: a
-    state is one long-lived graph, which collections would walk and not free."""
+    """The cyclic collector off for one bulk build or pickle pass, then as it
+    was: a state is one long-lived graph, which collections would walk and
+    not free."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from .compiler import CompileState
 from .diagnostics import Severity, has_errors
-from .errors import ModelError, WrongKindError
+from .errors import ModelError, NotFoundError, WrongKindError
 from .ids import SCALARS, ElementId
 from .kernel import ElementKind, PropertyDefinition, ResolvedModel, TypeRef
 from .native import NativeManifest, NativeRegistry
@@ -319,11 +319,11 @@ def resolve_native(vm_or_snap, class_id) -> str | None:
 def is_instance_of(vm: VmHandle, inst: RuntimeInstance, class_ref) -> bool:
     """True when inst's class is class_ref or a subclass of it."""
     snap = vm._snap
-    if isinstance(class_ref, str):
-        target = snap.model.lookup(ElementId.parse(class_ref))
-    else:
-        target = snap.model.lookup(class_ref)
-    if target is None or target not in snap.model.classes:
+    try:
+        target = snap.model.resolve_id(class_ref, "class")
+    except NotFoundError:
+        return False
+    if target not in snap.model.classes:
         return False
     return target in snap.model.ancestor_set(inst.class_id)
 

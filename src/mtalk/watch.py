@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
-from .compiler import compile_workspace, incremental_compile, workspace_changes
+from .compiler import _collector_paused, compile_workspace, incremental_compile, workspace_changes
 from .diagnostics import Diagnostic
 from .ids import record
 from .native import NativeManifest
@@ -35,9 +36,14 @@ class WatchSession:
         self.manifest = manifest
         # signatures first: a save during the compile then shows in the first poll
         self._sigs = unit_signatures(self.root)
-        self.state, self.report = compile_workspace(self.root, manifest)
-        # built here, or the session's first edits would pay for it
-        self.state.graph.by_target()
+        # the session holds what its start-up builds, and its folds share
+        # most of it: built with the collector paused and frozen before it
+        # resumes, the collections inside folds never walk it
+        with _collector_paused():
+            self.state, self.report = compile_workspace(self.root, manifest)
+            # built here, or the session's first edits would pay for it
+            self.state.graph.by_target()
+            gc.freeze()
 
     def poll(self) -> WatchResult | None:
         """One scan step: recompile and report if any unit file was touched."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -94,6 +95,22 @@ def test_missing_root_is_an_io_failure(tmp_path, capsys):
     code, out, err = run(capsys, "compile", "--root", str(tmp_path / "nope"))
     assert code == EXIT_IO
     assert "not a directory" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_compile_leaves_the_collector_as_the_caller_had_it(golden_root, tmp_path, capsys, collector_on, enabled):
+    (gc.enable if enabled else gc.disable)()
+    for cache in ("cold", "warm"):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "compile", "--root", str(golden_root))[0] == EXIT_OK, cache
+        assert gc.isenabled() is enabled, cache
+        assert gc.get_freeze_count() > frozen, cache  # what the compile built is frozen
+    assert run(capsys, "compile", "--root", str(tmp_path / "nope"))[0] == EXIT_IO
+    assert gc.isenabled() is enabled
+    (golden_root / "manifest.json").write_text("{not json", encoding="utf-8")
+    code, _, err = run(capsys, "compile", "--root", str(golden_root))
+    assert code == EXIT_ERRORS and err.startswith("malformed manifest")
+    assert gc.isenabled() is enabled
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,19 @@ def test_class_edit_recompiles_whole_subtree():
     assert eid("MetaCache") not in recompiled
 
 
+def test_a_shift_fold_walks_no_declaration_for_property_names(monkeypatch):
+    # a shift changes no property's type, so its property-table seeds name
+    # nothing that the elements they reach could write
+    state = golden_state()
+    calls = []
+    monkeypatch.setattr(compiler, "_writes", lambda *args: calls.append(args) or False)
+    shifted = GOLDEN_UNITS["caches.model.xml"].replace("<model>\n", "<model>\n\n", 1)
+    _, recompiled, diags = incremental_compile(state, [parse_clean(shifted, "caches.model.xml")])
+    assert calls == []
+    assert renders(recompiled) == ["CacheManager", "SecuredCacheManager", "StandardCache"]
+    assert diags == []
+
+
 def test_length_changing_edit_dirties_shifted_beans():
     # spans are part of a declaration, so moving later beans re-seeds them
     state = golden_state()
@@ -339,15 +352,6 @@ def test_load_state_rejects_garbage(tmp_path):
     assert load_state(tmp_path / "missing") is None
 
 
-@pytest.fixture
-def collector_on():
-    """GC enabled for the test, and the caller's setting restored after it."""
-    was = gc.isenabled()
-    gc.enable()
-    yield
-    (gc.enable if was else gc.disable)()
-
-
 def test_state_io_restores_the_collector(tmp_path, collector_on):
     d = tmp_path / "cache"
     save_state(golden_state(), d)
@@ -365,6 +369,20 @@ def test_state_io_restores_the_collector(tmp_path, collector_on):
     with pytest.raises((pickle.PicklingError, AttributeError)):  # a local lambda does not pickle
         save_state(unpicklable, d)
     assert gc.isenabled()
+
+
+def test_states_hold_no_reference_cycles(collector_on):
+    # what the CLI and a watch session freeze is freed by reference counts
+    # alone once dropped, as the collector never walks it again: a compile
+    # and a fold, run with the collector off, leave nothing for it to find
+    gc.collect()
+    gc.disable()
+    state = golden_state()
+    shifted = GOLDEN_UNITS["caches.model.xml"].replace("<model>\n", "<model>\n\n", 1)
+    folded, _, diags = incremental_compile(state, [parse_clean(shifted, "caches.model.xml")])
+    assert diags == []
+    del state, folded
+    assert gc.collect() == 0
 
 
 def test_state_io_leaves_a_disabled_collector_disabled(tmp_path, collector_on):

@@ -427,6 +427,15 @@ def test_is_instance_of():
     assert is_instance_of(vm, cnn, "Object")
     assert not is_instance_of(vm, cnn, "PictureRetriever")
     assert not is_instance_of(vm, cnn, "NoSuchClass")
+    assert is_instance_of(vm, cnn, eid("NewsRetriever"))
+    assert not is_instance_of(vm, cnn, eid("NoSuchClass"))
+
+
+def test_is_instance_of_rejects_a_class_ref_of_another_type():
+    vm = golden_vm()
+    cnn = get_instance(vm, "CNN_NewsRetriever")
+    with pytest.raises(TypeError, match="^class reference must be an ElementId or string$"):
+        is_instance_of(vm, cnn, 42)
 
 
 def test_dump_instance_nested():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import os
+
+import pytest
 
 from mtalk import graph, source, watch
 from mtalk.compiler import compile_workspace
@@ -26,6 +29,15 @@ def edit(root, name: str, old: str, new: str) -> None:
     text = path.read_text(encoding="utf-8")
     assert old in text
     path.write_text(text.replace(old, new, 1), encoding="utf-8")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_session_start_leaves_the_collector_as_the_caller_had_it(tmp_path, collector_on, enabled):
+    (gc.enable if enabled else gc.disable)()
+    frozen = gc.get_freeze_count()
+    session_for(tmp_path)
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() > frozen  # the start-up compile is frozen
 
 
 def test_poll_is_none_when_nothing_changed(tmp_path):
