@@ -144,28 +144,19 @@ def _check_ref(model, owner, name, expr: RefValue, t: TypeRef, diags):
                     owner,
                 )
             )
-        cls = model.lookup(entry.decl.class_ref)
-        if cls is not None and cls in model.classes and not conforms(model, _class_type(cls), t):
-            diags.append(
-                dx.error(
-                    dx.TYPE_MISMATCH,
-                    f"value of '{name}' must conform to {t.render()} (got {cls.render()})",
-                    expr.span,
-                    owner,
-                )
-            )
+        injected = model.lookup(entry.decl.class_ref)
     else:
         # a ref to a class injects the class reified as an instance of its metaclass
-        mc = model.classes[target].metaclass
-        if mc is not None and mc in model.classes and not conforms(model, _class_type(mc), t):
-            diags.append(
-                dx.error(
-                    dx.TYPE_MISMATCH,
-                    f"value of '{name}' must conform to {t.render()} (got {mc.render()})",
-                    expr.span,
-                    owner,
-                )
+        injected = model.classes[target].metaclass
+    if injected is not None and injected in model.classes and not conforms(model, _class_type(injected), t):
+        diags.append(
+            dx.error(
+                dx.TYPE_MISMATCH,
+                f"value of '{name}' must conform to {t.render()} (got {injected.render()})",
+                expr.span,
+                owner,
             )
+        )
 
 
 def _check_inline(model, owner, expr: InlineBean, t: TypeRef | None, diags):
@@ -448,12 +439,12 @@ def check_conformance(model: ResolvedModel, manifest: NativeManifest, ids=None) 
     diags: list[Diagnostic] = []
     classes = model.classes if ids is None else [eid for eid in ids if eid in model.classes]
     for eid in sorted(classes, key=ElementId.render):
-        cd = model.classes[eid]
-        if cd.is_declarative or cd.kind is ElementKind.METACLASS or eid in model.kernel_ids:
+        cd, entry = model.classes[eid], model.elements[eid]
+        if cd.is_declarative or entry.kind is ElementKind.METACLASS or eid in model.kernel_ids:
             continue
         name = eid.render()
         sig = manifest.get(name)
-        span = model.elements[eid].decl.span
+        span = entry.decl.span
         if sig is None:
             diags.append(
                 dx.error(dx.CONFORMANCE, f"no manifest entry for native class '{name}'", span, eid)
@@ -645,7 +636,7 @@ def _property_changes(prev: ResolvedModel, new: ResolvedModel, seeds) -> tuple[s
     for eid in seeds:
         a = prev.classes.get(eid)
         b = new.classes.get(eid)
-        if a is None or b is None or _shape(a) != _shape(b):
+        if a is None or b is None or _shape(prev, eid) != _shape(new, eid):
             continue
         narrow.add(eid)
         types_a, types_b = _types_by_name(a), _types_by_name(b)
@@ -653,8 +644,9 @@ def _property_changes(prev: ResolvedModel, new: ResolvedModel, seeds) -> tuple[s
     return narrow, names
 
 
-def _shape(cd: ClassDef) -> tuple:
-    return (cd.kind, cd.metaclass, cd.parent, cd.explicit_parent, cd.class_assignments,
+def _shape(model: ResolvedModel, eid: ElementId) -> tuple:
+    cd, entry = model.classes[eid], model.elements[eid]
+    return (entry.kind, cd.metaclass, cd.parent, entry.decl.parent_ref is not None, cd.class_assignments,
             cd.is_declarative, cd.is_abstract)
 
 
@@ -806,7 +798,7 @@ def incremental_compile(
 # ---------------------------------------------------------------------------
 # State persistence
 
-_STATE_MAGIC = b"MTALKST7\n"
+_STATE_MAGIC = b"MTALKST8\n"
 STATE_FILENAME = "state.bin"
 
 

@@ -28,7 +28,6 @@ from .source import (
     BeanDecl,
     SourceUnit,
     ValueExpr,
-    duplicate_id_diags,
     parse_unit,
 )
 
@@ -99,11 +98,11 @@ class PropertyDefinition:
 
 @record
 class ClassDef:
-    id: ElementId
-    kind: ElementKind
+    """What resolution derives for a class bean. Its kind is its element's,
+    and whether its parent is written is its declaration's."""
+
     metaclass: ElementId | None  # resolved classRef target, None when unresolved
     parent: ElementId | None     # resolved superclass (implicit Object applies)
-    explicit_parent: bool
     own_properties: tuple[PropertyDefinition, ...]
     class_assignments: tuple[tuple[str, ValueExpr], ...]
     is_declarative: bool
@@ -112,9 +111,11 @@ class ClassDef:
 
 @record
 class ResolvedElement:
+    """An element: its winning declaration, whose span's path is its
+    unit's, and its kind."""
+
     decl: BeanDecl
     kind: ElementKind
-    unit_path: str
 
 
 class ResolvedModel:
@@ -255,18 +256,23 @@ class ResolvedModel:
 # Resolution
 
 
-def _first_declarations(units) -> tuple[dict[ElementId, BeanDecl], bool]:
-    """Each id's first declaration in unit order, and whether a later unit
-    declares an id again."""
+def _first_declarations(units) -> tuple[dict[ElementId, BeanDecl], list[Diagnostic]]:
+    """Each id's first declaration in unit order, and an E008 for every
+    later declaration of it. A unit declares an id once (the parser drops
+    the rest), so each E008 is a later unit's."""
     decls: dict[ElementId, BeanDecl] = {}
-    shared = False
+    dups: list[Diagnostic] = []
     for unit in units:
         for decl in unit.beans:
-            if decl.id in decls:
-                shared = True
-            else:
-                decls[decl.id] = decl
-    return decls, shared
+            first = decls.setdefault(decl.id, decl)
+            if first is not decl:
+                dups.append(dx.error(
+                    dx.DUPLICATE_ID,
+                    f"duplicate element id '{decl.id.render()}' (first declared at {first.span.render()})",
+                    decl.span,
+                    decl.id,
+                ))
+    return decls, dups
 
 
 class _Table:
@@ -342,13 +348,13 @@ def _fold_scope(prev: ResolvedModel, in_edges, units, changed) -> tuple[set | No
         for unit in (prev.units.get(p), units.get(p)):
             if unit is not None:
                 touched.update(decl.id for decl in unit.beans)
-    decls, shared = _first_declarations(units[p] for p in sorted(changed) if p in units)
-    if shared:
+    decls, dups = _first_declarations(units[p] for p in sorted(changed) if p in units)
+    if dups:
         return None, None
     for eid in touched:
         entry = prev.elements.get(eid)
         # declared by an unchanged unit too, now or before
-        if entry is not None and entry.unit_path not in changed:
+        if entry is not None and entry.decl.span.path not in changed:
             return None, None
         if any(d.code == dx.DUPLICATE_ID for d in prev.diags.get(eid, ())):
             return None, None
@@ -369,7 +375,7 @@ def _fold_scope(prev: ResolvedModel, in_edges, units, changed) -> tuple[set | No
         spelled = {eid.local for eid in moved}
         for src in sources:
             entry = prev.elements[src]
-            if entry.unit_path not in changed and any(
+            if entry.decl.span.path not in changed and any(
                 ref.local in spelled and prev.lookup(ref) != table.lookup(ref)
                 for _, ref, _, _ in entry.decl.references()
             ):
@@ -416,7 +422,7 @@ def resolve(
         touched, decls = _fold_scope(prev, in_edges, ordered, changed)
     while True:
         if touched is None:
-            decls = _first_declarations(ordered.values())[0]
+            decls, dups = _first_declarations(ordered.values())
         table = _Table(decls, touched, prev_elements)
         kinds = {eid: table.kind(eid) for eid in decls}
         if touched is None or all(
@@ -439,8 +445,7 @@ def resolve(
     for eid, decl in decls.items():
         entry = prev_elements.get(eid)
         if entry is None or entry.decl is not decl or entry.kind is not kinds[eid]:
-            # a declaration's span path is its unit's path
-            entry = ResolvedElement(decl, kinds[eid], decl.span.path)
+            entry = ResolvedElement(decl, kinds[eid])
         elements[eid] = entry
 
     model = ResolvedModel(ordered, elements, classes, diags)
@@ -450,7 +455,7 @@ def resolve(
     # class/parent reference diagnostics
     found: dict[ElementId, list[Diagnostic]] = {}
     if touched is None:
-        for d in duplicate_id_diags(ordered.values()):
+        for d in dups:
             found.setdefault(d.element, []).append(d)
     for eid, decl in decls.items():
         target = lookup(decl.class_ref)
@@ -473,15 +478,12 @@ def resolve(
     # class definitions
     prev_classes = prev.classes if prev is not None else {}
     for eid, decl in decls.items():
-        kind = kinds[eid]
-        if kind is ElementKind.INSTANCE:
+        if kinds[eid] is ElementKind.INSTANCE:
             continue
         if decl.parent_ref is not None:
             parent = lookup(decl.parent_ref)
-            explicit = True
         else:
             parent = OBJECT_ID if eid != OBJECT_ID else None
-            explicit = False
         metaclass = lookup(decl.class_ref)
         types = [model.resolve_type(d.type_ref, d.type_written) for d in decl.property_defs]
         kept = prev_classes.get(eid)
@@ -499,11 +501,8 @@ def resolve(
             for d, t in zip(decl.property_defs, types)
         )
         classes[eid] = ClassDef(
-            id=eid,
-            kind=kind,
             metaclass=metaclass,
             parent=parent,
-            explicit_parent=explicit,
             own_properties=own,
             class_assignments=decl.assignments,
             is_declarative=decl.declarative,

@@ -8,7 +8,6 @@ native objects for bound classes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,12 +39,18 @@ class NativeClassSig:
 
 @dataclass(frozen=True)
 class NativeManifest:
+    """A manifest is its path and classes: two that agree on them give the
+    same diagnostics, so a reformatted manifest is the same manifest."""
+
     path: str
-    fingerprint: str
     classes: tuple[NativeClassSig, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "_map", {c.name: c for c in self.classes})
+
+    def __reduce__(self):
+        # the by-name map is derived: a pickled manifest holds its fields only
+        return NativeManifest, (self.path, self.classes)
 
     def get(self, name: str) -> NativeClassSig | None:
         return self._map.get(name)  # type: ignore[attr-defined]
@@ -89,8 +94,7 @@ def parse_manifest(text: str, path: str) -> NativeManifest:
             fnames.add(fname)
             fields.append(NativeFieldSig(fname, ftype))
         classes.append(NativeClassSig(name, parent, tuple(fields)))
-    fingerprint = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return NativeManifest(path=path, fingerprint=fingerprint, classes=tuple(classes))
+    return NativeManifest(path=path, classes=tuple(classes))
 
 
 def load_manifest(path) -> NativeManifest:

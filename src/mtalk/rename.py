@@ -103,10 +103,13 @@ def _patched_text(text: str, patches: list[Patch]) -> str:
 def apply_patchset(patchset: PatchSet, root: str) -> list[str]:
     """Apply patches under the workspace root. Returns the rewritten paths.
 
-    All target files are read and patched in memory before any write; each
-    file is then replaced atomically. Line endings are read and written as
-    they are, so only the patched ranges change, and a line break inside a
-    replacement takes the spelling of the range it replaces.
+    All target files are read and patched in memory, and every patched
+    text is written to a temporary file beside its target, before any
+    target is replaced. A write that fails removes the temporaries written
+    so far and re-raises, leaving every unit as it was. Line endings are
+    read and written as they are, so only the patched ranges change, and a
+    line break inside a replacement takes the spelling of the range it
+    replaces.
     """
     by_path: dict[str, list[Patch]] = {}
     for p in patchset.patches:
@@ -120,11 +123,18 @@ def apply_patchset(patchset: PatchSet, root: str) -> list[str]:
         except OSError as exc:
             raise NotFoundError(f"cannot read '{rel}': {exc}") from None
         staged.append((full, _patched_text(text, by_path[rel])))
-    for full, new_text in staged:
-        tmp = full + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
-            f.write(new_text)
-        os.replace(tmp, full)
+    written: list[str] = []
+    try:
+        for full, new_text in staged:
+            with open(full + ".tmp", "w", encoding="utf-8", newline="") as f:
+                written.append(full)
+                f.write(new_text)
+    except OSError:
+        for full in written:
+            os.remove(full + ".tmp")
+        raise
+    for full in written:
+        os.replace(full + ".tmp", full)
     return sorted(by_path)
 
 
@@ -171,7 +181,7 @@ def _naming_paths(state: CompileState, targets, kind: str | None = None) -> set[
     is not an element, so no edge leaves it."""
     by_target, elements = state.graph.by_target(), state.resolved.elements
     paths = {
-        elements[e.src].unit_path for t in targets for e in by_target.get(t, ()) if kind in (None, e.kind)
+        elements[e.src].decl.span.path for t in targets for e in by_target.get(t, ()) if kind in (None, e.kind)
     }
     paths.update(d.span.path for ds in state.resolved.diags.values() for d in ds if d.code == dx.DUPLICATE_ID)
     return paths
@@ -218,7 +228,7 @@ def rename_element(
                         f"renaming would shadow '{new}' referenced in {unit.path}"
                     )
 
-    paths = _naming_paths(state, (old_id,)) | {model.elements[old_id].unit_path}
+    paths = _naming_paths(state, (old_id,)) | {model.elements[old_id].decl.span.path}
     patches: list[Patch] = []
     for unit in state.units.values():
         if unit.path not in paths:
@@ -308,7 +318,7 @@ def rename_property(
 
     # rows are in the units that declare a scope class, assignments in those
     # whose beans, or inline beans, are instances of one
-    paths = _naming_paths(state, scope, INSTANCE_OF) | {model.elements[cls].unit_path for cls in scope}
+    paths = _naming_paths(state, scope, INSTANCE_OF) | {model.elements[cls].decl.span.path for cls in scope}
     patches: list[Patch] = []
     for unit in state.units.values():
         if unit.path not in paths:

@@ -47,13 +47,10 @@ class _Particle:
 
 @dataclass
 class _ComplexType:
-    # mode: "all" (unordered unique), "sequence" (ordered particles), "open"
-    # (xs:any, any attributes), "empty" (attributes only)
-    mode: str
+    mode: str  # "all" (unordered unique) or "sequence" (ordered particles)
     all_elems: dict[str, tuple[str, bool]] = field(default_factory=dict)  # name -> (type, required)
     sequence: tuple[_Particle, ...] = ()
     attrs: dict[str, tuple[str, bool]] = field(default_factory=dict)  # name -> (type, required)
-    any_attrs: bool = False
 
     @cached_property
     def required_elems(self) -> tuple[str, ...]:  # the required names of all_elems, in order
@@ -111,11 +108,12 @@ _ANY_SLOT = ("xs:anyType", False)
 
 
 def _model_fingerprint(units) -> str:
+    """sha256 over each unit's path and the hex sha256 of its text."""
     h = hashlib.sha256()
     for path in sorted(units):
         h.update(path.encode("utf-8"))
         h.update(b"\x00")
-        h.update(units[path].content_hash.encode("ascii"))
+        h.update(hashlib.sha256(units[path].text.encode("utf-8")).hexdigest().encode("ascii"))
         h.update(b"\x00")
     return h.hexdigest()
 
@@ -191,7 +189,7 @@ def _render_complex(w: list[str], name: str, ct: _ComplexType) -> None:
             for el, (t, required) in ct.all_elems.items()
         ]
         w.append("    </xs:all>")
-    elif ct.mode == "sequence":
+    else:
         w.append("    <xs:sequence>")
         for p in ct.sequence:
             occurs = "" if p.min == 1 else f' minOccurs="{p.min}"'
@@ -326,7 +324,7 @@ def _add_top_level(sch: _Schema, child) -> None:
 
 
 def _parse_complex(node) -> _ComplexType:
-    mode, all_elems, sequence, attrs, any_attrs = "empty", {}, [], {}, False
+    mode, all_elems, sequence, attrs = None, {}, [], {}
     for child in node:
         if child.tag == _XS + "all":
             mode = "all"
@@ -338,9 +336,6 @@ def _parse_complex(node) -> _ComplexType:
         elif child.tag == _XS + "sequence":
             mode = "sequence"
             for el in child:
-                if el.tag == _XS + "any":
-                    mode = "open"
-                    continue
                 if el.tag != _XS + "element":
                     raise SchemaError("unsupported sequence particle")
                 mx = el.get("maxOccurs", "1")
@@ -354,11 +349,11 @@ def _parse_complex(node) -> _ComplexType:
                 )
         elif child.tag == _XS + "attribute":
             attrs[child.get("name")] = (child.get("type"), child.get("use") == "required")
-        elif child.tag == _XS + "anyAttribute":
-            any_attrs = True
         elif child.tag != _XS + "annotation":
             raise SchemaError(f"unsupported complexType construct {child.tag}")
-    return _ComplexType(mode, all_elems, tuple(sequence), attrs, any_attrs)
+    if mode is None:
+        raise SchemaError(f"complexType '{node.get('name')}' has no xs:all or xs:sequence")
+    return _ComplexType(mode, all_elems, tuple(sequence), attrs)
 
 
 def _parse_simple(node) -> tuple[Scalar, frozenset | None]:
@@ -429,8 +424,6 @@ class _Validator:
         ct = self.schema.complex.get(type_name)
         if ct is None:
             raise SchemaError(f"unknown type '{type_name}'")
-        if ct.mode == "open":
-            return
         self.check_attrs(node, ct)
         if node.text.strip():
             self.fail(node.span, f"element '{node.tag}' must not contain text")
@@ -449,7 +442,7 @@ class _Validator:
             for name in ct.required_elems:
                 if name not in seen:
                     self.fail(node.span, f"required element '{name}' missing in '{node.tag}'")
-        elif ct.mode == "sequence":
+        else:
             i = 0
             children = node.children
             for part in ct.sequence:
@@ -464,9 +457,6 @@ class _Validator:
                     self.fail(node.span, f"expected element '{part.name}' in '{node.tag}'")
             for extra in children[i:]:
                 self.fail(extra.span, f"element '{extra.tag}' not allowed in '{node.tag}'")
-        else:  # empty content
-            for child in node.children:
-                self.fail(child.span, f"element '{child.tag}' not allowed in '{node.tag}'")
 
     def check_attrs(self, node: XmlElement, ct: _ComplexType):
         for name, value in node.attrs.items():
@@ -474,8 +464,7 @@ class _Validator:
                 continue
             spec = ct.attrs.get(name)
             if spec is None:
-                if not ct.any_attrs:
-                    self.fail(node.attr_span(name), f"attribute '{name}' not allowed on '{node.tag}'")
+                self.fail(node.attr_span(name), f"attribute '{name}' not allowed on '{node.tag}'")
                 continue
             problem = self.simple_problem(spec[0], value)
             if problem:

@@ -33,7 +33,6 @@ returns every unit's sorted root-relative path with its ``(mtime_ns, size)``;
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 from bisect import bisect_right
@@ -140,12 +139,11 @@ class BeanDecl:
                 yield expr.written_class, expr.class_ref, expr.span, "class"
 
 
-@dataclass(slots=True)
+@record
 class SourceUnit:
     path: str
     namespace: str
     text: str
-    content_hash: str
     beans: tuple[BeanDecl, ...]
     root_tag: str | None
 
@@ -772,16 +770,10 @@ class _UnitParser:
             path=self.path,
             namespace=self.namespace,
             text=self.text,
-            content_hash=unit_hash(self.text),
             beans=tuple(self.beans),
             root_tag=self.root_tag,
         )
         return unit, self.diags
-
-
-def unit_hash(text: str) -> str:
-    """A unit's content hash: hex sha256 of its text as UTF-8."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _common_prefix(a: str, b: str) -> int:
@@ -862,28 +854,6 @@ def element_reader(unit: SourceUnit):
     return read
 
 
-def duplicate_id_diags(units) -> list[Diagnostic]:
-    """Cross-unit E008s: a later unit's bean that reuses an earlier unit's id.
-    Resolution reports them, so they follow every fold."""
-    first: dict[ElementId, SourceSpan] = {}
-    out: list[Diagnostic] = []
-    for unit in units:
-        for bean in unit.beans:
-            prior = first.get(bean.id)
-            if prior is None:
-                first[bean.id] = bean.span
-            elif prior.path != bean.span.path:
-                out.append(
-                    dx.error(
-                        dx.DUPLICATE_ID,
-                        f"duplicate element id '{bean.id.render()}' (first declared at {prior.render()})",
-                        bean.span,
-                        bean.id,
-                    )
-                )
-    return out
-
-
 def unit_signatures(root) -> dict[str, tuple[int, int]]:
     """Workspace discovery: every *.model.xml file under root with its
     (mtime_ns, size), keyed by POSIX path relative to root, in sorted order.
@@ -935,10 +905,10 @@ def read_unit_text(root, rel: str) -> tuple[str | None, Diagnostic | None]:
 def read_units(root, paths, known=None, clean=()) -> tuple[list[SourceUnit], list[str], list[Diagnostic]]:
     """The workspace reader: read and parse the units at paths.
 
-    A path whose text hashes to ``known[path].content_hash`` is skipped
-    unparsed. A path in clean, whose known unit parsed with no diagnostics,
-    is parsed with that unit as prev (see parse_unit). A file that cannot
-    be read or decoded gives an E000 diagnostic and counts as absent.
+    A path whose text equals ``known[path].text`` is skipped unparsed. A
+    path in clean, whose known unit parsed with no diagnostics, is parsed
+    with that unit as prev (see parse_unit). A file that cannot be read or
+    decoded gives an E000 diagnostic and counts as absent.
     Returns the parsed units, the unreadable paths and the diagnostics.
     """
     known = known or {}
@@ -953,7 +923,7 @@ def read_units(root, paths, known=None, clean=()) -> tuple[list[SourceUnit], lis
             diags.append(error)
             continue
         prior = known.get(rel)
-        if prior is not None and prior.content_hash == unit_hash(text):
+        if prior is not None and prior.text == text:
             continue
         unit, udiags = parse_unit(text, rel, ids, prior if rel in clean else None)
         units.append(unit)

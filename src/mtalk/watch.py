@@ -27,8 +27,9 @@ class WatchSession:
 
     poll() returns None when nothing happened, otherwise a WatchResult for
     the batch of changes seen since the previous poll. Detection is by
-    mtime/size; a touched file is read and hashed, and parsed only when its
-    content changed. report is the diagnostics of the current state.
+    mtime/size; a touched file is read, and parsed only when its text
+    differs from the unit the state holds. report is the diagnostics of
+    the current state.
     """
 
     def __init__(self, root, manifest: NativeManifest | None = None):

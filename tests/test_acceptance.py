@@ -309,7 +309,7 @@ def test_c07_large_model_budgets(tmp_path):
                     for p in cd.own_properties}
     old = next(c for c in sorted(model.classes, key=ElementId.render)
                if model.classes[c].is_declarative and c not in model.kernel_ids and c not in native_types
-               and len({model.elements[e.src].unit_path for e in state3.graph.incoming(c)}) >= 3)
+               and len({model.elements[e.src].decl.span.path for e in state3.graph.incoming(c)}) >= 3)
     patchset, warnings = rename_element(state3, old.local, old.local + "_rn")
     apply_patchset(patchset, str(root))
     renamed = {rel: (root / rel).read_text(encoding="utf-8") for rel in patchset.paths()}

@@ -156,16 +156,17 @@ def test_corrupt_state_file_falls_back_to_full_compile(golden_root, capsys):
 
 
 def test_state_of_the_previous_layout_compiles_cold(golden_root, capsys, monkeypatch):
-    # under MTALKST6 a state's dependency graph pickled its node set beside
-    # its edges by source
+    # under MTALKST7 a unit carried a content hash, an element its unit's
+    # path, a class its id, kind and parent flag, and a manifest the hash
+    # of its text and its by-name map
     from mtalk import cli
     from mtalk.compiler import _STATE_MAGIC, load_state
 
     run(capsys, "compile", "--root", str(golden_root))
     state_dir = golden_root / ".mtalk" / "state"
     state_file = state_dir / "state.bin"
-    assert _STATE_MAGIC == b"MTALKST7\n"
-    state_file.write_bytes(b"MTALKST6\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
+    assert _STATE_MAGIC == b"MTALKST8\n"
+    state_file.write_bytes(b"MTALKST7\n" + state_file.read_bytes()[len(_STATE_MAGIC):])
     assert load_state(state_dir) is None
     cold = []
     monkeypatch.setattr(cli, "compile_workspace", lambda *a: cold.append(1) or compile_workspace(*a))
@@ -228,6 +229,25 @@ def test_only_a_compile_that_changed_something_rewrites_the_state(golden_root, c
     assert code == EXIT_OK and "Ghost" in out
     assert state_file.stat().st_mtime_ns != 10**18
     assert load_state(state_dir).manifest.get("Ghost") is not None
+
+
+def test_a_reformatted_manifest_is_the_same_manifest(golden_root, capsys):
+    state_file = golden_root / ".mtalk" / "state" / "state.bin"
+    manifest_file = golden_root / "manifest.json"
+    manifest = json.loads(manifest_file.read_text(encoding="utf-8"))
+    first = run(capsys, "compile", "--root", str(golden_root))
+    os.utime(state_file, ns=(10**18, 10**18))  # a rewrite cannot keep this mtime
+    before = state_file.read_bytes()
+    manifest_file.write_text(json.dumps(manifest, indent=7, sort_keys=True), encoding="utf-8")
+    assert run(capsys, "compile", "--root", str(golden_root)) == first
+    assert (state_file.read_bytes(), state_file.stat().st_mtime_ns) == (before, 10**18)
+
+    manifest["classes"][0]["fields"][0]["type"] = "Double"
+    manifest_file.write_text(json.dumps(manifest), encoding="utf-8")
+    warm = run(capsys, "compile", "--root", str(golden_root))
+    assert state_file.stat().st_mtime_ns != 10**18
+    assert warm[0] == EXIT_ERRORS and "error[E007]" in warm[1]
+    assert run(capsys, "compile", "--root", str(golden_root), "--no-cache") == warm
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +511,19 @@ def test_rename_applies_and_recompiles_clean(tmp_path, capsys):
     code, out, _ = run(capsys, "compile", "--root", str(tmp_path), "--no-cache")
     assert code == EXIT_OK
     assert out == ""
+
+
+def test_rename_that_cannot_write_changes_nothing(tmp_path, capsys):
+    texts = {"a.model.xml": '<model>\n  <bean id="C" class="Class"/>\n</model>\n',
+             "b.model.xml": '<model>\n  <bean id="I" class="C"/>\n</model>\n'}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "b.model.xml.tmp").mkdir()  # where b's temporary file would go
+    code, out, err = run(capsys, "rename", "C", "D", "--root", str(tmp_path), "--no-cache")
+    assert code == EXIT_IO and "b.model.xml.tmp" in err
+    assert {n: (tmp_path / n).read_bytes() for n in texts} == {n: t.encode() for n, t in texts.items()}
+    assert [p.name for p in tmp_path.glob("*.tmp")] == ["b.model.xml.tmp"]
+    assert run(capsys, "compile", "--root", str(tmp_path), "--no-cache") == (EXIT_OK, "", "")
 
 
 def test_rename_property_via_flag(tmp_path, capsys):

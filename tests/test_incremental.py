@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import importlib
+import io
 import json
 import os
 import pickle
@@ -328,9 +329,7 @@ def test_state_roundtrip(tmp_path):
     assert target.name == STATE_FILENAME
     loaded = load_state(tmp_path / "cache")
     assert loaded is not None
-    assert {p: u.content_hash for p, u in loaded.units.items()} == {
-        p: u.content_hash for p, u in state.units.items()
-    }
+    assert {p: u.text for p, u in loaded.units.items()} == {p: u.text for p, u in state.units.items()}
     assert [d.render() for d in loaded.all_diagnostics()] == []
     # the reloaded state keeps working incrementally
     edited = GOLDEN_UNITS["core.model.xml"].replace(
@@ -460,6 +459,57 @@ def test_a_state_pickled_through_getstate_still_loads(tmp_path, monkeypatch):
     assert_same_state(load_state(tmp_path / "old"), golden)
 
 
+def pickled_types(obj) -> set[type]:
+    """The type of every object that pickling obj writes."""
+    seen: set[type] = set()
+
+    class Recorder(pickle.Pickler):
+        def persistent_id(self, o):
+            seen.add(type(o))
+            return None
+
+    Recorder(io.BytesIO(), pickle.HIGHEST_PROTOCOL).dump(obj)
+    return seen
+
+
+# Each dataclass and NamedTuple that a state pickles, with its fields, as
+# written under _STATE_MAGIC.
+STATE_LAYOUT = {
+    "BeanDecl": ("id", "written_id", "class_ref", "written_class", "parent_ref", "written_parent", "abstract",
+                 "declarative", "property_defs", "assignments", "span"),
+    "ClassDef": ("metaclass", "parent", "own_properties", "class_assignments", "is_declarative", "is_abstract"),
+    "CompileState": ("units", "parse_by_path", "resolved", "graph", "validate_by_element", "graph_diags",
+                     "conformance_diags", "manifest", "token", "folded_from", "dirty"),
+    "Diagnostic": ("severity", "code", "message", "span", "element"),
+    "Edge": ("src", "dst", "kind"),
+    "ElementId": ("namespace", "local"),
+    "InlineBean": ("class_ref", "written_class", "assignments", "span"),
+    "NativeClassSig": ("name", "parent", "fields"),
+    "NativeFieldSig": ("name", "type"),
+    "NativeManifest": ("path", "classes"),
+    "PropertyDefinition": ("name", "type", "description", "declared_by", "span"),
+    "RawPropertyDef": ("name", "type_written", "type_ref", "description", "span"),
+    "RefValue": ("target", "written", "span"),
+    "ResolvedElement": ("decl", "kind"),
+    "ScalarValue": ("text", "span"),
+    "SourceSpan": ("path", "line", "column", "end_line", "end_column"),
+    "SourceUnit": ("path", "namespace", "text", "beans", "root_tag"),
+    "TypeRef": ("builtin", "class_id", "written"),
+}
+
+
+def test_state_layout_is_pinned_to_its_magic(tmp_path):
+    # a state.bin of another layout unpickles its fields into the wrong slots
+    # or fails, so a field change needs a new magic: an old file then compiles cold
+    types = set().union(*map(pickled_types, states_with_diagnostics(tmp_path)))
+    layout = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls)) for cls in types if dataclasses.is_dataclass(cls)}
+    layout.update((cls.__name__, cls._fields) for cls in types if issubclass(cls, tuple) and hasattr(cls, "_fields"))
+    # every pickled dataclass but CompileState and NativeManifest is a record
+    records = {cls.__name__ for cls in record_classes() if cls in types}
+    assert records == set(layout) - {"CompileState", "NativeManifest", "ElementId", "Edge"}
+    assert (layout, _STATE_MAGIC) == (STATE_LAYOUT, b"MTALKST8\n"), "a record's fields and the state magic: bump both together"
+
+
 # ---------------------------------------------------------------------------
 # Folds that keep every element id and kind patch the graph and keep the
 # injection-cycle report
@@ -536,7 +586,7 @@ def _clean_fold_steps(root):
     cls = next(c for c in sorted(model.classes, key=ElementId.render)
                if model.classes[c].is_declarative and c not in model.kernel_ids
                and any(p.type.builtin in ("Long", "Double") for p in model.classes[c].own_properties))
-    cpath = model.elements[cls].unit_path
+    cpath = model.elements[cls].decl.span.path
     ctext = texts[cpath]
     at = ctext.index(f'<bean id="{cls.local}"')
     typed = min(i for i in (ctext.find("<type>Long</type>", at), ctext.find("<type>Double</type>", at)) if i >= 0)
@@ -549,7 +599,7 @@ def _clean_fold_steps(root):
                     for p in cd.own_properties}
     old = next(c for c in sorted(model.classes, key=ElementId.render)
                if model.classes[c].is_declarative and c not in model.kernel_ids and c not in native_types
-               and len({model.elements[e.src].unit_path for e in state.graph.incoming(c)}) >= 2)
+               and len({model.elements[e.src].decl.span.path for e in state.graph.incoming(c)}) >= 2)
     extra = '<model>\n  <bean id="Extra" class="C0003"/>\n</model>\n'
 
     def renamed(st, a, b):
@@ -670,7 +720,7 @@ def test_value_fold_keeps_untouched_resolved_elements_and_class_defs(tmp_path):
     new, recompiled, diags = incremental_compile(state, [unit])
     assert diags == [] and eid("C0001") in recompiled
     before, after = state.resolved, new.resolved
-    untouched = [e for e, entry in before.elements.items() if entry.unit_path != path]
+    untouched = [e for e, entry in before.elements.items() if entry.decl.span.path != path]
     assert len(untouched) < len(before.elements)
     assert sum(e in before.classes for e in untouched) > 10
     for e in untouched:

@@ -190,7 +190,7 @@ def test_metaclass_must_instantiate_metaclass():
 def test_implicit_parent_is_object():
     model = golden_model()
     cd = model.classes[eid("HTTP_Client")]
-    assert cd.parent == OBJECT_ID and not cd.explicit_parent
+    assert cd.parent == OBJECT_ID and model.elements[eid("HTTP_Client")].decl.parent_ref is None
 
 
 def test_golden_lineages():

@@ -1,6 +1,7 @@
 """Native-binding manifest parsing and the factory registry."""
 
 import json
+import pickle
 
 import pytest
 
@@ -48,12 +49,17 @@ def test_fields_default_to_empty():
     assert mani.get("A").parent is None
 
 
-def test_fingerprint_tracks_text():
-    a = parse_manifest('{"classes": []}', "m.json")
-    b = parse_manifest('{"classes":  []}', "m.json")
-    c = parse_manifest('{"classes": []}', "m.json")
-    assert a.fingerprint == c.fingerprint
-    assert a.fingerprint != b.fingerprint
+def test_manifests_compare_by_path_and_classes():
+    doc = '{"classes": [{"name": "A", "fields": [{"name": "x", "type": "Long"}]}]}'
+    a = parse_manifest(doc, "m.json")
+    reformatted = parse_manifest(json.dumps(json.loads(doc), indent=4), "m.json")
+    assert a == reformatted and hash(a) == hash(reformatted)
+    assert a != parse_manifest(doc.replace("Long", "String"), "m.json")
+    assert a != parse_manifest(doc, "other.json")
+    # a pickled manifest holds its fields, not its by-name map
+    loaded = pickle.loads(pickle.dumps(a))
+    assert loaded == a and loaded.get("A") == a.get("A")
+    assert a.__reduce__() == (NativeManifest, ("m.json", a.classes))
 
 
 @pytest.mark.parametrize(
@@ -117,7 +123,6 @@ def test_signature_value_semantics():
 def test_manifest_lookup_is_by_exact_name():
     mani = NativeManifest(
         path="m.json",
-        fingerprint="0" * 64,
         classes=(NativeClassSig("ns:A", None, ()),),
     )
     assert mani.get("ns:A") is not None

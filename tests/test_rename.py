@@ -547,6 +547,24 @@ def test_apply_patchset_keeps_line_endings(tmp_path):
         assert diags2 == [] and eid(new) in state2.resolved.classes
 
 
+def test_apply_patchset_that_cannot_write_changes_nothing(tmp_path):
+    texts = {"a.model.xml": '<model>\n  <bean id="C" class="Class"/>\n</model>\n',
+             "b.model.xml": '<model>\n  <bean id="I" class="C"/>\n</model>\n'}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "b.model.xml.tmp").mkdir()  # where b's temporary file would go
+    state, diags = compile_workspace(tmp_path)
+    assert diags == []
+    patchset, _ = rename_element(state, "C", "D")
+    assert patchset.paths() == ("a.model.xml", "b.model.xml")
+    with pytest.raises(IsADirectoryError):
+        apply_patchset(patchset, str(tmp_path))
+    # a's temporary file is gone and neither unit was replaced
+    assert {n: (tmp_path / n).read_bytes() for n in texts} == {n: t.encode() for n, t in texts.items()}
+    assert {p.name for p in tmp_path.iterdir()} == {*texts, "b.model.xml.tmp"}
+    assert compile_workspace(tmp_path)[1] == []
+
+
 def test_apply_patchset_missing_file(tmp_path):
     span = SourceSpan("ghost.model.xml", 1, 1, 1, 2)
     ps = PatchSet((Patch("ghost.model.xml", span, "x"),))

@@ -92,6 +92,16 @@ def test_fingerprint_tracks_model_content():
     assert a.generated_from != b.generated_from
 
 
+def test_fingerprint_hashes_each_unit_path_and_text():
+    state, _ = compile_golden()
+    h = hashlib.sha256()
+    for path in sorted(state.units):
+        h.update(path.encode() + b"\x00" + hashlib.sha256(state.units[path].text.encode()).hexdigest().encode() + b"\x00")
+    doc = generate_schemas(state)[""]
+    assert doc.generated_from == h.hexdigest()
+    assert f"Generated from model build {h.hexdigest()}. Do not edit." in doc.text
+
+
 def test_generate_schemas_per_namespace():
     state, diags = compile_texts(
         a_model_xml='<model xmlns="alpha"><bean id="A" class="Class" declarative="true"/></model>',
@@ -415,6 +425,20 @@ def test_unsupported_construct_in_unreferenced_type_raises():
     for _ in range(2):
         with pytest.raises(SchemaError, match="unsupported complexType construct"):
             validate_with_schema(broken, "<model/>")
+
+
+@pytest.mark.parametrize("construct,message", [
+    ('<xs:sequence><xs:any/></xs:sequence>', "unsupported sequence particle"),
+    ('<xs:all/><xs:anyAttribute/>', "unsupported complexType construct"),
+    ('<xs:attribute name="a" type="xs:string"/>', "has no xs:all or xs:sequence"),
+])
+def test_constructs_the_generator_never_writes_raise(construct, message):
+    # open content, any attributes and attribute-only types
+    text = golden_schema().text.replace(
+        "</xs:schema>", f'<xs:complexType name="extra">{construct}</xs:complexType></xs:schema>'
+    )
+    with pytest.raises(SchemaError, match=message):
+        validate_with_schema(text, "<model/>")
 
 
 def test_unusable_schema_texts_raise():

@@ -18,7 +18,6 @@ from mtalk.source import (
     InlineBean,
     RefValue,
     ScalarValue,
-    duplicate_id_diags,
     element_reader,
     parse_unit,
     parse_workspace,
@@ -181,14 +180,6 @@ def test_single_quoted_attributes():
     unit, diags = parse("<model xmlns='q'><bean id='A' class='C'/></model>")
     assert diags == []
     assert unit.beans[0].id == ElementId("q", "A")
-
-
-def test_content_hash_is_sha256_of_text():
-    import hashlib
-
-    text = '<model><bean id="A" class="C"/></model>'
-    unit, _ = parse(text)
-    assert unit.content_hash == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_parse_is_deterministic():
@@ -783,11 +774,6 @@ def test_undecodable_unit_is_reported_and_left_out(tmp_path):
     assert "bad.model.xml" not in [u.path for u in units]
 
 
-def test_duplicate_id_diags_ignores_same_unit():
-    unit, _ = parse('<model xmlns="n"><bean id="A" class="C"/></model>', "a.model.xml")
-    assert duplicate_id_diags([unit, unit]) == []
-
-
 # ---------------------------------------------------------------------------
 # Robustness
 
@@ -807,7 +793,7 @@ def test_parse_never_raises_on_arbitrary_text(text):
 def test_parse_never_raises_on_markup_soup(soup):
     text = "<model>" + soup
     unit, _ = parse_unit(text, "soup.model.xml")
-    assert unit.content_hash
+    assert unit.text == text
 
 
 # ---------------------------------------------------------------------------
